@@ -398,6 +398,10 @@ def complex_to_json(C, indent=None):
     return json.dumps({"vertices": vertices, "facets": facets}, indent=indent)
 
 
+# JSON scalars usable as vertex labels (bool is an int subclass)
+_JSON_LABEL = (str, int, float, type(None))
+
+
 def complex_from_json(text):
     import json
 
@@ -413,8 +417,12 @@ def complex_from_json(text):
     if isinstance(vertices, int):
         if vertices < 1:
             raise DomainError("vertex count must be positive")
+        if vertices > 64:
+            raise CapacityError(f"n={vertices} exceeds the 64-vertex capacity")
         labels = tuple(range(1, vertices + 1))
     elif isinstance(vertices, list):
+        if not all(isinstance(l, _JSON_LABEL) for l in vertices):
+            raise DomainError("vertex labels must be strings, numbers, booleans or null")
         labels = tuple(vertices)
         if len(set(labels)) != len(labels):
             raise DomainError("duplicate vertex labels")
@@ -424,13 +432,16 @@ def complex_from_json(text):
     if n > 64:
         raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
     pos = {l: i for i, l in enumerate(labels)}
+    facets = data["facets"]
+    if not isinstance(facets, list):
+        raise DomainError('"facets" must be a list of facets')
     gens = []
-    for facet in data["facets"]:
+    for facet in facets:
         if not isinstance(facet, list):
             raise DomainError("each facet must be a list of labels")
         m = 0
         for l in facet:
-            if l not in pos:
+            if not isinstance(l, _JSON_LABEL) or l not in pos:
                 raise DomainError(f"facet uses unknown vertex label {l!r}")
             m |= 1 << pos[l]
         gens.append(m)

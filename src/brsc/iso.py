@@ -8,7 +8,7 @@ a true prefix of the final key and prunes against the best key found so far.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .core import CapacityError, Complex, DomainError, bits, mask_of
 
@@ -131,7 +131,19 @@ def orbit_min_table(n, k):
     """For every subset of the k-subsets of an n-set, the lex-min relabeling.
 
     Returns (combs, canon) where combs lists the k-subsets in index order and
-    canon is a numpy array: canon[m] = smallest mask in the S_n-orbit of m.
+    canon is a read-only numpy array: canon[m] = smallest mask in the
+    S_n-orbit of m.
+
+    S_n is generated by the transposition (0 1) and the n-cycle, so instead
+    of applying all n! relabelings the table propagates minima along those
+    two generators: starting from canon[m] = m, each round sets
+    canon = min(canon, canon[g]) for both generator images g and then jumps
+    pointers, canon = canon[canon], until a round changes nothing.  Every
+    step keeps canon[m] inside the orbit of m and never increases it.  At the
+    fixed point canon[m] <= canon[g(m)] for both generators, and following
+    the cycle of g through m returns to m, so canon is constant on the cycles
+    of each generator and hence on the orbits of S_n.  Being <= m and an
+    orbit element, that constant is the orbit minimum.
     """
     import numpy as np
 
@@ -143,24 +155,35 @@ def orbit_min_table(n, k):
     size = 1 << B
     lo = B // 2
     hi = B - lo
-    arr = np.arange(size, dtype=np.uint32)
-    lo_part = arr & ((1 << lo) - 1)
-    hi_part = arr >> lo
-    canon = arr.copy()
     lut_lo = np.zeros(1 << lo, dtype=np.uint32)
     lut_hi = np.zeros(1 << hi, dtype=np.uint32)
-    for perm in permutations(range(n)):
+    # the transposition (0 1) and the n-cycle; for n = 2 they coincide
+    generators = {(1, 0, *range(2, n)), (*range(1, n), 0)} if n >= 2 else set()
+    images = []
+    for perm in generators:
         new_index = [idx[tuple(sorted(perm[v] for v in c))] for c in combs]
-        lut_lo[0] = 0
         for t in range(lo):
             half = 1 << t
             lut_lo[half : 2 * half] = lut_lo[:half] | np.uint32(1 << new_index[t])
-        lut_hi[0] = 0
         for t in range(hi):
             half = 1 << t
             lut_hi[half : 2 * half] = lut_hi[:half] | np.uint32(1 << new_index[lo + t])
-        img = lut_lo[lo_part] | lut_hi[hi_part]
-        np.minimum(canon, img, out=canon)
+        # mask m = (h << lo) | l sits at row h, column l of the outer table
+        images.append(np.bitwise_or.outer(lut_hi, lut_lo).ravel())
+    canon = np.arange(size, dtype=np.uint32)
+    scratch = np.empty_like(canon)
+    total = int(canon.sum(dtype=np.uint64))
+    while images:
+        for img in images:
+            np.take(canon, img, out=scratch, mode="clip")
+            np.minimum(canon, scratch, out=canon)
+        np.take(canon, canon, out=scratch, mode="clip")
+        canon, scratch = scratch, canon
+        now = int(canon.sum(dtype=np.uint64))
+        if now == total:
+            break
+        total = now
+    canon.flags.writeable = False
     return combs, canon
 
 
@@ -203,16 +226,6 @@ def paving_complexes(n, d):
     for pattern in reps:
         keep = {masks[t] for t in range(len(masks)) if pattern >> t & 1}
         yield Complex(n, base | keep)
-
-
-def enumerate_up_to_iso(n, d, predicate):
-    """Canonical forms of the paving complexes of dimension d satisfying the
-    predicate, one per isomorphism class."""
-    out = []
-    for C in paving_complexes(n, d):
-        if C.dim == d and predicate(C):
-            out.append(canonical_complex(C))
-    return out
 
 
 def all_complexes(n):

@@ -67,15 +67,6 @@ def moore_close(n, sets):
     return MooreFamily(n, members, validate=False)
 
 
-def closure_in_family(n, members, X):
-    """Intersection of all members containing X (the full set if there are none)."""
-    out = (1 << n) - 1
-    for m in members:
-        if X & ~m == 0:
-            out &= m
-    return out
-
-
 def is_flat(C, F):
     """F is a flat: every face inside F extends into H by any outside point."""
     faces = C.faces

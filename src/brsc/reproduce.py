@@ -770,14 +770,14 @@ REPRODUCE_TABLE = (
     Row("up", "Up operator: example flats, matrix route, iterated closed form", 10, crit_up),
     Row("unimodality", "Non-unimodal counting functions and the minimal parameters", 30, crit_unimodality),
     Row("flats", "Closed-form flats of paving complexes", 30, crit_flats),
-    Row("truncation", "Small-vertex scans, the six-point classes, unions", 300, crit_truncation),
+    Row("truncation", "Small-vertex scans, the six-point classes, unions", 30, crit_truncation),
     Row("nfb", "Global failure with all one-vertex restrictions good", 60, crit_nfb),
     Row("pure-conjecture", "Pure parts of low-rank truncations", 120, crit_pure_conjecture),
     Row("sums", "Sums of two line complexes", 300, crit_sums),
     Row("extensions", "Matroid extensions and T-family complexes", 600, crit_extensions),
     Row("rhodes-dowling", "Group-labeled graph complexes and their truncation families", 120, crit_rhodes_dowling),
     Row("shellability", "Shellability splits between a complex and its line complex", 60, crit_shellability),
-    Row("going-up", "Going-up classifications and the two-line family", 600, crit_going_up),
+    Row("going-up", "Going-up classifications and the two-line family", 60, crit_going_up),
     Row("oracles", "Cross-module oracle agreement", 120, crit_oracles),
     Row("rota-cex", "The two non-unimodal examples alone", 30, crit_rota_cex, acceptance=False),
     Row("mngu6", "The ten six-point minimal-non-going-up classes alone", 120, crit_mngu6, acceptance=False),

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brsc.catalog import catalog_names, named
 from brsc.cli import main
@@ -54,6 +59,37 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     p.write_text('{"vertices": 3, "facets": [[1,2')
     code, _, err = run(capsys, "check", str(p))
     assert code == 2 and "error" in err
+
+
+LABELS = st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    LABELS | st.integers(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+# objects of roughly the expected shape, so that parsing gets past the first checks
+SHAPED = st.fixed_dictionaries(
+    {
+        "vertices": st.integers() | st.lists(LABELS | JSON_VALUES, max_size=8) | JSON_VALUES,
+        "facets": st.lists(st.lists(LABELS | JSON_VALUES, max_size=4) | JSON_VALUES, max_size=4)
+        | JSON_VALUES,
+    }
+)
+
+
+@given(SHAPED | JSON_VALUES)
+@example({"vertices": [[1], [2]], "facets": []})
+@example({"vertices": 3, "facets": 5})
+@example({"vertices": 3, "facets": [[[1]]]})
+@example({"vertices": 10**30, "facets": []})
+@settings(max_examples=300, deadline=None)
+def test_any_json_input_exits_cleanly(value):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(value))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["op", "pure", "-"])
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")
 
 
 def test_unknown_catalog_name(capsys):

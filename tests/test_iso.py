@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,26 +87,63 @@ def test_embeds():
         embeds(Complex(3, [0b111]), Complex(4, [0b1111]))
 
 
-def test_orbit_table_matches_brute():
-    combs, canon = orbit_min_table(4, 2)
+def brute_orbit_min(n, k):
+    """The n!-permutation scan: canon[m] = min of m's image under every relabeling."""
+    combs = list(combinations(range(n), k))
     idx = {c: t for t, c in enumerate(combs)}
-    for m in range(1 << len(combs)):
-        best = m
-        for perm in permutations(range(4)):
-            img = 0
-            for t, c in enumerate(combs):
-                if m >> t & 1:
-                    img |= 1 << idx[tuple(sorted(perm[v] for v in c))]
-            best = min(best, img)
-        assert int(canon[m]) == best
+    masks = np.arange(1 << len(combs), dtype=np.int64)
+    planes = [(masks >> t) & 1 for t in range(len(combs))]
+    canon = masks.copy()
+    for perm in permutations(range(n)):
+        img = np.zeros_like(masks)
+        for t, c in enumerate(combs):
+            img |= planes[t] << idx[tuple(sorted(perm[v] for v in c))]
+        np.minimum(canon, img, out=canon)
+    return combs, canon
+
+
+def test_orbit_table_matches_brute():
+    for n, k in ((4, 2), (5, 2), (5, 3), (6, 2)):
+        combs, canon = orbit_min_table(n, k)
+        want_combs, want = brute_orbit_min(n, k)
+        assert combs == want_combs
+        assert canon.dtype == np.uint32
+        assert np.array_equal(canon.astype(np.int64), want), (n, k)
+
+
+def test_orbit_table_is_read_only():
+    _, canon = orbit_min_table(4, 2)
+    with pytest.raises(ValueError):
+        canon[0] = 1
+    # the cached table handed to the next caller is untouched
+    assert orbit_min_table(4, 2)[1] is canon and int(canon[0]) == 0
+
+
+@given(st.integers(0, (1 << 20) - 1), st.permutations(range(6)))
+@settings(max_examples=200, deadline=None)
+def test_orbit_table_is_relabeling_invariant(m, perm):
+    combs, canon = orbit_min_table(6, 3)
+    idx = {c: t for t, c in enumerate(combs)}
+    img = 0
+    for t, c in enumerate(combs):
+        if m >> t & 1:
+            img |= 1 << idx[tuple(sorted(perm[v] for v in c))]
+    assert canon[m] == canon[img] <= m
 
 
 def test_graph_counts_up_to_iso():
-    # numbers of graphs on n unlabeled vertices
-    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+    # numbers of graphs on n unlabeled vertices (OEIS A000088)
+    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, count in expected.items():
         _, reps = orbit_reps(n, 2)
         assert len(reps) == count, (n, len(reps))
+
+
+def test_three_uniform_hypergraph_count():
+    # 3-uniform hypergraphs on 6 unlabeled vertices, the empty one included
+    # (OEIS A000665)
+    _, reps = orbit_reps(6, 3)
+    assert len(reps) == 2136
 
 
 def test_all_complexes_against_downset_scan():
