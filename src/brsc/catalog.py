@@ -18,6 +18,7 @@ from .core import (
     mask_of,
 )
 from .lattice import BooleanMatrix, MooreFamily, complex_of_matrix, j_complex
+from .t_operator import jijn
 
 
 class GroupTable:
@@ -302,14 +303,6 @@ def _jnmk(n, m, k):
     return Complex(n, gens)
 
 
-def _jijn(i, j, n):
-    from .t_operator import _jijn as build
-
-    if not 2 <= i < j < n:
-        raise DomainError("jijn needs 2 <= i < j < n")
-    return build(i, j, n)
-
-
 _SIX_LINES = {
     1: ("1234", "12"),
     2: ("1234", "12", "15"),
@@ -498,7 +491,7 @@ def _bfour():
 _REGISTRY = {
     "uniform": (_uniform, "k, n with 1 <= k <= n"),
     "jnmk": (_jnmk, "n, m, k with n >= m >= k >= 1"),
-    "jijn": (_jijn, "i, j, n with 2 <= i < j < n"),
+    "jijn": (jijn, "i, j, n with 2 <= i < j < n"),
     "six": (_six, "case in 1..5"),
     "swirl": (_swirl, "d >= 2"),
     "nfb": (_nfb, "n >= 6"),

@@ -111,6 +111,12 @@ def cmd_check(args):
     out = {"id": args.input, "vertices": C.n}
     timings = {}
     out["dim"] = C.dim
+    # brsc and near_matroid share the cached flat scan; time it on its own,
+    # as null when it is out of range
+    scan = {}
+    _guarded(scan, timings, "flats", lambda: flats(C))
+    if scan["flats"] is None:
+        timings["flats"] = None
     _guarded(out, timings, "paving", lambda: is_paving(C))
     _guarded(out, timings, "brsc", lambda: is_boolean_representable(C)[0])
     _guarded(out, timings, "tbrsc", lambda: is_tbrsc(C))

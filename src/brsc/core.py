@@ -212,15 +212,6 @@ class Complex:
         return f"Complex(n={self.n}, facets=[{shown}{more}])"
 
 
-def build_complex(n, generators=(), labels=None):
-    """Complex generated by downward closure of the given faces (plus all singletons)."""
-    return Complex(n, generators, labels)
-
-
-def dim(C):
-    return C.dim
-
-
 def restriction(C, W):
     """Induced subcomplex on the vertex subset W (a mask)."""
     if W == 0:

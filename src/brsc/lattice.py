@@ -1,4 +1,20 @@
-"""Flats, closure operators, boolean matrices, and transversal complexes.
+"""One Horn-closure core behind flats, T(H), T(H_k) and their J-complexes.
+
+A face X of H forces the points that cannot extend it inside H: a set S
+containing X must contain bad(X) = {p : X + p is not a face}. The sets
+closed under the constraints (X, bad(X)) over the faces with |X| < k are
+
+- the flats of H for k = dim + 2 (every face),
+- T(H) for k = dim + 1 (the faces of size <= dim),
+- T(H_k) for k <= dim (the faces of the truncation H_k).
+
+_extension_constraints builds the pairs, _closed_sets scans all 2^n subsets
+against them, and _horn_closure propagates them to a fixpoint. A family given
+by its members closes by intersection instead (_meet_closure). Either
+closure cl defines the complex J of the sets whose elements can be ordered
+so that each leaves the closure of the earlier ones: _independent decides
+one set by a memoised search and _independent_complex builds J level by
+level. The public functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -6,7 +22,7 @@ j_complex goes through the boolean matrix M(R) and successive closures.
 Tests compare them; library code uses j_complex (faster).
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (
     CapacityError,
@@ -15,7 +31,6 @@ from .core import (
     SetFamily,
     bits,
     k_submasks,
-    mask_of,
     submasks,
 )
 
@@ -36,11 +51,7 @@ class MooreFamily(SetFamily):
                         raise DomainError("family is not closed under intersection")
 
     def closure(self, X):
-        out = (1 << self.n) - 1
-        for m in self.members:
-            if X & ~m == 0:
-                out &= m
-        return out
+        return _meet_closure(self.members, (1 << self.n) - 1, X)
 
 
 def moore_close(n, sets):
@@ -79,34 +90,104 @@ def is_flat(C, F):
     return True
 
 
-def _flat_constraints(C):
-    """Pairs (X, bad) over faces X where bad = points whose addition leaves H."""
+def _extension_constraints(C, k):
+    """Pairs (X, bad) over the faces X with |X| < k, where bad holds the
+    points whose addition to X leaves H (pairs with bad empty are dropped).
+
+    X + p has at most k points, so H and its truncation H_k agree on it.
+    """
     faces = C.faces
     out = []
     for X in faces:
+        if X.bit_count() >= k:
+            continue
         bad = 0
         for p in bits(C.full_mask & ~X):
             if X | (1 << p) not in faces:
                 bad |= 1 << p
         if bad:
             out.append((X, bad))
+    return tuple(out)
+
+
+def _closed_sets(n, cons):
+    """Every subset S of 0..n-1 closed under the constraints, by a 2^n scan."""
+    out = []
+    for S in range(1 << n):
+        for X, bad in cons:
+            if X & ~S == 0 and bad & ~S:
+                break
+        else:
+            out.append(S)
+    return MooreFamily(n, out, validate=False)
+
+
+def _horn_closure(cons, X):
+    """Smallest superset of X closed under the constraints (propagation fixpoint)."""
+    S = X
+    changed = True
+    while changed:
+        changed = False
+        for Xc, bad in cons:
+            if Xc & ~S == 0 and bad & ~S:
+                S |= bad
+                changed = True
+    return S
+
+
+def _meet_closure(sets, full, X):
+    """Intersection of full and the given sets that contain X."""
+    out = full
+    for z in sets:
+        if X & ~z == 0:
+            out &= z
     return out
+
+
+def _independent(cl, X):
+    """An order of X's elements in which each leaves the closure cl of the
+    earlier ones, or None when there is none (memoised search over prefixes)."""
+    memo = {}
+
+    def go(placed):
+        if placed == X:
+            return []
+        if placed in memo:
+            return memo[placed]
+        res = None
+        for x in bits(X & ~placed & ~cl(placed)):
+            rest = go(placed | (1 << x))
+            if rest is not None:
+                res = [x] + rest
+                break
+        memo[placed] = res
+        return res
+
+    return go(0)
+
+
+def _independent_complex(cl, n, labels=None):
+    """Complex of all sets independent for the closure cl, built level by level."""
+    full = (1 << n) - 1
+    faces = {0}
+    level = [0]
+    while level:
+        nxt = set()
+        for Y in level:
+            for x in bits(full & ~cl(Y)):
+                nxt.add(Y | (1 << x))
+        nxt -= faces
+        faces |= nxt
+        level = list(nxt)
+    return Complex(n, faces, labels)
 
 
 @lru_cache(maxsize=2048)
 def flats(C):
-    """All flats, by scanning every subset of V against the extension property."""
+    """All flats: the sets closed under every face's extension constraint."""
     if C.n > 22:
         raise CapacityError(f"flat scan over 2^{C.n} subsets is out of range")
-    cons = _flat_constraints(C)
-    out = []
-    for F in range(1 << C.n):
-        for X, bad in cons:
-            if X & ~F == 0 and bad & ~F:
-                break
-        else:
-            out.append(F)
-    return MooreFamily(C.n, out, validate=False)
+    return _closed_sets(C.n, _extension_constraints(C, C.dim + 2))
 
 
 def closure(C, X):
@@ -234,84 +315,38 @@ def matrix_of(family):
     return BooleanMatrix(family.n, tuple(full & ~m for m in sorted(family.members)))
 
 
-def _closure_from_zero_sets(zero_sets, full, X):
-    out = full
-    for z in zero_sets:
-        if X & ~z == 0:
-            out &= z
-    return out
+def _column_closure(M):
+    """Closure of a column set: the columns zero on every row zero on the set."""
+    return partial(_meet_closure, M.zero_sets, (1 << M.n) - 1)
 
 
 def is_independent(M, X):
     """X is independent: its columns can be ordered so each leaves the closure
     of the previous ones (equivalently, some row witnesses each step)."""
-    zs = M.zero_sets
-    full = (1 << M.n) - 1
-    memo = {}
-
-    def go(placed):
-        if placed == X:
-            return True
-        if placed in memo:
-            return memo[placed]
-        cl = _closure_from_zero_sets(zs, full, placed)
-        ok = any(go(placed | (1 << x)) for x in bits(X & ~placed & ~cl))
-        memo[placed] = ok
-        return ok
-
-    return go(0)
+    return _independent(_column_closure(M), X) is not None
 
 
 def independence_witness(M, X):
     """Column order plus row indices forming a lower unitriangular submatrix,
     or None when X is dependent."""
-    zs = M.zero_sets
-    full = (1 << M.n) - 1
-    memo = {}
-
-    def go(placed):
-        if placed == X:
-            return []
-        if placed in memo:
-            return memo[placed]
-        cl = _closure_from_zero_sets(zs, full, placed)
-        res = None
-        for x in bits(X & ~placed & ~cl):
-            rest = go(placed | (1 << x))
-            if rest is not None:
-                row = next(
-                    i for i, z in enumerate(zs) if placed & ~z == 0 and not z >> x & 1
-                )
-                res = [(x, row)] + rest
-                break
-        memo[placed] = res
-        return res
-
-    seq = go(0)
-    if seq is None:
+    order = _independent(_column_closure(M), X)
+    if order is None:
         return None
-    return [x for x, _ in seq], [r for _, r in seq]
+    zs = M.zero_sets
+    rows = []
+    placed = 0
+    for x in order:
+        rows.append(next(i for i, z in enumerate(zs) if placed & ~z == 0 and not z >> x & 1))
+        placed |= 1 << x
+    return order, rows
 
 
 def complex_of_matrix(M, labels=None):
     """Complex of all independent column sets of M."""
-    zs = M.zero_sets
-    full = (1 << M.n) - 1
-    cl0 = _closure_from_zero_sets(zs, full, 0)
-    if cl0:
+    cl = _column_closure(M)
+    if cl(0):
         raise DomainError("matrix has an all-zero column; no complex on all vertices")
-    faces = {0}
-    level = [0]
-    while level:
-        nxt = set()
-        for Y in level:
-            cl = _closure_from_zero_sets(zs, full, Y)
-            for x in bits(full & ~cl):
-                nxt.add(Y | (1 << x))
-        nxt -= faces
-        faces |= nxt
-        level = list(nxt)
-    return Complex(M.n, faces, labels)
+    return _independent_complex(cl, M.n, labels)
 
 
 def j_complex(family, labels=None):
@@ -378,13 +413,12 @@ def is_boolean_representable(C):
     Returns (ok, witness) where witness is a smallest non-representable face
     (None when ok). Checking facets suffices for the positive direction.
     """
-    fl = flats(C)
-    M = matrix_of(fl)
-    if all(is_independent(M, f) for f in C.facets):
+    cl = flats(C).closure
+    if all(_independent(cl, f) is not None for f in C.facets):
         return True, None
     for k in range(2, C.dim + 2):
         for X in sorted(C.faces_of_size(k)):
-            if not is_independent(M, X):
+            if _independent(cl, X) is None:
                 return False, X
     raise AssertionError("facet failed but no witness found")
 

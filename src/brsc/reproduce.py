@@ -33,19 +33,18 @@ from .lattice import (
     is_boolean_representable,
     j_complex,
     long_hyperplane_partition,
-    matrix_of,
     moore_close,
     transversal_complex,
 )
 from .operators import b_d, up, up_iter, up_iter_paving
 from .t_operator import (
-    _jijn,
     enumerate_mgu,
     enumerate_mngu,
     dim1_gu_facts,
     everyres_classes,
     is_tbrsc,
     j_restriction_params,
+    jijn,
     jt_complex,
     mgu_pairs,
     paving_tbrsc_criterion,
@@ -664,7 +663,7 @@ def crit_going_up(check):
     bad = []
     for n in range(4, 10):
         for i, j in mgu_pairs(n):
-            C = _jijn(i, j, n)
+            C = jijn(i, j, n)
             tb, _ = paving_tbrsc_criterion(C)
             br = is_boolean_representable(C)[0]
             if not tb or br != (j == 3):

@@ -1,14 +1,15 @@
 """T-family, TBRSC recognition, codimension, and going-up classification.
 
-The family T(H) collects the sets T such that every face of size <= dim
-inside T extends into H by any outside point. Most operators here avoid
-enumerating T(H): its closure operator is a propagation fixpoint over the
-finitely many (face, forced points) constraints, which is enough to build
-J(T(H)) and decide membership questions.
+T(H) collects the sets closed under the extension constraints of the faces
+of size <= dim, and T(H_k), read off H directly, those of the faces of size
+< k (the lattice core's constraints with k = dim + 1 and k). Most operators
+here avoid enumerating T(H): its closure cl_T is the core's propagation
+fixpoint over the finitely many (face, forced points) pairs, which is
+enough to build J(T(H)) and decide membership questions.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Tuple
 
 from .core import (
@@ -18,42 +19,30 @@ from .core import (
     bits,
     is_paving,
     k_submasks,
-    mask_of,
 )
-from .lattice import MooreFamily, flats, j_complex
+# flats is not used here; it stays a name of this module because
+# perfbench/selftest.py checks that the tracer wraps it in this namespace
+from .lattice import (
+    _closed_sets,
+    _extension_constraints,
+    _horn_closure,
+    _independent,
+    _independent_complex,
+    flats,
+)
 
 
 @lru_cache(maxsize=4096)
 def _t_constraints(C):
     """Pairs (X, bad): X a face of size <= dim whose extension fails on bad."""
-    d = C.dim
-    faces = C.faces
-    out = []
-    for X in faces:
-        if X.bit_count() > d:
-            continue
-        bad = 0
-        for p in bits(C.full_mask & ~X):
-            if X | (1 << p) not in faces:
-                bad |= 1 << p
-        if bad:
-            out.append((X, bad))
-    return tuple(out)
+    return _extension_constraints(C, C.dim + 1)
 
 
 def t_family(C):
     """All members of T(H), by scanning every subset of V."""
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    cons = _t_constraints(C)
-    out = []
-    for T in range(1 << C.n):
-        for X, bad in cons:
-            if X & ~T == 0 and bad & ~T:
-                break
-        else:
-            out.append(T)
-    return MooreFamily(C.n, out, validate=False)
+    return _closed_sets(C.n, _t_constraints(C))
 
 
 def truncation_t_family(C, k):
@@ -62,102 +51,39 @@ def truncation_t_family(C, k):
 
     Agrees with t_family(truncate(C, k)) for k <= dim and with t_family(C)
     at k = dim + 1.  For larger k the constraints also range over facets, so
-    the family shrinks (any T containing a facet must be the full set) and
-    stops depending on k.
+    the family equals flats(C) (any T containing a facet must be the full
+    set) and stops depending on k.
     """
     if k < 1:
         raise DomainError("truncation level must be at least 1")
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    faces = C.faces
-    cons = []
-    for X in faces:
-        if X.bit_count() >= k:
-            continue
-        bad = 0
-        # the extension X | {p} has size <= k automatically
-        for p in bits(C.full_mask & ~X):
-            if X | (1 << p) not in faces:
-                bad |= 1 << p
-        if bad:
-            cons.append((X, bad))
-    out = []
-    for T in range(1 << C.n):
-        for X, bad in cons:
-            if X & ~T == 0 and bad & ~T:
-                break
-        else:
-            out.append(T)
-    return MooreFamily(C.n, out, validate=False)
+    return _closed_sets(C.n, _extension_constraints(C, k))
 
 
 def cl_T(C, X):
     """Intersection of the T(H) members containing X, via constraint propagation."""
-    cons = _t_constraints(C)
-    S = X
-    changed = True
-    while changed:
-        changed = False
-        for Xc, bad in cons:
-            if Xc & ~S == 0 and bad & ~S:
-                S |= bad
-                changed = True
-    return S
+    return _horn_closure(_t_constraints(C), X)
 
 
 def jt_complex(C):
-    """The complex J(T(H)), built from successive cl_T closures.
-
-    A set belongs iff its elements can be ordered so that each leaves the
-    closure of the previous ones.
-    """
-    full = C.full_mask
-    faces = {0}
-    level = [0]
-    while level:
-        nxt = set()
-        for Y in level:
-            cl = cl_T(C, Y)
-            for x in bits(full & ~cl):
-                nxt.add(Y | (1 << x))
-        nxt -= faces
-        faces |= nxt
-        level = list(nxt)
-    return Complex(C.n, faces, C.labels)
-
-
-def _jt_member(C, X):
-    """Membership of X in J(T(H)) without building the whole complex."""
-    memo = {}
-
-    def go(placed):
-        if placed == X:
-            return True
-        if placed in memo:
-            return memo[placed]
-        cl = cl_T(C, placed)
-        ok = any(go(placed | (1 << x)) for x in bits(X & ~placed & ~cl))
-        memo[placed] = ok
-        return ok
-
-    return go(0)
+    """The complex J(T(H)): the sets whose elements can be ordered so that
+    each leaves the cl_T closure of the previous ones."""
+    return _independent_complex(partial(cl_T, C), C.n, C.labels)
 
 
 def is_tbrsc(C):
     """Whether C is the (dim+1)-truncation of the BRSC J(T(H))."""
-    d = C.dim
+    cl = partial(cl_T, C)
     for f in C.facets:
-        if not _jt_member(C, f):
+        if _independent(cl, f) is None:
             return False
     full = C.full_mask
     faces = C.faces
-    for k in range(2, d + 2):
+    for k in range(2, C.dim + 2):
         for X in k_submasks(full, k):
-            if X not in faces and _jt_member(C, X):
+            if X not in faces and _independent(cl, X) is not None:
                 return False
-    if C.n <= 14:
-        # the recognition theorem also pins the flats of J(T(H)) down
-        assert set(flats(jt_complex(C)).members) == set(t_family(C).members)
     return True
 
 
@@ -313,13 +239,15 @@ def dim1_gu_facts(C):
     }
 
 
-def _jijn(i, j, n):
+def jijn(i, j, n):
+    """The two-line complex J(i,j,n): the union of the b_d line complexes on
+    the first i and the first j of n points, for 2 <= i < j < n."""
     from .operators import b_d
     from .core import union
 
-    L1 = (1 << i) - 1
-    L2 = (1 << j) - 1
-    return union(b_d(n, L1, 2), b_d(n, L2, 2))
+    if not 2 <= i < j < n:
+        raise DomainError("jijn needs 2 <= i < j < n")
+    return union(b_d(n, (1 << i) - 1, 2), b_d(n, (1 << j) - 1, 2))
 
 
 def paving2_reps(n):
@@ -365,7 +293,7 @@ def enumerate_mgu(n, d=2):
     out = []
     sigs = []
     for i, j in mgu_pairs(n):
-        C = _jijn(i, j, n)
+        C = jijn(i, j, n)
         assert classify_minimality(C) == "mGU"
         out.append(C)
         sigs.append(frozenset(m.bit_count() for m in t_family(C).members))
@@ -432,7 +360,7 @@ def everyres_classes(n):
 
     qualifying = []
     for i, j in mgu_pairs(n):
-        C = _jijn(i, j, n)
+        C = jijn(i, j, n)
         good = True
         for p in range(1, n + 1):
             a, b = j_restriction_params(i, j, n, p)

@@ -577,12 +577,13 @@ def complexes(max_n=5):
 @given(complexes(), st.integers(1, 7))
 @settings(max_examples=120, deadline=None)
 def test_truncation_t_family_matches_plain_route(C, k):
+    stable = truncation_t_family(C, C.dim + 2)
+    assert stable == flats(C)
     if k <= C.dim + 1:
         assert set(truncation_t_family(C, k).members) == set(
             t_family(truncate(C, k)).members
         )
     else:
-        stable = truncation_t_family(C, C.dim + 2)
         assert set(truncation_t_family(C, k).members) == set(stable.members)
 
 

@@ -36,13 +36,21 @@ def test_json_round_trip_over_whole_catalog():
         assert complex_from_json(complex_to_json(C)) == C
 
 
-def test_check_report_fields(capsys):
+def test_check_report_fields(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "btbtwo")
     assert code == 0
     d = json.loads(out)
     assert d["tbrsc"] is True and d["brsc"] is False
     assert d["dim"] == 2 and d["paving"] == 2
-    assert set(d["timings"]) >= {"brsc", "tbrsc", "matroid", "shellable"}
+    assert set(d["timings"]) >= {"flats", "brsc", "tbrsc", "matroid", "shellable"}
+    assert d["timings"]["flats"] >= 0
+    # past the 22-vertex flat scan the shared entry reads null
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"vertices": 24, "facets": [[1, 2]]}')
+    code, out, _ = run(capsys, "check", str(wide))
+    d = json.loads(out)
+    assert code == 0 and d["brsc"] is None
+    assert d["timings"]["flats"] is None
 
 
 def test_check_desargues(capsys):

@@ -11,7 +11,6 @@ from brsc import (
     CapacityError,
     Complex,
     DomainError,
-    build_complex,
     complex_from_json,
     complex_to_json,
     contraction,
@@ -76,27 +75,27 @@ def test_bit_helpers():
 
 
 def test_build_small():
-    C = build_complex(4, [0b0011, 0b1100])
+    C = Complex(4, [0b0011, 0b1100])
     assert C.dim == 1
     assert faces_as_sets(C) == closure_oracle(4, [{0, 1}, {2, 3}])
     assert C.facets == frozenset({0b0011, 0b1100})
 
 
 def test_singletons_always_present():
-    C = build_complex(3)
+    C = Complex(3)
     assert faces_as_sets(C) == {frozenset(), frozenset([0]), frozenset([1]), frozenset([2])}
     assert C.dim == 0
 
 
 def test_domain_and_capacity():
     with pytest.raises(DomainError):
-        build_complex(0)
+        Complex(0)
     with pytest.raises(CapacityError):
-        build_complex(65)
+        Complex(65)
     with pytest.raises(DomainError):
-        build_complex(2, [0b100])
+        Complex(2, [0b100])
     with pytest.raises(DomainError):
-        build_complex(2, labels=("a", "a"))
+        Complex(2, labels=("a", "a"))
 
 
 @given(complexes())
@@ -124,7 +123,7 @@ def test_has_agrees_with_faces(C, probe):
 
 
 def test_restriction_oracle():
-    C = build_complex(5, [0b00111, 0b11100])
+    C = Complex(5, [0b00111, 0b11100])
     R = restriction(C, 0b01110)
     expect = {
         frozenset(X & {1, 2, 3})
@@ -152,7 +151,7 @@ def test_restriction_matches_filter(C, W_seed):
 
 
 def test_contraction():
-    C = build_complex(4, [0b0111, 0b1100])
+    C = Complex(4, [0b0111, 0b1100])
     X = contraction(C, 0b0100)
     # faces Y of X satisfy Y union {2} in C
     expect = {
@@ -175,8 +174,8 @@ def test_truncate_matches_filter(C, k):
 
 
 def test_union_sum_oplus_join():
-    A = build_complex(4, [0b0011])
-    B = build_complex(4, [0b1100])
+    A = Complex(4, [0b0011])
+    B = Complex(4, [0b1100])
     U = union(A, B)
     assert faces_as_sets(U) == faces_as_sets(A) | faces_as_sets(B)
 
@@ -215,18 +214,18 @@ def test_sum_oracle(C, D):
 
 def test_pure_part():
     # one triangle plus a pendant edge: pure part keeps the triangle only
-    C = build_complex(5, [0b00111, 0b11000])
+    C = Complex(5, [0b00111, 0b11000])
     P = pure_part(C)
     assert P.n == 3
     assert P.labels == (1, 2, 3)
     assert P.dim == 2
-    C2 = build_complex(3, [0b011, 0b101, 0b110])
+    C2 = Complex(3, [0b011, 0b101, 0b110])
     P2 = pure_part(C2)
     assert P2 == C2
 
 
 def test_counting_function_and_unimodal():
-    C = build_complex(4, [0b1111])
+    C = Complex(4, [0b1111])
     alpha, uni = counting_function(C)
     assert alpha == (1, 4, 6, 4, 1)
     assert uni
@@ -245,14 +244,14 @@ def test_alpha_sums_to_face_count(C):
 def test_paving_and_defect():
     # all 2-subsets present, one triangle missing from the 3-slice
     full3 = set(k_submasks(0b1111, 3))
-    C = build_complex(4, (full3 - {0b0111}) | {0b1111 & 0})
-    C = build_complex(4, full3 - {0b0111})
+    C = Complex(4, (full3 - {0b0111}) | {0b1111 & 0})
+    C = Complex(4, full3 - {0b0111})
     assert C.dim == 2
     assert is_paving(C) == 2
     D = defect(C)
     assert set(D.members) == {0b0111}
     # non-paving: a missing edge below top dimension
-    C2 = build_complex(4, [0b0111])
+    C2 = Complex(4, [0b0111])
     assert is_paving(C2) is None
     with pytest.raises(DomainError):
         defect(C2)
@@ -261,13 +260,13 @@ def test_paving_and_defect():
 def test_defect_graph_components():
     # n=5, defect edges 12 and 23 form one component; 4 and 5 are isolated
     gens = set(k_submasks(0b11111, 2)) - {0b00011, 0b00110}
-    C = build_complex(5, gens)
+    C = Complex(5, gens)
     comps = defect_graph_components(C)
     assert sorted(comps) == [0b00111, 0b01000, 0b10000]
 
 
 def test_json_round_trip():
-    C = build_complex(4, [0b0111, 0b1010])
+    C = Complex(4, [0b0111, 0b1010])
     text = complex_to_json(C)
     data = json.loads(text)
     assert data["vertices"] == 4
@@ -299,6 +298,6 @@ def test_json_errors():
 
 
 def test_repr_smoke():
-    C = build_complex(4, [0b0111])
+    C = Complex(4, [0b0111])
     assert "Complex" in repr(C)
-    assert "SetFamily" in repr(defect(build_complex(3, set(k_submasks(0b111, 2)) - {0b011})))
+    assert "SetFamily" in repr(defect(Complex(3, set(k_submasks(0b111, 2)) - {0b011})))

@@ -13,8 +13,10 @@ from brsc.lattice import (
     MooreFamily,
     closure,
     complex_of_matrix,
+    _extension_constraints,
     flats,
     flats_paving,
+    _horn_closure,
     independence_witness,
     is_boolean_representable,
     is_flat,
@@ -94,6 +96,7 @@ def test_closure_axioms(C, x, y):
     X = x & C.full_mask
     Y = y & C.full_mask
     cx = closure(C, X)
+    assert cx == _horn_closure(_extension_constraints(C, C.dim + 2), X)
     assert X & ~cx == 0
     assert closure(C, cx) == cx
     if X & ~Y == 0:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc.catalog import named
 from brsc.core import Complex, DomainError, bits, is_paving, k_submasks, mask_of, truncate, union
 from brsc.lattice import MooreFamily, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
@@ -70,6 +71,36 @@ def test_cl_T_matches_family_scan(C, seed):
 @settings(max_examples=100, deadline=None)
 def test_jt_complex_matches_family_route(C):
     assert jt_complex(C) == j_complex(t_family(C))
+
+
+TBRSC_FIXTURES = [
+    ("btbtwo", {}),
+    ("ncu", {}),
+    ("sme", {}),
+    ("tracks", {}),
+    ("cepc", {}),
+    ("desargues", {}),
+    ("jijn", {"i": 2, "j": 4, "n": 6}),
+]
+
+
+def _jt_flats_are_t_family(C):
+    # the recognition theorem pins the flats of J(T(H)) down for a TBRSC
+    return set(flats(jt_complex(C)).members) == set(t_family(C).members)
+
+
+@given(complexes())
+@settings(max_examples=150, deadline=None)
+def test_tbrsc_flats_of_jt_are_t_family(C):
+    if is_tbrsc(C):
+        assert _jt_flats_are_t_family(C)
+
+
+@pytest.mark.parametrize("name, params", TBRSC_FIXTURES)
+def test_named_tbrsc_flats_of_jt_are_t_family(name, params):
+    C = named(name, **params)
+    assert is_tbrsc(C)
+    assert _jt_flats_are_t_family(C)
 
 
 def test_flats_inside_truncation_t_family():
