@@ -1,10 +1,14 @@
 """Canonical forms, isomorphism, embeddings, and orbit enumeration.
 
 Canonical form of a complex: the lexicographically smallest sorted tuple of
-facet masks over all relabelings of the vertices. The search assigns new
-labels 0,1,2,... one at a time; since facets inside the assigned prefix get
-smaller masks than anything touching later labels, the partial facet list is
-a true prefix of the final key and prunes against the best key found so far.
+facet masks over all relabelings of the vertices. The search hands out new
+labels 0,1,2,... one at a time. Every key splits into one segment per label,
+the facets whose highest new label it is, so a search node computes only the
+segment of the vertex it places, follows only the candidates whose segment
+is smallest, and tries one vertex per class of twins (vertices whose swap is
+an automorphism); `canonical_key` gives the argument for each rule.
+Isomorphism classes of whole families (graphs, paving complexes) come from
+orbit tables over face patterns instead.
 """
 
 from functools import lru_cache
@@ -13,60 +17,116 @@ from itertools import combinations
 from .core import CapacityError, Complex, DomainError, bits, mask_of
 
 
-def _facet_key(n, facets, perm):
-    """Sorted facet masks after relabeling vertex v to perm[v]."""
-    out = []
-    for f in facets:
-        m = 0
-        for v in bits(f):
-            m |= 1 << perm[v]
-        out.append(m)
-    out.sort()
-    return tuple(out)
+def _twin_classes(n, through):
+    """rep[v] = smallest w such that the transposition (v w) maps facets to facets.
+
+    Being swappable is an equivalence relation: (u w) = (u v)(v w)(u v) is a
+    composite of automorphisms whenever (u v) and (v w) are automorphisms.
+    The swap fixes facets holding both or neither of v, w, so it maps facets
+    to facets exactly when the facets through v alone, with v traded for w,
+    are the facets through w alone.
+    """
+    rep = list(range(n))
+    for v in range(n):
+        if rep[v] != v:
+            continue
+        bv = 1 << v
+        for w in range(v + 1, n):
+            if rep[w] != w:
+                continue
+            bw = 1 << w
+            pair = bv | bw
+            alone_v = {f ^ pair for f in through[v] if not f & bw}
+            if alone_v == {f for f in through[w] if not f & bv}:
+                rep[w] = v
+    return rep
 
 
 def canonical_key(C):
-    """Lex-min sorted facet tuple over all vertex relabelings."""
+    """Lex-min sorted facet tuple over all vertex relabelings.
+
+    The search hands out new labels 0, 1, 2, ... one at a time.  A facet whose
+    highest new label is d has a mask in [2^d, 2^(d+1)), so every key is the
+    concatenation of one sorted segment per label: segment d holds the facets
+    through the vertex labelled d that lie inside the vertices labelled 0..d.
+    Segment d depends only on the vertices labelled 0..d, and a node that
+    gives label d to vertex v computes just that segment from v's facets.
+
+    Two keys that agree through segment d-1 are ordered by segment d with +inf
+    appended.  Where the two segments differ at a position both have, that
+    position decides.  Where one is a proper prefix of the other, both keys
+    hold the same number of facets, so the key with the shorter segment has a
+    facet still to come there, with a mask >= 2^(d+1) above every mask of
+    segment d: the longer segment gives the smaller key, as the appended +inf
+    says.  Hence at every node only the candidates with the smallest padded
+    segment can lead to the minimum, and all of those tied candidates are
+    explored.  A node whose path so far equals the best key's and whose
+    padded segment exceeds the best key's at the same depth is cut: every
+    completion is larger.
+
+    Vertices v, w are twins when the transposition (v w) maps facets to
+    facets.  At a node both unplaced, the swap fixes every placed vertex and
+    carries each labelling that gives w the next label to one giving v that
+    label with the same sorted facet tuple, so only the first unplaced member
+    of each twin class is tried.
+    """
     if C.n > 10:
         raise CapacityError(f"canonical form search not supported for n={C.n}")
     n = C.n
-    facets = sorted(C.facets)
-    ident = _facet_key(n, facets, list(range(n)))
-    best = [ident]
+    verts = {f: tuple(bits(f)) for f in C.facets}
+    through = [[f for f in verts if f >> v & 1] for v in range(n)]
+    rep = _twin_classes(n, through)
+    inf = 1 << n
+    label = [0] * n
+    path = [None] * n
+    best = None
 
-    def prefix_of(assignment_list):
-        # assignment_list[i] = old vertex given new label i
-        pos = {old: i for i, old in enumerate(assignment_list)}
-        placed = 0
-        for old in assignment_list:
-            placed |= 1 << old
-        out = []
-        for f in facets:
-            if f & ~placed == 0:
-                m = 0
-                for v in bits(f):
-                    m |= 1 << pos[v]
-                out.append(m)
-        out.sort()
-        return tuple(out)
-
-    def rec(assignment, placed):
-        depth = len(assignment)
-        pref = prefix_of(assignment)
-        cut = best[0][: len(pref)]
-        if pref > cut:
+    def rec(d, placed, tight):
+        # tight: path[:d] equals best[:d]; otherwise path[:d] is smaller
+        nonlocal best
+        if d == n:
+            if not tight:
+                best = path[:]
             return
-        if depth == n:
-            if pref < best[0]:
-                best[0] = pref
-            return
-        for old in range(n):
-            if placed >> old & 1:
+        tried = set()
+        low = None
+        ties = []
+        for v in range(n):
+            if placed >> v & 1 or rep[v] in tried:
                 continue
-            rec(assignment + [old], placed | (1 << old))
+            tried.add(rep[v])
+            inside = placed | 1 << v
+            label[v] = d
+            seg = []
+            for f in through[v]:
+                if not f & ~inside:
+                    m = 0
+                    for u in verts[f]:
+                        m |= 1 << label[u]
+                    seg.append(m)
+            seg.sort()
+            seg.append(inf)
+            seg = tuple(seg)
+            if low is None or seg < low:
+                low = seg
+                ties = [v]
+            elif seg == low:
+                ties.append(v)
+        if tight:
+            if low > best[d]:
+                return
+            tight = low == best[d]
+        path[d] = low
+        before = best
+        for v in ties:
+            # a best key found below this node shares path[:d + 1]
+            if best is not before:
+                tight = True
+            label[v] = d
+            rec(d + 1, placed | 1 << v, tight)
 
-    rec([], 0)
-    return best[0]
+    rec(0, 0, False)
+    return tuple(m for seg in best for m in seg[:-1])
 
 
 @lru_cache(maxsize=8192)
@@ -98,7 +158,11 @@ def embeds(C, D):
     """
     if C.n != D.n:
         raise DomainError("embedding compares complexes on equally many vertices")
-    facets = sorted(C.facets, key=lambda f: -f.bit_count())
+    # facets grouped by their highest vertex: the node that places vertex v
+    # tests only the facets it completes, larger ones first
+    top = [[] for _ in range(C.n)]
+    for f in sorted(C.facets, key=lambda f: -f.bit_count()):
+        top[f.bit_length() - 1].append(f)
 
     def rec(partial, used):
         v = len(partial)
@@ -108,15 +172,7 @@ def embeds(C, D):
             if used >> w & 1:
                 continue
             partial.append(w)
-            ok = True
-            placed = mask_of(range(v + 1))
-            for f in facets:
-                if f & ~placed == 0:
-                    img = mask_of(partial[u] for u in bits(f))
-                    if not D.has(img):
-                        ok = False
-                        break
-            if ok:
+            if all(D.has(mask_of(partial[u] for u in bits(f))) for f in top[v]):
                 got = rec(partial, used | (1 << w))
                 if got is not None:
                     return got

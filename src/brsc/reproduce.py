@@ -38,6 +38,7 @@ from .lattice import (
 )
 from .operators import b_d, up, up_iter, up_iter_paving
 from .t_operator import (
+    classify_minimality,
     enumerate_mgu,
     enumerate_mngu,
     dim1_gu_facts,
@@ -47,6 +48,7 @@ from .t_operator import (
     jijn,
     jt_complex,
     mgu_pairs,
+    paving2_reps,
     paving_tbrsc_criterion,
     t_family,
     truncation_t_family,
@@ -635,6 +637,25 @@ def crit_computemgu(check, n=7):
         f"minimal going-up classes on {n} vertices: count {len(out)} equals ({n}^2-9*{n}+22)/2 = {want}",
         len(out) == want,
     )
+    verdicts = [classify_minimality(C) for C in out]
+    check(
+        f"every listed class on {n} vertices is mGU",
+        all(v == "mGU" for v in verdicts),
+        ", ".join(sorted(set(verdicts))),
+    )
+    sigs = {frozenset(m.bit_count() for m in t_family(C).members) for C in out}
+    check(
+        f"the T(H) member-size sets separate the {len(out)} classes on {n} vertices",
+        len(sigs) == len(out),
+        f"{len(sigs)} distinct",
+    )
+    if n <= 5:
+        found = {canonical_complex(C) for C in paving2_reps(n) if classify_minimality(C) == "mGU"}
+        check(
+            f"an exhaustive paving scan on {n} vertices finds exactly the listed mGU classes",
+            found == {canonical_complex(C) for C in out},
+            f"{len(found)} found",
+        )
 
 
 def crit_going_up(check):

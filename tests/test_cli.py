@@ -130,6 +130,19 @@ def test_closure_and_flats(capsys):
     assert [] in fl and [1, 2, 3, 4] in fl
 
 
+def test_iso_canon_at_the_cap(capsys, tmp_path):
+    # ten vertices is the canonical-form cap; the output is its own canonical form
+    code, out, _ = run(capsys, "iso", "canon", "uniform:k=2,n=10")
+    assert code == 0
+    p = tmp_path / "canon.json"
+    p.write_text(out)
+    code, again, _ = run(capsys, "iso", "canon", str(p))
+    assert code == 0 and again == out
+    code, out, err = run(capsys, "iso", "canon", "uniform:k=2,n=11")
+    assert code == 3 and out == ""
+    assert "capacity: canonical form search not supported for n=11" in err
+
+
 def test_reproduce_unknown_tag(capsys):
     code, _, err = run(capsys, "reproduce", "nosuchtag")
     assert code == 2 and "available" in err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc.cli import load_complex
 from brsc.core import Complex, DomainError, bits, k_submasks, mask_of
 from brsc.iso import (
     all_complexes,
@@ -48,7 +49,102 @@ def test_canonical_key_is_orbit_invariant(C, rng):
     assert canonical_key(C) == canonical_key(D)
 
 
-@given(complexes(5))
+def brute_canonical_key(C):
+    """The prefix-rebuilding backtrack: each node relabels every facet inside
+    the assigned vertices and prunes only against the best finished key."""
+    n = C.n
+    facets = sorted(C.facets)
+    best = [tuple(facets)]
+
+    def prefix_of(assignment):
+        # assignment[i] = old vertex given new label i
+        pos = {old: i for i, old in enumerate(assignment)}
+        placed = mask_of(assignment)
+        out = []
+        for f in facets:
+            if f & ~placed == 0:
+                out.append(mask_of(pos[v] for v in bits(f)))
+        out.sort()
+        return tuple(out)
+
+    def rec(assignment, placed):
+        pref = prefix_of(assignment)
+        if pref > best[0][: len(pref)]:
+            return
+        if len(assignment) == n:
+            if pref < best[0]:
+                best[0] = pref
+            return
+        for old in range(n):
+            if not placed >> old & 1:
+                rec(assignment + [old], placed | (1 << old))
+
+    rec([], 0)
+    return best[0]
+
+
+def twin_rich_complexes(max_n=8):
+    """Random small complexes grown by cones, disjoint copies, isolated
+    vertices and complete skeleta, then relabeled: many vertex pairs whose
+    swap is an automorphism, in no particular position."""
+
+    @st.composite
+    def strat(draw):
+        n = draw(st.integers(1, 4))
+        facets = Complex(n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))).facets
+        for op in draw(st.lists(st.sampled_from(("cone", "copies", "isolated", "skeleton")), max_size=3)):
+            if op == "cone" and n < max_n:
+                facets = {f | 1 << n for f in facets}
+                n += 1
+            elif op == "copies" and 2 * n <= max_n:
+                facets = facets | {f << n for f in facets}
+                n *= 2
+            elif op == "isolated" and n < max_n:
+                n = draw(st.integers(n + 1, max_n))
+            elif op == "skeleton":
+                facets |= set(k_submasks((1 << n) - 1, draw(st.integers(1, min(n, 3)))))
+            facets = Complex(n, facets).facets
+        perm = draw(st.permutations(range(n)))
+        return Complex(n, [mask_of(perm[v] for v in bits(f)) for f in facets])
+
+    return strat()
+
+
+@given(twin_rich_complexes())
+@settings(max_examples=100, deadline=None)
+def test_canonical_key_matches_brute_search(C):
+    assert canonical_key(C) == brute_canonical_key(C)
+
+
+# catalog names, and whether the brute search runs on them in a few seconds;
+# every one is also checked against a seeded relabeling
+NAMED_CANON = [
+    ("sme", True),
+    ("tracks", True),
+    ("cepc", True),
+    ("lhne", False),
+    ("dowling:m=2,n=3", True),
+    ("jijn:i=2,j=4,n=9", True),
+    ("uniform:k=3,n=9", False),
+]
+
+
+@pytest.mark.parametrize("spec,brute", NAMED_CANON, ids=[spec for spec, _ in NAMED_CANON])
+def test_named_canonical_keys(spec, brute):
+    C = load_complex(spec)
+    key = canonical_key(C)
+    perm = list(range(C.n))
+    random.Random(C.n * 1000 + len(C.facets)).shuffle(perm)
+    assert canonical_key(permute_complex(C, perm)) == key
+    # the key, read as a complex, has C's facet sizes and is its own key
+    K = Complex(C.n, key)
+    assert sorted(f.bit_count() for f in K.facets) == sorted(f.bit_count() for f in C.facets)
+    assert canonical_key(K) == key
+    if brute:
+        assert key == brute_canonical_key(C)
+
+
+@given(complexes(6))
 @settings(max_examples=60, deadline=None)
 def test_canonical_key_is_orbit_minimum(C):
     keys = []
@@ -85,6 +181,17 @@ def test_embeds():
     assert embeds(Complex(4, [0b011, 0b110]), Complex(4, set(k_submasks(0b1111, 2)))) is not None
     with pytest.raises(DomainError):
         embeds(Complex(3, [0b111]), Complex(4, [0b1111]))
+
+
+@given(complexes(7), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_embeds_into_a_relabeling(C, rng):
+    perm = list(range(C.n))
+    rng.shuffle(perm)
+    D = permute_complex(C, perm)
+    m = embeds(C, D)
+    assert m is not None and sorted(m) == list(range(C.n))
+    assert all(D.has(mask_of(m[v] for v in bits(f))) for f in C.facets)
 
 
 def brute_orbit_min(n, k):

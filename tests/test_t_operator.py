@@ -23,6 +23,7 @@ from brsc.t_operator import (
     goes_up,
     is_tbrsc,
     jt_complex,
+    paving2_reps,
     paving_tbrsc_criterion,
     t_family,
 )
@@ -319,6 +320,13 @@ def test_enumerate_mgu_counts():
     for n in (4, 5, 6):
         out = enumerate_mgu(n)
         assert len(out) == (n * n - 9 * n + 22) // 2
+        assert all(classify_minimality(C) == "mGU" for C in out)
+        # distinct T(H) member-size sets separate the classes
+        sigs = {frozenset(m.bit_count() for m in t_family(C).members) for C in out}
+        assert len(sigs) == len(out)
+        # an exhaustive scan of the paving classes finds no others
+        found = {canonical_complex(C) for C in paving2_reps(n) if classify_minimality(C) == "mGU"}
+        assert found == {canonical_complex(C) for C in out}
 
 
 def test_everyres_empty_below_nine():
