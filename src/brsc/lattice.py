@@ -8,13 +8,16 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 - T(H) for k = dim + 1 (the faces of size <= dim),
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
-_extension_constraints builds the pairs, _closed_sets scans all 2^n subsets
-against them, and _horn_closure propagates them to a fixpoint. A family given
-by its members closes by intersection instead (_meet_closure). Either
-closure cl defines the complex J of the sets whose elements can be ordered
-so that each leaves the closure of the earlier ones: _independent decides
-one set by a memoised search and _independent_complex builds J level by
-level. The public functions below are short calls into these helpers.
+_extension_constraints builds the pairs and _horn_closure propagates them to
+a fixpoint, stopping as soon as it reaches the full set V. _closed_sets lists
+the closed sets by Ganter's NextClosure, one closure per candidate, so its
+cost follows the size of the family rather than 2^n. A family given by its
+members closes by intersection instead (_meet_closure). Either closure cl
+defines the complex J of the sets whose elements can be ordered so that each
+leaves the closure of the earlier ones: _independent decides one set by a
+memoised search and _independent_complex builds J level by level, one
+closure per independent set, handing only J's facets to Complex. The public
+functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -111,27 +114,47 @@ def _extension_constraints(C, k):
 
 
 def _closed_sets(n, cons):
-    """Every subset S of 0..n-1 closed under the constraints, by a 2^n scan."""
-    out = []
-    for S in range(1 << n):
-        for X, bad in cons:
-            if X & ~S == 0 and bad & ~S:
+    """Every subset of 0..n-1 closed under the constraints, by Ganter's
+    NextClosure: one closure per candidate, so the cost follows the number
+    of closed sets rather than 2^n.
+
+    Bit i weighs 2^i, so lectic order is increasing int order. The closed set
+    after A is found at the lowest point b outside A whose closure of
+    (A above b) + b adds nothing above b; the highest point outside A always
+    qualifies, so the inner loop ends.
+    """
+    full = (1 << n) - 1
+    A = _horn_closure(cons, full, 0)
+    out = [A]
+    while A != full:
+        m = full & ~A
+        while True:
+            b = m & -m
+            head = A & ~(b - 1) | b
+            B = _horn_closure(cons, full, head)
+            if B & ~(b - 1) == head:
                 break
-        else:
-            out.append(S)
+            m ^= b
+        A = B
+        out.append(A)
     return MooreFamily(n, out, validate=False)
 
 
-def _horn_closure(cons, X):
-    """Smallest superset of X closed under the constraints (propagation fixpoint)."""
+def _horn_closure(cons, full, X):
+    """Smallest superset of X closed under the constraints (propagation
+    fixpoint), returned as soon as it reaches full, the set 0..n-1."""
     S = X
-    changed = True
-    while changed:
-        changed = False
-        for Xc, bad in cons:
-            if Xc & ~S == 0 and bad & ~S:
+    out = ~S
+    while out & full:
+        before = S
+        for Y, bad in cons:
+            if not Y & out and bad & out:
                 S |= bad
-                changed = True
+                out = ~S
+                if S == full:
+                    return S
+        if S == before:
+            break
     return S
 
 
@@ -166,20 +189,41 @@ def _independent(cl, X):
     return go(0)
 
 
+# Most faces a J-complex build visits before it refuses; J(T(H)) of
+# uniform:k=3,n=18 is the full simplex on 18 points, 2^18 faces.
+J_FACE_LIMIT = 1 << 20
+
+
 def _independent_complex(cl, n, labels=None):
-    """Complex of all sets independent for the closure cl, built level by level."""
+    """Complex of all sets independent for the closure cl, built level by level.
+
+    A set Y extends by each point outside cl(Y). A facet Y of J has
+    cl(Y) = V, or a point outside cl(Y) would extend it; such a Y is a facet
+    unless one point more gives a set of the next level (J is closed under
+    subsets). Only the facets are handed to Complex. Refuses once the walk
+    passes J_FACE_LIMIT faces.
+    """
     full = (1 << n) - 1
-    faces = {0}
+    facets = []
     level = [0]
+    room = J_FACE_LIMIT - 1
     while level:
         nxt = set()
+        spanning = []
         for Y in level:
-            for x in bits(full & ~cl(Y)):
-                nxt.add(Y | (1 << x))
-        nxt -= faces
-        faces |= nxt
-        level = list(nxt)
-    return Complex(n, faces, labels)
+            m = full & ~cl(Y)
+            if not m:
+                spanning.append(Y)
+            while m:
+                b = m & -m
+                nxt.add(Y | b)
+                m ^= b
+            if len(nxt) > room:
+                raise CapacityError(f"J-complex with more than {J_FACE_LIMIT} faces is out of range")
+        facets += [Y for Y in spanning if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
+        room -= len(nxt)
+        level = nxt
+    return Complex(n, facets, labels)
 
 
 @lru_cache(maxsize=2048)

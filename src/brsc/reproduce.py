@@ -457,6 +457,10 @@ def crit_sums(check):
         )
 
 
+def _extensions_truncate_to(extensions, C):
+    return all(is_matroid(E)[0] and truncate(E, C.dim + 1) == C for E in extensions)
+
+
 def crit_extensions(check):
     D = desargues()
     pts = list(combinations(range(1, 6), 2))
@@ -497,6 +501,10 @@ def crit_extensions(check):
         "exhaustive search returns exactly that extension",
         out.complete and out.extensions == [JT],
     )
+    check(
+        "every extension found is a matroid whose truncation is the graph complex",
+        _extensions_truncate_to(out.extensions, D),
+    )
     _, verdict = matroid_extension_candidate(named("triang"))
     check("the triangle-free example admits no extension", verdict == "no_extension")
     S = named("sme")
@@ -514,8 +522,11 @@ def crit_extensions(check):
         "its search finds 7 extensions including the three one-facet removals",
         out.complete
         and len(out.extensions) == 7
-        and all(any(E == Q for E in out.extensions) for Q in named_three)
-        and all(truncate(E, 3) == S for E in out.extensions),
+        and all(any(E == Q for E in out.extensions) for Q in named_three),
+    )
+    check(
+        "every extension found is a matroid whose truncation is the six-point example",
+        _extensions_truncate_to(out.extensions, S),
     )
     out = search_matroid_extensions(non_desargues())
     check(
@@ -658,6 +669,15 @@ def crit_computemgu(check, n=7):
         )
 
 
+def _restrictions_are_two_line(i, j, n):
+    C = jijn(i, j, n)
+    return all(
+        restriction(C, C.full_mask & ~(1 << (p - 1)))
+        == two_line_complex(*sorted(j_restriction_params(i, j, n, p)), n - 1)
+        for p in range(1, n + 1)
+    )
+
+
 def crit_going_up(check):
     check(
         "one minimal-non-going-up class on 4 vertices",
@@ -691,6 +711,17 @@ def crit_going_up(check):
                 bad.append((i, j, n))
     check(
         "every two-line complex is a TBRSC, and representable exactly when the long line has 3 points",
+        bad == [],
+        str(bad),
+    )
+    bad = [
+        (i, j, n)
+        for n in (9, 10)
+        for i, j in mgu_pairs(n)
+        if not _restrictions_are_two_line(i, j, n)
+    ]
+    check(
+        "deleting any vertex of a two-line complex on 9 or 10 vertices leaves the two-line complex of the restricted sizes",
         bad == [],
         str(bad),
     )

@@ -2,10 +2,13 @@
 
 T(H) collects the sets closed under the extension constraints of the faces
 of size <= dim, and T(H_k), read off H directly, those of the faces of size
-< k (the lattice core's constraints with k = dim + 1 and k). Most operators
-here avoid enumerating T(H): its closure cl_T is the core's propagation
-fixpoint over the finitely many (face, forced points) pairs, which is
-enough to build J(T(H)) and decide membership questions.
+< k (the lattice core's constraints with k = dim + 1 and k); both families
+are listed by the core's NextClosure. Most operators here avoid enumerating
+T(H): its closure cl_T is the core's propagation fixpoint over the finitely
+many (face, forced points) pairs, which is enough to build J(T(H)), to walk
+it up to size dim + 1 for the TBRSC test, and to find the going-up witness.
+The going-up classification decides each neighbour C - X or C + X by
+toggling one point of C's constraints rather than building the neighbour.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,6 @@ from .lattice import (
     _closed_sets,
     _extension_constraints,
     _horn_closure,
-    _independent,
     _independent_complex,
     flats,
 )
@@ -39,7 +41,7 @@ def _t_constraints(C):
 
 
 def t_family(C):
-    """All members of T(H), by scanning every subset of V."""
+    """All members of T(H), enumerated by NextClosure over cl_T."""
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
     return _closed_sets(C.n, _t_constraints(C))
@@ -63,7 +65,7 @@ def truncation_t_family(C, k):
 
 def cl_T(C, X):
     """Intersection of the T(H) members containing X, via constraint propagation."""
-    return _horn_closure(_t_constraints(C), X)
+    return _horn_closure(_t_constraints(C), C.full_mask, X)
 
 
 def jt_complex(C):
@@ -73,18 +75,31 @@ def jt_complex(C):
 
 
 def is_tbrsc(C):
-    """Whether C is the (dim+1)-truncation of the BRSC J(T(H))."""
+    """Whether C is the (dim+1)-truncation of the BRSC J(T(H)).
+
+    Walks J(T(H)) level by level as jt_complex does, up to size dim + 1: an
+    independent set outside C answers no at once, and otherwise C is the
+    truncation when the walk reached every facet. One cl_T per independent
+    set of size <= dim.
+    """
     cl = partial(cl_T, C)
-    for f in C.facets:
-        if _independent(cl, f) is None:
-            return False
     full = C.full_mask
     faces = C.faces
-    for k in range(2, C.dim + 2):
-        for X in k_submasks(full, k):
-            if X not in faces and _independent(cl, X) is not None:
-                return False
-    return True
+    reached = set()
+    level = [0]
+    for _ in range(C.dim + 1):
+        nxt = set()
+        for Y in level:
+            m = full & ~cl(Y)
+            while m:
+                b = m & -m
+                if Y | b not in faces:
+                    return False
+                nxt.add(Y | b)
+                m ^= b
+        reached |= nxt
+        level = nxt
+    return reached >= C.facets
 
 
 def paving_tbrsc_criterion(C):
@@ -127,16 +142,20 @@ def _longest_chain_members(fam):
     return max(best.values()) if best else 0
 
 
-def _cltt_witness(C):
-    """A pair (X, Y) with Y inside X and cl_T(Y) strictly between, full set excluded."""
-    d = C.dim
-    full = C.full_mask
+def _cltt_witness(cl, full, d):
+    """The first pair (X, Y), X a (d+1)-set with cl(X) short of the full set
+    and Y a d-subset of X with cl(Y) != cl(X), or None. Each d-subset is
+    closed once."""
+    closed = {}
     for X in k_submasks(full, d + 1):
-        cx = cl_T(C, X)
+        cx = cl(X)
         if cx == full:
             continue
         for Y in k_submasks(X, d):
-            if cl_T(C, Y) != cx:
+            cy = closed.get(Y)
+            if cy is None:
+                cy = closed[Y] = cl(Y)
+            if cy != cx:
                 return X, Y
     return None
 
@@ -152,7 +171,7 @@ def goes_up(C):
     JT = jt_complex(C)
     dim_jt = JT.dim
     gu = dim_jt > C.dim
-    witness = _cltt_witness(C)
+    witness = _cltt_witness(partial(cl_T, C), C.full_mask, C.dim)
     assert gu == (witness is not None)
     if C.n <= 20:
         fam = t_family(C)
@@ -168,33 +187,50 @@ def goes_up(C):
 def _is_gu(C):
     # witness route; equivalent to dim J(T(H)) > dim C on paving complexes
     # and much cheaper than building J(T(H))
-    return _cltt_witness(C) is not None
-
-
-def _remove_top_face(C, X):
-    gens = set(C.facets) - {X}
-    gens.update(k_submasks(X, X.bit_count() - 1))
-    return Complex(C.n, gens, C.labels)
+    return _cltt_witness(partial(cl_T, C), C.full_mask, C.dim) is not None
 
 
 def classify_minimality(C):
-    """mGU / MNGU / neither, among paving complexes of the same dimension."""
+    """mGU / MNGU / neither, among paving complexes of the same dimension.
+
+    The neighbours C - X and C + X, X a (d+1)-set, are decided from C's
+    T-constraints: the only faces whose extensions change are the d-subsets
+    Y of X, and bad(Y) gains or loses the point X - Y.
+    """
     d = is_paving(C)
     if d is None:
         raise DomainError("classification requires a paving complex")
-    top = sorted(C.faces_of_size(d + 1))
     full = C.full_mask
+    bad = dict(_t_constraints(C))
+
+    def neighbour_is_gu(X, added):
+        nb = dict(bad)
+        for Y in k_submasks(X, d):
+            p = X & ~Y
+            b = nb.get(Y, 0) & ~p if added else nb.get(Y, 0) | p
+            if b:
+                nb[Y] = b
+            else:
+                nb.pop(Y, None)
+        cl = partial(_horn_closure, tuple(nb.items()), full)
+        return _cltt_witness(cl, full, d) is not None
+
     if _is_gu(C):
+        top = C.faces_of_size(d + 1)
         # a lone top face may not be removed: that would leave P_{<=d},
         # which sits outside the strict comparison range
         if len(top) > 1:
-            for X in top:
-                if _is_gu(_remove_top_face(C, X)):
+            # at d = 0 the removal changes nothing, as every complex keeps
+            # its singletons, so the neighbour is C itself and goes up
+            if d == 0:
+                return "neither"
+            for X in sorted(top):
+                if neighbour_is_gu(X, added=False):
                     return "neither"
         return "mGU"
-    missing = [X for X in k_submasks(full, d + 1) if not C.has(X)]
-    for X in missing:
-        if not _is_gu(Complex(C.n, set(C.facets) | {X}, C.labels)):
+    faces = C.faces
+    for X in k_submasks(full, d + 1):
+        if X not in faces and not neighbour_is_gu(X, added=True):
             return "neither"
     return "MNGU"
 
@@ -329,14 +365,12 @@ def everyres_classes(n):
     """Pairs (i, j) whose two-line complex restricts to an mGU complex at
     every vertex deletion.
 
-    Each restriction is checked equal to its standard-position two-line
-    form, which is then classified directly by the generic machinery.
+    Deleting vertex p leaves the two-line complex of the sizes
+    `j_restriction_params` gives (checked by `brsc reproduce going-up` and
+    the tests), which is classified directly by the generic machinery.
     """
-    from .core import restriction
-
     if not 5 <= n <= 10:
         raise CapacityError("restriction scan supported for 5 <= n <= 10")
-    full = (1 << n) - 1
     verdict_cache = {}
 
     def restricted_is_mgu(a, b):
@@ -346,16 +380,8 @@ def everyres_classes(n):
             verdict_cache[key] = classify_minimality(std) == "mGU"
         return verdict_cache[key]
 
-    qualifying = []
-    for i, j in mgu_pairs(n):
-        C = jijn(i, j, n)
-        good = True
-        for p in range(1, n + 1):
-            a, b = j_restriction_params(i, j, n, p)
-            R = restriction(C, full & ~(1 << (p - 1)))
-            assert R == two_line_complex(min(a, b), max(a, b), n - 1)
-            if not restricted_is_mgu(a, b):
-                good = False
-        if good:
-            qualifying.append((i, j))
-    return sorted(qualifying)
+    return sorted(
+        (i, j)
+        for i, j in mgu_pairs(n)
+        if all(restricted_is_mgu(*j_restriction_params(i, j, n, p)) for p in range(1, n + 1))
+    )

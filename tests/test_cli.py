@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from unittest import mock
 
 import pytest
@@ -51,6 +55,24 @@ def test_check_report_fields(capsys, tmp_path):
     d = json.loads(out)
     assert code == 0 and d["brsc"] is None
     assert d["timings"]["flats"] is None
+
+
+def test_j_complex_past_the_face_limit(capsys):
+    # J(T(H)) of U(2,26) is the full 26-simplex, 2^26 faces; the command
+    # runs in a fresh process so the refusal is timed end to end
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "brsc.cli", "codim", "uniform:k=2,n=26"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert time.perf_counter() - t0 < 20
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "capacity: J-complex with more than" in proc.stderr
+    code, out, _ = run(capsys, "check", "uniform:k=2,n=26")
+    d = json.loads(out)
+    assert code == 0 and d["codim"] is None and d["tbrsc"] is True
 
 
 def test_check_desargues(capsys):

@@ -1,22 +1,27 @@
 """Flats, closures, matrices, transversal complexes: oracle comparisons."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc.catalog import named
 from brsc.core import Complex, DomainError, bits, k_submasks, mask_of, submasks
 from brsc.lattice import (
     BooleanMatrix,
+    J_FACE_LIMIT,
     MooreFamily,
     closure,
     complex_of_matrix,
+    _column_closure,
     _extension_constraints,
     flats,
     flats_paving,
     _horn_closure,
+    _independent_complex,
     independence_witness,
     is_boolean_representable,
     is_flat,
@@ -29,6 +34,32 @@ from brsc.lattice import (
     tess_core,
     transversal_complex,
 )
+from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
+
+
+def scan_closed_sets(n, cons):
+    """Every subset of 0..n-1 closed under the constraints, by a 2^n scan."""
+    out = set()
+    for S in range(1 << n):
+        if all(X & ~S or not bad & ~S for X, bad in cons):
+            out.add(S)
+    return out
+
+
+def all_faces_complex(cl, n):
+    """Complex of the sets independent for cl, every face handed to Complex."""
+    full = (1 << n) - 1
+    faces = {0}
+    level = [0]
+    while level:
+        nxt = set()
+        for Y in level:
+            for x in bits(full & ~cl(Y)):
+                nxt.add(Y | (1 << x))
+        nxt -= faces
+        faces |= nxt
+        level = list(nxt)
+    return Complex(n, faces)
 
 
 def flats_oracle(C):
@@ -96,11 +127,61 @@ def test_closure_axioms(C, x, y):
     X = x & C.full_mask
     Y = y & C.full_mask
     cx = closure(C, X)
-    assert cx == _horn_closure(_extension_constraints(C, C.dim + 2), X)
+    assert cx == _horn_closure(_extension_constraints(C, C.dim + 2), C.full_mask, X)
     assert X & ~cx == 0
     assert closure(C, cx) == cx
     if X & ~Y == 0:
         assert cx & ~closure(C, Y) == 0
+
+
+def _closed_families_match_scan(C):
+    assert set(flats(C).members) == scan_closed_sets(C.n, _extension_constraints(C, C.dim + 2))
+    assert set(t_family(C).members) == scan_closed_sets(C.n, _extension_constraints(C, C.dim + 1))
+    for k in range(1, C.dim + 3):
+        want = scan_closed_sets(C.n, _extension_constraints(C, k))
+        assert set(truncation_t_family(C, k).members) == want
+
+
+def wide_complexes(max_n=14):
+    # few, mostly small generators, so the 2^n oracle scan stays short
+    @st.composite
+    def strat(draw):
+        n = draw(st.integers(1, max_n))
+        gens = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5), max_size=12))
+        return Complex(n, [mask_of(g) for g in gens])
+
+    return strat()
+
+
+@given(wide_complexes())
+@settings(max_examples=60, deadline=None)
+def test_next_closure_matches_scan(C):
+    _closed_families_match_scan(C)
+
+
+@pytest.mark.parametrize("name, params", [("nfb", {"n": 9}), ("bfour", {})])
+def test_named_next_closure_matches_scan(name, params):
+    _closed_families_match_scan(named(name, **params))
+
+
+@given(complexes(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_spanning_sets_generate_the_j_complex(C):
+    assert jt_complex(C) == all_faces_complex(partial(cl_T, C), C.n)
+
+
+@given(moore_families(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_spanning_sets_generate_the_matrix_complex(fam):
+    M = matrix_of(fam)
+    assert complex_of_matrix(M) == all_faces_complex(_column_closure(M), M.n)
+
+
+def test_j_walk_fits_the_full_18_simplex():
+    # no closure constraint: J is the full simplex, 2^18 faces (the refusal
+    # past the limit is tested through `brsc codim`)
+    assert J_FACE_LIMIT > 1 << 18
+    assert _independent_complex(lambda Y: Y, 18).facets == {(1 << 18) - 1}
 
 
 def test_moore_close_and_validation():

@@ -284,6 +284,27 @@ def test_extension_search_on_small_graphic_matroids():
     assert out2.complete and out2.extensions == []
 
 
+EXTENSION_INPUTS = {
+    "sme": lambda: named("sme"),
+    "U(2,5)": lambda: Complex(5, set(k_submasks((1 << 5) - 1, 2))),
+    "U(3,6)": lambda: Complex(6, set(k_submasks((1 << 6) - 1, 3))),
+    "C6 forest, rank 3": lambda: truncate(
+        _forest_complex(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXTENSION_INPUTS)
+def test_every_extension_is_a_matroid_truncating_to_the_input(name):
+    C = EXTENSION_INPUTS[name]()
+    out = search_matroid_extensions(C)
+    assert out.complete and out.extensions
+    for E in out.extensions:
+        assert E.dim == C.dim + 1
+        assert is_matroid(E)[0]
+        assert truncate(E, C.dim + 1) == C
+
+
 def test_budget_exhaustion_is_reported():
     out = search_matroid_extensions(named("sme"), budget=3)
     assert not out.complete

@@ -1,6 +1,7 @@
 """T-family, TBRSC recognition, codimension, and going-up tests."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc.core import Complex, DomainError, bits, is_paving, k_submasks, mask_of, truncate, union
-from brsc.lattice import MooreFamily, flats, j_complex, is_boolean_representable
+from brsc.core import (
+    Complex,
+    DomainError,
+    bits,
+    is_paving,
+    k_submasks,
+    mask_of,
+    restriction,
+    truncate,
+    union,
+)
+from brsc.lattice import MooreFamily, _independent, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
 from brsc.t_operator import (
@@ -22,15 +33,63 @@ from brsc.t_operator import (
     everyres_classes,
     goes_up,
     is_tbrsc,
+    j_restriction_params,
+    jijn,
     jt_complex,
+    mgu_pairs,
     paving2_reps,
     paving_tbrsc_criterion,
     t_family,
+    two_line_complex,
 )
 
 
 def tri(*t):
     return mask_of(tuple(x - 1 for x in t))
+
+
+def dfs_is_tbrsc(C):
+    """TBRSC test by an independence search per facet and per non-face k-subset."""
+    cl = partial(cl_T, C)
+    if any(_independent(cl, f) is None for f in C.facets):
+        return False
+    for k in range(2, C.dim + 2):
+        for X in k_submasks(C.full_mask, k):
+            if X not in C.faces and _independent(cl, X) is not None:
+                return False
+    return True
+
+
+def _witness_by_cl_T(C):
+    d = C.dim
+    full = C.full_mask
+    for X in k_submasks(full, d + 1):
+        cx = cl_T(C, X)
+        if cx == full:
+            continue
+        for Y in k_submasks(X, d):
+            if cl_T(C, Y) != cx:
+                return X, Y
+    return None
+
+
+def neighbour_complex_classify(C):
+    """mGU / MNGU / neither, deciding each neighbour C - X or C + X on a
+    freshly built Complex."""
+    d = is_paving(C)
+    top = sorted(C.faces_of_size(d + 1))
+    full = C.full_mask
+    if _witness_by_cl_T(C) is not None:
+        if len(top) > 1:
+            for X in top:
+                gens = (set(C.facets) - {X}) | set(k_submasks(X, d))
+                if _witness_by_cl_T(Complex(C.n, gens, C.labels)) is not None:
+                    return "neither"
+        return "mGU"
+    for X in k_submasks(full, d + 1):
+        if not C.has(X) and _witness_by_cl_T(Complex(C.n, set(C.facets) | {X}, C.labels)) is None:
+            return "neither"
+    return "MNGU"
 
 
 def complexes(max_n=5):
@@ -42,6 +101,50 @@ def complexes(max_n=5):
         return Complex(n, gens)
 
     return strat()
+
+
+@given(complexes(max_n=6))
+@settings(max_examples=200, deadline=None)
+def test_tbrsc_walk_matches_independence_search(C):
+    assert is_tbrsc(C) == dfs_is_tbrsc(C)
+
+
+def test_tbrsc_walk_matches_independence_search_on_paving_classes():
+    for n in (4, 5, 6):
+        for C in paving2_reps(n):
+            assert is_tbrsc(C) == dfs_is_tbrsc(C)
+
+
+def test_incremental_classify_matches_neighbour_complexes_on_paving_classes():
+    for n in (4, 5, 6):
+        for C in paving2_reps(n):
+            assert classify_minimality(C) == neighbour_complex_classify(C)
+
+
+def test_incremental_classify_matches_neighbour_complexes_on_line_unions():
+    for n in range(4, 9):
+        for i in range(2, n):
+            for j in range(i + 1, n):
+                C = jijn(i, j, n)
+                assert classify_minimality(C) == neighbour_complex_classify(C)
+
+
+def test_incremental_classify_matches_neighbour_complexes_in_low_dimension():
+    rng = random.Random(61)
+    cases = [Complex(n, []) for n in range(1, 6)]
+    for n in range(2, 8):
+        pairs = list(k_submasks((1 << n) - 1, 2))
+        for _ in range(12):
+            cases.append(Complex(n, [X for X in pairs if rng.random() < 0.7]))
+    seen = set()
+    for C in cases:
+        if is_paving(C) is None:
+            continue
+        verdict = classify_minimality(C)
+        assert verdict == neighbour_complex_classify(C)
+        seen.add((C.dim, verdict))
+    # every verdict shows up in both dimensions
+    assert seen >= {(0, "neither"), (0, "MNGU"), (1, "mGU"), (1, "MNGU"), (1, "neither")}
 
 
 def test_t_family_far_example():
@@ -327,6 +430,18 @@ def test_enumerate_mgu_counts():
         # an exhaustive scan of the paving classes finds no others
         found = {canonical_complex(C) for C in paving2_reps(n) if classify_minimality(C) == "mGU"}
         assert found == {canonical_complex(C) for C in out}
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_vertex_deletions_of_two_line_complexes(n):
+    # everyres_classes classifies each deletion by its restricted sizes
+    full = (1 << n) - 1
+    for i, j in mgu_pairs(n):
+        C = jijn(i, j, n)
+        for p in range(1, n + 1):
+            a, b = j_restriction_params(i, j, n, p)
+            R = restriction(C, full & ~(1 << (p - 1)))
+            assert R == two_line_complex(min(a, b), max(a, b), n - 1)
 
 
 def test_everyres_empty_below_nine():
