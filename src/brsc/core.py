@@ -9,7 +9,9 @@ look at (n, facets).
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, groupby
+from operator import or_
 
 
 class DomainError(ValueError):
@@ -117,12 +119,19 @@ class SetFamily:
 
 
 def _antichain(masks):
-    """Drop members contained in another member."""
-    by_size = sorted(set(masks), key=lambda m: -m.bit_count())
+    """The members not strictly inside another member.
+
+    Two distinct masks of one size never contain each other, so the masks are
+    taken in size classes, largest first, and each class is compared only with
+    the members already kept, all of them larger; the largest class is kept
+    whole.
+    """
     kept = []
-    for m in by_size:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
+    by_size = sorted(set(masks), key=int.bit_count, reverse=True)
+    for _, group in groupby(by_size, key=int.bit_count):
+        if kept:
+            group = [m for m in group if not any(m & ~k == 0 for k in kept)]
+        kept.extend(group)
     return frozenset(kept)
 
 
@@ -137,11 +146,9 @@ class Complex:
         if n > 64:
             raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
         full = (1 << n) - 1
-        gens = set()
-        for g in generators:
-            if g & ~full:
-                raise DomainError("generator uses vertices outside 0..n-1")
-            gens.add(g)
+        gens = set(generators)
+        if reduce(or_, gens, 0) & ~full:
+            raise DomainError("generator uses vertices outside 0..n-1")
         gens.update(1 << i for i in range(n))
         self.n = n
         self.facets = _antichain(gens)

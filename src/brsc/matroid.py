@@ -102,7 +102,9 @@ def rho(C):
     """The flat-rank map of a near-matroid: F -> |X| for any face X with
     closure F, over the flats other than V.
 
-    Totality and strict monotonicity along flat chains are asserted.
+    Every proper flat is the closure of a face, and the map strictly
+    increases along flat chains; `brsc reproduce pure-conjecture` and the
+    tests check both.
     """
     ok, pair = is_near_matroid(C)
     if not ok:
@@ -114,13 +116,6 @@ def rho(C):
         F = fl.closure(X)
         if F != full:
             vals[F] = X.bit_count()
-    for F in fl:
-        # every proper flat arises as the closure of a face
-        assert F == full or F in vals
-    for F in vals:
-        for G in vals:
-            if F != G and F & ~G == 0:
-                assert vals[F] < vals[G]
     return RhoMap(vals)
 
 
@@ -185,7 +180,9 @@ def matroid_extension_candidate(C):
     """J(T(H)) together with a proper-matroid-extension verdict.
 
     Codimension 1 is decided by inspecting the candidate; codimension 0
-    admits no proper extension at all; higher codimension stays open.
+    admits no proper extension at all; higher codimension stays open.  A
+    unique extension truncates back to C; `brsc reproduce extensions` and
+    the tests check that.
     """
     ok, _ = is_matroid(C)
     if not ok:
@@ -197,10 +194,7 @@ def matroid_extension_candidate(C):
     if cd >= 2:
         return JT, "inconclusive"
     okm, _ = is_matroid(JT)
-    if okm:
-        assert truncate(JT, C.dim + 1) == C
-        return JT, "unique_extension"
-    return JT, "no_extension"
+    return JT, "unique_extension" if okm else "no_extension"
 
 
 @dataclass
@@ -212,20 +206,31 @@ class ExtensionSearch:
     nodes: int
 
 
-_IN, _OUT = 1, 2
-
-
 def search_matroid_extensions(C, budget=10**8):
     """All matroids one dimension up whose truncation gives C back.
 
     An extension is determined by the set S of (d+2)-subsets made
     independent; each must have all its (d+1)-subsets in H, and the exchange
     property reduces to clauses "X in S and J a top face not inside X force
-    J + i in S for some i in X - J".  DFS over in/out decisions with unit
-    propagation; every assignment costs one node of budget, and exhausting
-    the budget is reported on the result, never silently. The extensions are
-    not re-verified here: `brsc reproduce extensions` and the tests check
-    that each is a matroid whose truncation is C.
+    J + i in S for some i in X - J".  A matroid is pure, so every top face of
+    C must also lie in some member of S (a cover clause).
+
+    DFS over in/out decisions with unit propagation.  The state is two
+    bitmask ints IN and OUT over the live candidates; a clause or cover set
+    is a mask of its options, so it is satisfied when it meets IN and is
+    unit when its options outside OUT are a single bit.  The branch variable
+    is the lowest undecided candidate, and each pending branch carries the
+    two ints it starts from, so backtracking needs no trail.  Every
+    assignment costs one node of budget, and exhausting the budget is
+    reported on the result, never silently.
+
+    Each extension is the complex whose facets are its chosen sets.  C is a
+    matroid, hence pure, so its facets are its top faces; at a complete
+    assignment the cover clauses put each of them, and so each vertex, inside
+    a chosen (d+2)-set, and the chosen sets, all of one size, are the facets
+    of the union of C with them.  The extensions are not re-verified here:
+    `brsc reproduce extensions` and the tests check that each is a matroid
+    whose truncation is C.
     """
     ok, _ = is_matroid(C)
     if not ok:
@@ -269,122 +274,98 @@ def search_matroid_extensions(C, budget=10**8):
     masks = [cands[ci] for ci in live]
     M = len(masks)
 
-    clauses = []
-    clauses_of = [[] for _ in range(M)]
+    # per candidate t: the option masks of the clauses it owns (read when t
+    # goes in), and the (owner bit, option mask) clauses and cover masks it
+    # is an option of (read when t goes out)
+    owned = [[] for _ in range(M)]
     occurs = [[] for _ in range(M)]
     for t, ci in enumerate(live):
         for opts in raw[ci]:
-            lopts = tuple(remap[o] for o in opts if possible[o])
-            k = len(clauses)
-            clauses.append((t, lopts))
-            clauses_of[t].append(k)
+            lopts = [remap[o] for o in opts if possible[o]]
+            omask = mask_of(lopts)
+            owned[t].append(omask)
             for o in lopts:
-                occurs[o].append(k)
+                occurs[o].append((1 << t, omask))
 
-    # a matroid extension is pure: every top face of C needs a chosen superset
-    cover_sets = []
-    cover_occ = [[] for _ in range(M)]
+    covers_of = [[] for _ in range(M)]
     for J in tops:
-        opts = tuple(t for t in range(M) if J & ~masks[t] == 0)
+        opts = [t for t in range(M) if J & ~masks[t] == 0]
         if not opts:
             return ExtensionSearch([], True, 0)
-        j = len(cover_sets)
-        cover_sets.append(opts)
+        omask = mask_of(opts)
         for o in opts:
-            cover_occ[o].append(j)
+            covers_of[o].append(omask)
 
-    state = [0] * M
-    trail = []
     nodes = 0
-    out_of_budget = False
-    solutions = []
 
-    def recheck_clause(k, queue):
-        owner, opts = clauses[k]
-        free = None
-        cnt = 0
-        for o in opts:
-            s = state[o]
-            if s == _IN:
-                return True
-            if s == 0:
-                cnt += 1
-                free = o
-        if cnt == 0:
-            if state[owner] == _IN:
-                return False
-            queue.append((owner, _OUT))
-            return True
-        if cnt == 1 and state[owner] == _IN:
-            queue.append((free, _IN))
-        return True
-
-    def recheck_cover(j, queue):
-        free = None
-        cnt = 0
-        for o in cover_sets[j]:
-            s = state[o]
-            if s == _IN:
-                return True
-            if s == 0:
-                cnt += 1
-                free = o
-        if cnt == 0:
-            return False
-        if cnt == 1:
-            queue.append((free, _IN))
-        return True
-
-    def assign(t, val):
+    def assign(IN, OUT, bit, val_in):
+        """Set one candidate and propagate; the new (IN, OUT), or None on a
+        conflict.  The queue is LIFO and the checks run in a fixed order, so
+        the node count depends on the decisions alone."""
         nonlocal nodes
-        queue = [(t, val)]
+        queue = [(bit, val_in)]
         while queue:
-            v, val = queue.pop()
-            if state[v]:
-                if state[v] != val:
-                    return False
+            bit, val_in = queue.pop()
+            if (IN | OUT) & bit:
+                if bool(IN & bit) != val_in:
+                    return None
                 continue
             nodes += 1
-            state[v] = val
-            trail.append(v)
-            if val == _IN:
-                for k in clauses_of[v]:
-                    if not recheck_clause(k, queue):
-                        return False
+            t = bit.bit_length() - 1
+            if val_in:
+                IN |= bit
+                for opts in owned[t]:
+                    if opts & IN:
+                        continue
+                    free = opts & ~OUT
+                    if not free:
+                        return None
+                    if free & (free - 1) == 0:
+                        queue.append((free, True))
             else:
-                for k in occurs[v]:
-                    if not recheck_clause(k, queue):
-                        return False
-                for j in cover_occ[v]:
-                    if not recheck_cover(j, queue):
-                        return False
-        return True
+                OUT |= bit
+                for owner, opts in occurs[t]:
+                    if opts & IN:
+                        continue
+                    free = opts & ~OUT
+                    if not free:
+                        if owner & IN:
+                            return None
+                        queue.append((owner, False))
+                    elif free & (free - 1) == 0 and owner & IN:
+                        queue.append((free, True))
+                for opts in covers_of[t]:
+                    if opts & IN:
+                        continue
+                    free = opts & ~OUT
+                    if not free:
+                        return None
+                    if free & (free - 1) == 0:
+                        queue.append((free, True))
+        return IN, OUT
 
-    def undo(mark):
-        while len(trail) > mark:
-            state[trail.pop()] = 0
-
-    def dfs():
-        nonlocal out_of_budget
-        if nodes >= budget:
-            out_of_budget = True
-            return
-        t = next((i for i in range(M) if state[i] == 0), None)
-        if t is None:
-            chosen = {masks[i] for i in range(M) if state[i] == _IN}
-            if chosen:
-                solutions.append(Complex(C.n, set(C.facets) | chosen, C.labels))
-            return
-        for val in (_IN, _OUT):
-            mark = len(trail)
-            if assign(t, val):
-                dfs()
-            undo(mark)
-            if out_of_budget:
-                return
-
-    dfs()
-    return ExtensionSearch(solutions, not out_of_budget, nodes)
+    # depth first on an explicit stack of branches (IN, OUT, bit, value), IN
+    # before OUT; a recursive nested function would hold these tables in a
+    # reference cycle until the cyclic collector runs
+    live_mask = (1 << M) - 1
+    solutions = []
+    branches = []
+    state = (0, 0)
+    while True:
+        if state is not None:
+            if nodes >= budget:
+                return ExtensionSearch(solutions, False, nodes)
+            IN, OUT = state
+            rest = live_mask & ~(IN | OUT)
+            if rest:
+                bit = rest & -rest
+                branches.append((IN, OUT, bit, False))
+                branches.append((IN, OUT, bit, True))
+            else:
+                solutions.append(Complex(n, [masks[t] for t in bits(IN)], C.labels))
+        if not branches:
+            return ExtensionSearch(solutions, True, nodes)
+        state = assign(*branches.pop())
 
 
 @dataclass(frozen=True)
@@ -471,19 +452,12 @@ def _bpav_dim(C):
 def lines(C):
     """Flats F with d <= |F| < |V|, as a SetFamily.
 
-    The flat structure of the input decomposes into the small sets, the
-    lines, and V; this and the pairwise-intersection bound are asserted.
+    The flats of the input are every set of fewer than d points, the lines,
+    and V, and two lines meet in fewer than d points; `brsc reproduce
+    shellability` and the tests check both.
     """
     d = _bpav_dim(C)
-    fl = set(flats(C).members)
-    out = {F for F in fl if d <= F.bit_count() < C.n}
-    small = {m for m in range(1 << C.n) if m.bit_count() <= d - 1}
-    assert fl == small | out | {C.full_mask}
-    for L in out:
-        for L2 in out:
-            if L != L2:
-                assert (L & L2).bit_count() <= d - 1
-    return SetFamily(C.n, out)
+    return SetFamily(C.n, {F for F in flats(C).members if d <= F.bit_count() < C.n})
 
 
 def l_mu(C, L):
@@ -502,15 +476,12 @@ def h_star(C):
     """The line complex: vertex set the union of the lines, faces the
     P_{<=d} slices of the individual lines.
 
-    The top facets of the input are asserted to decompose through the lines.
+    The top facets of the input are the faces I + p with I a d-subset of a
+    line L and p outside L (the union of `l_mu` over the lines); `brsc
+    reproduce shellability` and the tests check that.
     """
     d = _bpav_dim(C)
     ls = lines(C)
-    top = {f for f in C.facets if f.bit_count() == d + 1}
-    mu = set()
-    for L in ls:
-        mu.update(l_mu(C, L).members)
-    assert top == mu
     vstar = 0
     gens = set()
     for L in ls:

@@ -9,6 +9,7 @@ can never drift apart.  All randomness is seeded; runs are deterministic.
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from time import perf_counter
 
 from .core import (
@@ -58,8 +59,12 @@ from .matroid import (
     check_pure_conjecture,
     h_star,
     is_matroid,
+    is_near_matroid,
     is_shellable,
+    l_mu,
+    lines,
     matroid_extension_candidate,
+    rho,
     search_matroid_extensions,
 )
 from .iso import all_complexes, canonical_complex, graphs_up_to_iso, paving_complexes
@@ -182,6 +187,41 @@ def _set_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [part[i] | {head}] + part[i + 1 :]
         yield [{head}] + part
+
+
+def _rho_is_graded(C):
+    """Whether rho of a near-matroid is defined on every proper flat and
+    strictly increases along flat chains."""
+    rm = rho(C)
+    full = C.full_mask
+    if any(F != full and F not in rm for F in flats(C).members):
+        return False
+    vals = dict(rm.items())
+    return all(
+        vals[F] < vals[G] for F in vals for G in vals if F != G and F & ~G == 0
+    )
+
+
+def _lines_decompose(C):
+    """Whether the flats of a paving complex of dimension d are every set of
+    fewer than d points, the lines and V, with two lines meeting in fewer
+    than d points."""
+    d = is_paving(C)
+    ls = lines(C).members
+    small = sum(1 for F in flats(C).members if F.bit_count() < d)
+    return small == sum(comb(C.n, k) for k in range(d)) and all(
+        (L & L2).bit_count() < d for L, L2 in combinations(ls, 2)
+    )
+
+
+def _top_facets_through_lines(C):
+    """Whether the top facets of a paving complex are the union of l_mu over
+    its lines."""
+    d = is_paving(C)
+    mu = set()
+    for L in lines(C):
+        mu |= l_mu(C, L).members
+    return mu == {f for f in C.facets if f.bit_count() == d + 1}
 
 
 # ------------------------------------------------------------------ criteria
@@ -400,6 +440,7 @@ def crit_pure_conjecture(check):
     )
     done = 0
     bad = 0
+    near = []
     while done < 200:
         D = random_complex(rng, 7)
         if D.dim < 2 or not is_boolean_representable(D)[0]:
@@ -407,8 +448,16 @@ def crit_pure_conjecture(check):
         done += 1
         if not check_pure_conjecture(D, 3)["pure_k_is_tbrsc"]:
             bad += 1
+        if is_near_matroid(D)[0]:
+            near.append(D)
     check(
         "pure part of the rank-3 truncation stays a TBRSC on 200 random representable complexes",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = sum(1 for D in near if not _rho_is_graded(D))
+    check(
+        f"rho is total on the proper flats and strictly increasing along flat chains on the {len(near)} near-matroids among them",
         bad == 0,
         f"{bad} failures",
     )
@@ -496,6 +545,7 @@ def crit_extensions(check):
     )
     JT2, verdict = matroid_extension_candidate(D)
     check("extension candidate verdict: unique", verdict == "unique_extension" and JT2 == JT)
+    check("the unique extension truncates back to the graph complex", truncate(JT2, D.dim + 1) == D)
     out = search_matroid_extensions(D)
     check(
         "exhaustive search returns exactly that extension",
@@ -593,16 +643,30 @@ def crit_shellability(check):
     check("its line complex is unshellable", is_shellable(h_star(T)) is None)
     done = 0
     bad = 0
+    pavings = [B, T]
     while done < 200:
         n = rng.randint(5, 7)
         C = random_line_union(rng, n, rng.randint(1, 3))
         if is_paving(C) != 2 or not is_boolean_representable(C)[0]:
             continue
         done += 1
+        pavings.append(C)
         if is_shellable(h_star(C)) is not None and is_shellable(C) is None:
             bad += 1
     check(
         "a shellable line complex forces shellability on 200 random representable paving complexes",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = sum(1 for C in pavings if not _lines_decompose(C))
+    check(
+        "on those and the two named ones, the flats are the small sets, the lines and V, and two lines meet in fewer than d points",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = sum(1 for C in pavings if not _top_facets_through_lines(C))
+    check(
+        "on the same complexes, the top facets are the faces I + p with I a d-subset of a line and p off it",
         bad == 0,
         f"{bad} failures",
     )
@@ -824,8 +888,8 @@ REPRODUCE_TABLE = (
     Row("truncation", "Small-vertex scans, the six-point classes, unions", 30, crit_truncation),
     Row("nfb", "Global failure with all one-vertex restrictions good", 60, crit_nfb),
     Row("pure-conjecture", "Pure parts of low-rank truncations", 120, crit_pure_conjecture),
-    Row("sums", "Sums of two line complexes", 300, crit_sums),
-    Row("extensions", "Matroid extensions and T-family complexes", 600, crit_extensions),
+    Row("sums", "Sums of two line complexes", 30, crit_sums),
+    Row("extensions", "Matroid extensions and T-family complexes", 30, crit_extensions),
     Row("rhodes-dowling", "Group-labeled graph complexes and their truncation families", 120, crit_rhodes_dowling),
     Row("shellability", "Shellability splits between a complex and its line complex", 60, crit_shellability),
     Row("going-up", "Going-up classifications and the two-line family", 60, crit_going_up),

@@ -1,7 +1,8 @@
 """Core data model tests against independent set-based oracles."""
 
 import json
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from brsc import (
     union,
 )
 from brsc.core import (
+    _antichain,
     alpha_vector,
     bits,
     compress,
@@ -95,6 +97,8 @@ def test_domain_and_capacity():
     with pytest.raises(DomainError):
         Complex(2, [0b100])
     with pytest.raises(DomainError):
+        Complex(2, [-1])
+    with pytest.raises(DomainError):
         Complex(2, labels=("a", "a"))
 
 
@@ -113,6 +117,41 @@ def test_facets_are_maximal_faces(C):
         f for f in faces if not any(g != f and f & ~g == 0 for g in faces)
     }
     assert C.facets == maximal
+
+
+def brute_antichain(masks):
+    """The members not strictly inside another member, by definition."""
+    ms = set(masks)
+    return frozenset(m for m in ms if not any(m != k and m & ~k == 0 for k in ms))
+
+
+mask_lists = st.one_of(
+    st.lists(st.integers(0, 63), max_size=24),
+    # all of one size, duplicates likely
+    st.integers(0, 6).flatmap(
+        lambda k: st.lists(st.sampled_from(list(k_submasks(63, k))), max_size=24)
+    ),
+    # nested chains, with repeats where a step adds nothing
+    st.lists(st.integers(0, 63), max_size=12).map(lambda xs: list(accumulate(xs, or_))),
+    # a chain mixed with free members
+    st.tuples(
+        st.lists(st.integers(0, 63), max_size=8), st.lists(st.integers(0, 63), max_size=8)
+    ).map(lambda p: list(accumulate(p[0], or_)) + p[1]),
+)
+
+
+@given(mask_lists)
+@settings(max_examples=400, deadline=None)
+def test_antichain_matches_definition(masks):
+    assert _antichain(masks) == brute_antichain(masks)
+
+
+def test_antichain_edge_cases():
+    assert _antichain([]) == frozenset()
+    assert _antichain([0]) == {0}
+    assert _antichain([0, 0, 5]) == {5}
+    assert _antichain([3, 5, 6, 3]) == {3, 5, 6}
+    assert _antichain([1, 3, 7, 15]) == {15}
 
 
 @given(complexes(), st.integers(0, 127))

@@ -19,6 +19,7 @@ from brsc.core import (
 )
 from brsc.lattice import flats, is_boolean_representable
 from brsc.matroid import (
+    ExtensionSearch,
     check_pure_conjecture,
     h_star,
     is_matroid,
@@ -33,6 +34,7 @@ from brsc.matroid import (
     truncation_is_brsc_for_near_matroid,
 )
 from brsc.catalog import desargues, named, non_desargues
+from brsc.reproduce import random_matroid
 from brsc.operators import b_d, up
 from brsc.t_operator import jt_complex
 
@@ -150,6 +152,31 @@ def test_near_matroid_chain_steps_raise_rank_by_one():
                     assert rm[G] == rm[F] + 1
 
 
+def _assert_rho_graded(C):
+    fl = flats(C)
+    rm = rho(C)
+    proper = [F for F in fl if F != C.full_mask]
+    assert all(F in rm for F in proper)
+    for F in proper:
+        for G in proper:
+            if F != G and F & ~G == 0:
+                assert rm[F] < rm[G]
+
+
+def test_rho_is_total_and_strictly_monotone():
+    for name in ("sme", "boom", "tracks", "triang", "lhne"):
+        _assert_rho_graded(named(name))
+    _assert_rho_graded(desargues())
+    _assert_rho_graded(_far())
+
+
+@given(complexes())
+@settings(max_examples=150, deadline=None)
+def test_rho_is_total_and_strictly_monotone_on_near_matroids(C):
+    if is_near_matroid(C)[0]:
+        _assert_rho_graded(C)
+
+
 def test_truncation_representation_for_matroids():
     U46 = Complex(6, set(k_submasks((1 << 6) - 1, 4)))
     assert truncation_is_brsc_for_near_matroid(U46, 3)
@@ -208,12 +235,26 @@ def test_extension_candidate_verdicts():
         if X.bit_count() <= 5 and (X & tri(4, 5, 6)).bit_count() <= 2
     )
 
+    assert truncate(JT, D.dim + 1) == D
+
     free = Complex(4, [0b1111])
     F, verdict = matroid_extension_candidate(free)
     assert verdict == "no_extension" and F == free
 
     with pytest.raises(DomainError):
         matroid_extension_candidate(_far())
+
+
+def test_unique_extension_candidates_truncate_back():
+    rng = random.Random(29)
+    unique = 0
+    for _ in range(150):
+        M = random_matroid(rng)
+        JT, verdict = matroid_extension_candidate(M)
+        if verdict == "unique_extension":
+            unique += 1
+            assert truncate(JT, M.dim + 1) == M
+    assert unique >= 10
 
 
 def test_extension_search_on_sme():
@@ -311,6 +352,238 @@ def test_budget_exhaustion_is_reported():
     assert out.nodes >= 3
 
 
+# Parent route of search_matroid_extensions, kept as its oracle.
+_IN, _OUT = 1, 2
+
+
+def reference_extension_search(C, budget=10**8):
+    """The extension search on list state: a per-candidate state list, a
+    trail of assignments undone one by one, clause checks that loop over the
+    options, and each extension built from C's facets plus the chosen sets.
+    The reference for `search_matroid_extensions`, which must match it in
+    extensions (order included), completeness and node count."""
+    ok, _ = is_matroid(C)
+    if not ok:
+        raise DomainError("the extension search starts from a matroid")
+    n = C.n
+    d1 = C.dim + 1
+    fset = set(C.faces)
+    tops = sorted(C.faces_of_size(d1))
+    cands = []
+    for comb in combinations(range(n), d1 + 1):
+        X = mask_of(comb)
+        if all(s in fset for s in k_submasks(X, d1)):
+            cands.append(X)
+
+    index = {X: ci for ci, X in enumerate(cands)}
+    raw = []
+    for X in cands:
+        cls = []
+        for J in tops:
+            if J & ~X == 0:
+                continue
+            cls.append(
+                [index[J | (1 << i)] for i in bits(X & ~J) if J | (1 << i) in index]
+            )
+        raw.append(cls)
+
+    # a candidate owning a clause with no possible options can never be chosen
+    possible = [True] * len(cands)
+    changed = True
+    while changed:
+        changed = False
+        for ci, cls in enumerate(raw):
+            if possible[ci] and any(
+                all(not possible[o] for o in opts) for opts in cls
+            ):
+                possible[ci] = False
+                changed = True
+
+    live = [ci for ci in range(len(cands)) if possible[ci]]
+    remap = {ci: t for t, ci in enumerate(live)}
+    masks = [cands[ci] for ci in live]
+    M = len(masks)
+
+    clauses = []
+    clauses_of = [[] for _ in range(M)]
+    occurs = [[] for _ in range(M)]
+    for t, ci in enumerate(live):
+        for opts in raw[ci]:
+            lopts = tuple(remap[o] for o in opts if possible[o])
+            k = len(clauses)
+            clauses.append((t, lopts))
+            clauses_of[t].append(k)
+            for o in lopts:
+                occurs[o].append(k)
+
+    # a matroid extension is pure: every top face of C needs a chosen superset
+    cover_sets = []
+    cover_occ = [[] for _ in range(M)]
+    for J in tops:
+        opts = tuple(t for t in range(M) if J & ~masks[t] == 0)
+        if not opts:
+            return ExtensionSearch([], True, 0)
+        j = len(cover_sets)
+        cover_sets.append(opts)
+        for o in opts:
+            cover_occ[o].append(j)
+
+    state = [0] * M
+    trail = []
+    nodes = 0
+    out_of_budget = False
+    solutions = []
+
+    def recheck_clause(k, queue):
+        owner, opts = clauses[k]
+        free = None
+        cnt = 0
+        for o in opts:
+            s = state[o]
+            if s == _IN:
+                return True
+            if s == 0:
+                cnt += 1
+                free = o
+        if cnt == 0:
+            if state[owner] == _IN:
+                return False
+            queue.append((owner, _OUT))
+            return True
+        if cnt == 1 and state[owner] == _IN:
+            queue.append((free, _IN))
+        return True
+
+    def recheck_cover(j, queue):
+        free = None
+        cnt = 0
+        for o in cover_sets[j]:
+            s = state[o]
+            if s == _IN:
+                return True
+            if s == 0:
+                cnt += 1
+                free = o
+        if cnt == 0:
+            return False
+        if cnt == 1:
+            queue.append((free, _IN))
+        return True
+
+    def assign(t, val):
+        nonlocal nodes
+        queue = [(t, val)]
+        while queue:
+            v, val = queue.pop()
+            if state[v]:
+                if state[v] != val:
+                    return False
+                continue
+            nodes += 1
+            state[v] = val
+            trail.append(v)
+            if val == _IN:
+                for k in clauses_of[v]:
+                    if not recheck_clause(k, queue):
+                        return False
+            else:
+                for k in occurs[v]:
+                    if not recheck_clause(k, queue):
+                        return False
+                for j in cover_occ[v]:
+                    if not recheck_cover(j, queue):
+                        return False
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            state[trail.pop()] = 0
+
+    def dfs():
+        nonlocal out_of_budget
+        if nodes >= budget:
+            out_of_budget = True
+            return
+        t = next((i for i in range(M) if state[i] == 0), None)
+        if t is None:
+            chosen = {masks[i] for i in range(M) if state[i] == _IN}
+            if chosen:
+                solutions.append(Complex(C.n, set(C.facets) | chosen, C.labels))
+            return
+        for val in (_IN, _OUT):
+            mark = len(trail)
+            if assign(t, val):
+                dfs()
+            undo(mark)
+            if out_of_budget:
+                return
+
+    dfs()
+    return ExtensionSearch(solutions, not out_of_budget, nodes)
+
+
+# The forest matroids of the benchmark's search workload, as
+# (nodes, edges); each graph is connected, of rank nodes - 1, and is searched
+# at full rank and at its proper truncations to ranks 2 and 3, except rank 2
+# on seven edges, which is U(2,7).
+FOREST_GRAPHS = {
+    "K4": (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+    "C5": (5, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1))),
+    "C6": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1))),
+    "K23": (5, ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))),
+    "bowtie": (5, ((1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3))),
+    "theta": (5, ((1, 2), (2, 3), (3, 4), (1, 5), (5, 4), (1, 4))),
+    "W4": (5, ((1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (5, 2), (5, 3))),
+    "K4+pendant": (5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))),
+}
+
+
+def _search_inputs():
+    out = {name: (lambda name=name: named(name)) for name in ("sme", "triang")}
+    out["desargues"] = desargues
+    out["non_desargues"] = non_desargues
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            out[f"U({k},{n})"] = lambda k=k, n=n: Complex(n, set(k_submasks((1 << n) - 1, k)))
+    for name, (nv, edges) in FOREST_GRAPHS.items():
+        out[f"forest {name}"] = lambda nv=nv, edges=edges: _forest_complex(nv, list(edges))
+        for rank in (2, 3):
+            if rank < nv - 1 and not (rank == 2 and len(edges) > 6):
+                out[f"forest {name}, rank {rank}"] = (
+                    lambda nv=nv, edges=edges, rank=rank: truncate(_forest_complex(nv, list(edges)), rank)
+                )
+    return out
+
+
+SEARCH_INPUTS = _search_inputs()
+
+
+def _same_search(got, want):
+    assert got.complete == want.complete
+    assert got.nodes == want.nodes
+    assert [(E.facets, E.labels) for E in got.extensions] == [
+        (E.facets, E.labels) for E in want.extensions
+    ]
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_extension_search_matches_list_state_reference(name):
+    C = SEARCH_INPUTS[name]()
+    _same_search(search_matroid_extensions(C), reference_extension_search(C))
+
+
+def test_extension_search_cut_off_matches_reference_at_every_budget():
+    # sme takes 68 nodes: every budget up to that cuts the search off, the
+    # next one lets it complete
+    C = named("sme")
+    full = reference_extension_search(C)
+    for budget in range(1, full.nodes + 2):
+        _same_search(
+            search_matroid_extensions(C, budget=budget),
+            reference_extension_search(C, budget=budget),
+        )
+
+
 def test_shelling_certificates_on_two_triangle_example():
     C = named("exs")
     assert is_shellable(C) is None
@@ -368,6 +641,35 @@ def test_lines_and_l_mu():
     }
     with pytest.raises(DomainError):
         lines(_far())
+
+
+def _paving_line_cases():
+    rng = random.Random(17)
+    out = [named("boom"), named("tracks")]
+    while len(out) < 40:
+        C = _random_bpav2(rng, rng.randint(5, 7))
+        if C.dim == 2 and is_paving(C) == 2 and is_boolean_representable(C)[0]:
+            out.append(C)
+    return out
+
+
+def test_flats_of_a_bpav_are_small_sets_lines_and_v():
+    for C in _paving_line_cases():
+        d = is_paving(C)
+        ls = set(lines(C).members)
+        small = {m for m in range(1 << C.n) if m.bit_count() <= d - 1}
+        assert set(flats(C).members) == small | ls | {C.full_mask}
+        for L, L2 in combinations(ls, 2):
+            assert (L & L2).bit_count() <= d - 1
+
+
+def test_top_facets_decompose_through_the_lines():
+    for C in _paving_line_cases():
+        d = is_paving(C)
+        mu = set()
+        for L in lines(C):
+            mu |= l_mu(C, L).members
+        assert mu == {f for f in C.facets if f.bit_count() == d + 1}
 
 
 def test_line_complex_shellability_splits():
