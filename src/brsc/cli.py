@@ -11,9 +11,7 @@ Exit codes: 0 success, 1 a reproduce check failed, 2 bad usage or input,
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -300,10 +298,6 @@ def cmd_iso(args):
     return 0
 
 
-def _run_tag(tag, params):
-    return rp.run_criterion(tag, **params)
-
-
 def cmd_reproduce(args):
     if args.list:
         for row in rp.REPRODUCE_TABLE:
@@ -322,11 +316,7 @@ def cmd_reproduce(args):
         if len(tags) != 1:
             raise DomainError("--n applies to a single tag")
         params["n"] = args.n
-    if args.threads > 1 and len(tags) > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(_run_tag, tags, [params] * len(tags)))
-    else:
-        reports = [rp.run_criterion(t, **params) for t in tags]
+    reports = [rp.run_criterion(t, **params) for t in tags]
     failed = over = 0
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
@@ -346,12 +336,10 @@ def cmd_reproduce(args):
 
 
 def build_parser():
-    default_threads = int(os.environ.get("BRSC_THREADS", "1") or "1")
     ap = argparse.ArgumentParser(
         prog="brsc",
         description="Boolean representable simplicial complexes: checks, operators, reproduction.",
     )
-    ap.add_argument("--threads", type=int, default=default_threads)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, **kw):

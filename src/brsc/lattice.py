@@ -9,15 +9,17 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
 _extension_constraints builds the pairs and _horn_closure propagates them to
-a fixpoint, stopping as soon as it reaches the full set V. _closed_sets lists
-the closed sets by Ganter's NextClosure, one closure per candidate, so its
-cost follows the size of the family rather than 2^n. A family given by its
-members closes by intersection instead (_meet_closure). Either closure cl
-defines the complex J of the sets whose elements can be ordered so that each
-leaves the closure of the earlier ones: _independent decides one set by a
-memoised search and _independent_complex builds J level by level, one
-closure per independent set, handing only J's facets to Complex. The public
-functions below are short calls into these helpers.
+a fixpoint, stopping as soon as it reaches the full set V. A family given by
+its members closes by intersection instead (_meet_closure). _closed_sets
+lists the closed sets of either closure by Ganter's NextClosure, one closure
+per candidate, so its cost follows the size of the family rather than 2^n:
+flats, T(H) and T(H_k) bind it to a Horn closure, moore_close to an
+intersection closure. Either closure cl defines the complex J of the sets
+whose elements can be ordered so that each leaves the closure of the earlier
+ones: _independent decides one set by a memoised search and
+_independent_complex builds J level by level, one closure per independent
+set, handing only J's facets to Complex. The public functions below are short
+calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -32,6 +34,7 @@ from .core import (
     Complex,
     DomainError,
     SetFamily,
+    _antichain,
     bits,
     k_submasks,
     submasks,
@@ -58,27 +61,14 @@ class MooreFamily(SetFamily):
 
 
 def moore_close(n, sets):
-    """Smallest Moore family containing the given sets."""
+    """Smallest Moore family containing the given sets: the sets closed under
+    the intersection closure of the given sets, listed by NextClosure."""
     full = (1 << n) - 1
-    members = {full}
-    work = [full]
-    base = set(sets)
+    base = tuple(set(sets))
     for s in base:
         if s & ~full:
             raise DomainError("set uses vertices outside 0..n-1")
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for a in frontier:
-            if a in members:
-                continue
-            members.add(a)
-            for b in list(members):
-                c = a & b
-                if c not in members:
-                    new.add(c)
-        frontier = new
-    return MooreFamily(n, members, validate=False)
+    return _closed_sets(n, partial(_meet_closure, base, full))
 
 
 def is_flat(C, F):
@@ -113,8 +103,8 @@ def _extension_constraints(C, k):
     return tuple(out)
 
 
-def _closed_sets(n, cons):
-    """Every subset of 0..n-1 closed under the constraints, by Ganter's
+def _closed_sets(n, cl):
+    """Every subset of 0..n-1 closed under the closure cl, by Ganter's
     NextClosure: one closure per candidate, so the cost follows the number
     of closed sets rather than 2^n.
 
@@ -124,14 +114,14 @@ def _closed_sets(n, cons):
     qualifies, so the inner loop ends.
     """
     full = (1 << n) - 1
-    A = _horn_closure(cons, full, 0)
+    A = cl(0)
     out = [A]
     while A != full:
         m = full & ~A
         while True:
             b = m & -m
             head = A & ~(b - 1) | b
-            B = _horn_closure(cons, full, head)
+            B = cl(head)
             if B & ~(b - 1) == head:
                 break
             m ^= b
@@ -231,7 +221,8 @@ def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
     if C.n > 22:
         raise CapacityError(f"flat scan over 2^{C.n} subsets is out of range")
-    return _closed_sets(C.n, _extension_constraints(C, C.dim + 2))
+    cons = _extension_constraints(C, C.dim + 2)
+    return _closed_sets(C.n, partial(_horn_closure, cons, C.full_mask))
 
 
 def closure(C, X):
@@ -256,10 +247,7 @@ def long_hyperplanes(C):
         if any(f & ~X == 0 for f in fct):
             continue
         candidates.append(X)
-    maximal = [
-        X for X in candidates if not any(Y != X and X & ~Y == 0 for Y in candidates)
-    ]
-    return maximal
+    return sorted(_antichain(candidates))
 
 
 def long_hyperplane_partition(C):

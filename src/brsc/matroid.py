@@ -404,6 +404,29 @@ def shelling_certificates(C, order):
     return tuple(certs)
 
 
+def _shelling_from(placed, remaining, certs, failed):
+    """Extend the shelling order placed by the facets in remaining, trying the
+    largest ones in increasing mask order; failed holds the remainders known
+    to admit no extension."""
+    if not remaining:
+        return Shelling(tuple(placed), tuple(certs))
+    key = frozenset(remaining)
+    if key in failed:
+        return None
+    top = max(f.bit_count() for f in remaining)
+    for B in sorted(remaining):
+        if B.bit_count() != top:
+            continue
+        cert = _step_certificate(placed, B)
+        if cert is None:
+            continue
+        out = _shelling_from(placed + [B], remaining - {B}, certs + [cert], failed)
+        if out is not None:
+            return out
+    failed.add(key)
+    return None
+
+
 def is_shellable(C):
     """Search for a shelling and return it, or None.
 
@@ -413,30 +436,7 @@ def is_shellable(C):
     facets = sorted(C.facets)
     if len(facets) > 35:
         raise CapacityError("shelling search supported for <= 35 facets")
-    failed = set()
-
-    def rec(placed, remaining, order, certs):
-        if not remaining:
-            return Shelling(tuple(order), tuple(certs))
-        key = frozenset(remaining)
-        if key in failed:
-            return None
-        top = max(f.bit_count() for f in remaining)
-        for B in sorted(remaining):
-            if B.bit_count() != top:
-                continue
-            cert = _step_certificate(placed, B)
-            if cert is None:
-                continue
-            out = rec(
-                placed + [B], remaining - {B}, order + [B], certs + [cert]
-            )
-            if out is not None:
-                return out
-        failed.add(key)
-        return None
-
-    return rec([], set(facets), [], [])
+    return _shelling_from([], set(facets), [], set())
 
 
 def _bpav_dim(C):

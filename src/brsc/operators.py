@@ -24,22 +24,6 @@ def up(C):
     return Complex(C.n, gens, C.labels)
 
 
-def up_scan(C):
-    """Second route to the up operator: complement characterization.
-
-    A nonempty X is missing from H-up exactly when every X minus a point
-    is missing from H. Scans all subsets, so small n only.
-    """
-    if C.n > 20:
-        raise CapacityError(f"scan over 2^{C.n} subsets is out of range")
-    faces = C.faces
-    out = [0]
-    for X in range(1, 1 << C.n):
-        if any((X ^ (1 << x)) in faces for x in bits(X)):
-            out.append(X)
-    return Complex(C.n, out, C.labels)
-
-
 def up_iter(C, m):
     for _ in range(m):
         C = up(C)
@@ -104,9 +88,9 @@ def family_boxplus(fam):
 def boxplus_point(C, label=None):
     """Transversal complex of the flats with V inflated by a new point.
 
-    Cross-checked against the direct face description: old faces, the new
-    point alone or with one old vertex, and I plus the new point whenever
-    the closure of I is proper.
+    Its faces are the old faces, the new point alone or with one old vertex,
+    and I plus the new point whenever the closure of I is proper; the tests
+    compare the two descriptions.
     """
     from .lattice import is_boolean_representable
 
@@ -114,20 +98,7 @@ def boxplus_point(C, label=None):
     ok, _ = is_boolean_representable(C)
     if not ok:
         raise DomainError("boxplus_point requires a boolean representable complex")
-    fl = flats(C)
-    out = j_complex(family_boxplus(fl), C.labels + (label,))
-
-    p = 1 << C.n
-    direct = set(C.faces)
-    direct.add(p)
-    for v in range(C.n):
-        direct.add((1 << v) | p)
-    full = C.full_mask
-    for I in C.faces:
-        if fl.closure(I) != full:
-            direct.add(I | p)
-    assert out.faces == frozenset(direct)
-    return out
+    return j_complex(family_boxplus(flats(C)), C.labels + (label,))
 
 
 def b_d(n, L, d, labels=None):

@@ -39,6 +39,7 @@ from .lattice import (
 )
 from .operators import b_d, up, up_iter, up_iter_paving
 from .t_operator import (
+    _is_gu,
     classify_minimality,
     enumerate_mgu,
     enumerate_mngu,
@@ -750,18 +751,34 @@ def crit_going_up(check):
     check("two on 5 vertices", len(enumerate_mngu(5)) == 2)
     crit_mngu6(check)
     count = 0
+    bad = []
     for n in range(2, 8):
         for edges in graphs_up_to_iso(n):
             gens = set(k_submasks((1 << n) - 1, 2)) - set(edges)
             C = Complex(n, gens)
             if is_paving(C) != 1:
                 continue
-            dim1_gu_facts(C)
+            facts = dim1_gu_facts(C)
+            cls = classify_minimality(C)
+            if (facts["gu"], facts["mngu"], facts["mgu"]) != (_is_gu(C), cls == "MNGU", cls == "mGU"):
+                bad.append((n, edges))
             count += 1
     check(
         "defect-graph criteria agree with the generic machinery on all 1245 graph complexes up to 7 vertices",
-        count == 1245,
-        f"{count} checked",
+        count == 1245 and bad == [],
+        f"{count} checked, {len(bad)} disagree: {bad[:3]}",
+    )
+    count = 0
+    bad = []
+    for n in range(4, 7):
+        for C in paving2_reps(n):
+            if _is_gu(C) != (jt_complex(C).dim > C.dim):
+                bad.append(sorted(C.facets))
+            count += 1
+    check(
+        "the going-up witness exists exactly when dim J(T(H)) > dim H on all 2172 dimension-2 paving classes on 4-6 vertices",
+        count == 2172 and bad == [],
+        f"{count} checked, {len(bad)} disagree: {bad[:3]}",
     )
     for n in range(4, 10):
         crit_computemgu(check, n=n)
@@ -804,8 +821,6 @@ def crit_going_up(check):
     def restricted_is_mgu(a, b, m):
         key = (min(a, b), max(a, b), m)
         if key not in verdict_cache:
-            from .t_operator import classify_minimality
-
             std = two_line_complex(key[0], key[1], m)
             verdict_cache[key] = classify_minimality(std) == "mGU"
         return verdict_cache[key]

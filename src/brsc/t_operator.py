@@ -44,7 +44,7 @@ def t_family(C):
     """All members of T(H), enumerated by NextClosure over cl_T."""
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    return _closed_sets(C.n, _t_constraints(C))
+    return _closed_sets(C.n, partial(_horn_closure, _t_constraints(C), C.full_mask))
 
 
 def truncation_t_family(C, k):
@@ -60,7 +60,8 @@ def truncation_t_family(C, k):
         raise DomainError("truncation level must be at least 1")
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    return _closed_sets(C.n, _extension_constraints(C, k))
+    cons = _extension_constraints(C, k)
+    return _closed_sets(C.n, partial(_horn_closure, cons, C.full_mask))
 
 
 def cl_T(C, X):
@@ -128,20 +129,6 @@ class GoesUpReport:
     witness: Optional[Tuple[int, int]]
 
 
-def _longest_chain_members(fam):
-    """Most members in a strictly increasing chain of the family."""
-    ms = sorted(fam.members, key=lambda m: (m.bit_count(), m))
-    best = {}
-    for i, m in enumerate(ms):
-        b = 1
-        for j in range(i):
-            mj = ms[j]
-            if mj != m and mj & ~m == 0:
-                b = max(b, best[mj] + 1)
-        best[m] = b
-    return max(best.values()) if best else 0
-
-
 def _cltt_witness(cl, full, d):
     """The first pair (X, Y), X a (d+1)-set with cl(X) short of the full set
     and Y a d-subset of X with cl(Y) != cl(X), or None. Each d-subset is
@@ -161,27 +148,21 @@ def _cltt_witness(cl, full, d):
 
 
 def goes_up(C):
-    """Does dim J(T(H)) exceed dim C; verdict cross-checked two ways.
+    """Does dim J(T(H)) exceed dim C: the report of dim J(T(H)), the verdict
+    read off it, the witness pair, and |T(H)| (-1 past 20 vertices).
 
     Only paving complexes qualify: the witness characterization needs
-    P_{<=d-1} among the flats.
+    P_{<=d-1} among the flats. The longest chain of T(H) has dim J(T(H)) + 2
+    members, and the witness exists exactly when the verdict is GU; `brsc
+    reproduce going-up` and the tests check both.
     """
     if is_paving(C) is None:
         raise DomainError("going up is defined for paving complexes")
-    JT = jt_complex(C)
-    dim_jt = JT.dim
-    gu = dim_jt > C.dim
+    dim_jt = jt_complex(C).dim
     witness = _cltt_witness(partial(cl_T, C), C.full_mask, C.dim)
-    assert gu == (witness is not None)
-    if C.n <= 20:
-        fam = t_family(C)
-        size = len(fam)
-        chain = _longest_chain_members(fam)
-        assert chain == dim_jt + 2
-    else:
-        size = -1
-        chain = dim_jt + 2
-    return GoesUpReport(size, chain, dim_jt, "GU" if gu else "NGU", witness)
+    size = len(t_family(C)) if C.n <= 20 else -1
+    verdict = "GU" if dim_jt > C.dim else "NGU"
+    return GoesUpReport(size, dim_jt + 2, dim_jt, verdict, witness)
 
 
 def _is_gu(C):
@@ -242,8 +223,10 @@ def _clique_mask_check(comp, adj):
 def dim1_gu_facts(C):
     """Defect-graph reading of GU / MNGU / mGU for paving dim-1 complexes.
 
-    Both the graph criteria and the generic machinery are computed and
-    compared; the returned dict reports the agreed answers.
+    H goes up when its defect graph has at least three components, is MNGU
+    when the graph is a forest of two trees, and is mGU when it has exactly
+    three components, each a clique. `brsc reproduce going-up` and the tests
+    compare these answers with _is_gu and classify_minimality.
     """
     from .core import defect, defect_graph_components
 
@@ -257,21 +240,12 @@ def dim1_gu_facts(C):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
-    gu_graph = len(comps) >= 3
     acyclic = len(edges) == C.n - len(comps)
-    mngu_graph = acyclic and len(comps) == 2
-    mgu_graph = len(comps) == 3 and all(_clique_mask_check(c, adj) for c in comps)
-
-    gu = _is_gu(C)
-    cls = classify_minimality(C)
-    assert gu == gu_graph
-    assert (cls == "MNGU") == mngu_graph
-    assert (cls == "mGU") == mgu_graph
     return {
         "components": comps,
-        "gu": gu,
-        "mngu": mngu_graph,
-        "mgu": mgu_graph,
+        "gu": len(comps) >= 3,
+        "mngu": acyclic and len(comps) == 2,
+        "mgu": len(comps) == 3 and all(_clique_mask_check(c, adj) for c in comps),
     }
 
 

@@ -165,6 +165,13 @@ def test_iso_canon_at_the_cap(capsys, tmp_path):
     assert "capacity: canonical form search not supported for n=11" in err
 
 
+def test_environment_sets_no_option(capsys, monkeypatch):
+    # the toolkit is single-process: no environment variable is read
+    monkeypatch.setenv("BRSC_THREADS", "two")
+    code, out, _ = run(capsys, "check", "exs")
+    assert code == 0 and json.loads(out)["dim"] == 2
+
+
 def test_reproduce_unknown_tag(capsys):
     code, _, err = run(capsys, "reproduce", "nosuchtag")
     assert code == 2 and "available" in err

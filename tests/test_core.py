@@ -1,13 +1,16 @@
 """Core data model tests against independent set-based oracles."""
 
+import ast
 import json
 from itertools import accumulate, chain, combinations
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brsc
 from brsc import (
     CapacityError,
     Complex,
@@ -340,3 +343,13 @@ def test_repr_smoke():
     C = Complex(4, [0b0111])
     assert "Complex" in repr(C)
     assert "SetFamily" in repr(defect(Complex(3, set(k_submasks(0b111, 2)) - {0b011})))
+
+
+def test_library_has_no_assert_statements():
+    # cross-checks belong in the tests and in reproduce: asserts vanish under
+    # python -O and slow down production paths
+    found = []
+    for path in sorted(Path(brsc.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -46,6 +46,26 @@ def scan_closed_sets(n, cons):
     return out
 
 
+def frontier_moore_close(n, sets):
+    """Smallest Moore family containing the sets, by closing a frontier of
+    new members under intersection with every member so far."""
+    full = (1 << n) - 1
+    members = {full}
+    frontier = set(sets)
+    while frontier:
+        new = set()
+        for a in frontier:
+            if a in members:
+                continue
+            members.add(a)
+            for b in list(members):
+                c = a & b
+                if c not in members:
+                    new.add(c)
+        frontier = new
+    return frozenset(members)
+
+
 def all_faces_complex(cl, n):
     """Complex of the sets independent for cl, every face handed to Complex."""
     full = (1 << n) - 1
@@ -184,9 +204,23 @@ def test_j_walk_fits_the_full_18_simplex():
     assert _independent_complex(lambda Y: Y, 18).facets == {(1 << 18) - 1}
 
 
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=9))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_moore_close_matches_frontier_closure(draw):
+    n, sets = draw
+    assert moore_close(n, sets).members == frontier_moore_close(n, sets)
+
+
 def test_moore_close_and_validation():
     fam = moore_close(4, [0b0011, 0b0101])
     assert fam.members == frozenset({0b0011, 0b0101, 0b0001, 0b1111})
+    assert moore_close(3, []).members == frozenset({0b111})
+    with pytest.raises(DomainError):
+        moore_close(3, [0b1000])
     with pytest.raises(DomainError):
         MooreFamily(3, [0b011, 0b101])  # missing V and intersection
     MooreFamily(3, [0b011, 0b111])

@@ -1,5 +1,6 @@
 """Matroid structure, extensions, shellability, and line-complex tests."""
 
+import gc
 import random
 from itertools import combinations
 
@@ -609,6 +610,19 @@ def test_shelling_certificates_on_two_triangle_example():
 
     with pytest.raises(DomainError):
         shelling_certificates(C, (tri(1, 2, 3),))
+
+
+def test_shelling_search_leaves_no_reference_cycle():
+    # a self-referencing nested search would keep its memo of failed
+    # remainders alive until the cyclic collector runs
+    C = up(named("boom"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_shellable(C) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mixed_dimension_shelling():

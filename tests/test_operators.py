@@ -33,7 +33,6 @@ from brsc.operators import (
     up,
     up_iter,
     up_iter_paving,
-    up_scan,
 )
 
 
@@ -50,6 +49,31 @@ def complexes(max_n=6):
 
 def tri(*t):
     return mask_of(tuple(x - 1 for x in t))
+
+
+def up_scan(C):
+    """Second route to the up operator: complement characterization.
+
+    A nonempty X is missing from H-up exactly when every X minus a point
+    is missing from H. Scans all subsets, so small n only.
+    """
+    faces = C.faces
+    out = [0]
+    for X in range(1, 1 << C.n):
+        if any((X ^ (1 << x)) in faces for x in bits(X)):
+            out.append(X)
+    return Complex(C.n, out, C.labels)
+
+
+def boxplus_direct(C):
+    """Faces of boxplus_point(C) read off C: the old faces, the new point
+    alone or with one old vertex, and I plus the new point whenever the
+    closure of I is proper."""
+    fl = flats(C)
+    p = 1 << C.n
+    faces = set(C.faces) | {p} | {(1 << v) | p for v in range(C.n)}
+    faces |= {I | p for I in C.faces if fl.closure(I) != C.full_mask}
+    return frozenset(faces)
 
 
 def test_up_two_edges():
@@ -199,7 +223,8 @@ def test_boxplus_dual_route_consistency(C):
 
     if not is_boolean_representable(C)[0]:
         return
-    B = boxplus_point(C)  # internal assert compares both routes
+    B = boxplus_point(C)
+    assert B.faces == boxplus_direct(C)
     assert B.n == C.n + 1
     assert all(B.has(f) for f in C.facets)
 

@@ -1,6 +1,9 @@
 """T-family, TBRSC recognition, codimension, and going-up tests."""
 
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from itertools import combinations
 
@@ -24,6 +27,7 @@ from brsc.lattice import MooreFamily, _independent, flats, j_complex, is_boolean
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
 from brsc.t_operator import (
+    _is_gu,
     classify_minimality,
     cl_T,
     codimension,
@@ -101,6 +105,35 @@ def complexes(max_n=5):
         return Complex(n, gens)
 
     return strat()
+
+
+def pavings(max_n=7):
+    """Paving complexes: every d-set plus a drawn subset of the (d+1)-sets."""
+
+    @st.composite
+    def strat(draw):
+        n = draw(st.integers(2, max_n))
+        d = draw(st.integers(1, min(2, n - 1)))
+        full = (1 << n) - 1
+        top = [X for X in k_submasks(full, d + 1) if draw(st.booleans())]
+        return Complex(n, set(top) | set(k_submasks(full, d)))
+
+    return strat()
+
+
+def longest_chain_members(fam):
+    """Most members in a strictly increasing chain of the family, by an
+    O(|T|^2) pass over the members in size order."""
+    ms = sorted(fam.members, key=lambda m: (m.bit_count(), m))
+    best = {}
+    for i, m in enumerate(ms):
+        b = 1
+        for j in range(i):
+            mj = ms[j]
+            if mj != m and mj & ~m == 0:
+                b = max(b, best[mj] + 1)
+        best[m] = b
+    return max(best.values()) if best else 0
 
 
 @given(complexes(max_n=6))
@@ -382,8 +415,29 @@ def test_goes_up_report_shape():
     assert rep2.dim_JT == 3
     assert rep2.witness is not None
     assert rep2.t_family_size == 16
+    assert (rep.max_chain_length, rep2.max_chain_length) == (3, 5)
     with pytest.raises(DomainError):
         goes_up(Complex(4, [tri(1, 2, 3)]))
+
+
+@given(pavings())
+@settings(max_examples=150, deadline=None)
+def test_going_up_witness_matches_dimension(C):
+    dim_jt = jt_complex(C).dim
+    rep = goes_up(C)
+    assert rep.dim_JT == dim_jt
+    assert rep.verdict == ("GU" if dim_jt > C.dim else "NGU")
+    assert (rep.witness is not None) == (dim_jt > C.dim)
+    assert _is_gu(C) == (dim_jt > C.dim)
+
+
+@given(pavings())
+@settings(max_examples=150, deadline=None)
+def test_longest_t_family_chain_is_dim_jt_plus_two(C):
+    fam = t_family(C)
+    rep = goes_up(C)
+    assert rep.t_family_size == len(fam)
+    assert longest_chain_members(fam) == jt_complex(C).dim + 2 == rep.max_chain_length
 
 
 def test_classify_minimality_examples():
@@ -476,3 +530,38 @@ def test_dim1_facts():
 
     with pytest.raises(DomainError):
         dim1_gu_facts(Complex(4, set(k_submasks(0b1111, 3))))
+
+
+def test_dim1_facts_match_the_generic_machinery():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        pairs = list(k_submasks((1 << n) - 1, 2))
+        C = Complex(n, {e for e in pairs if rng.random() < 0.7})
+        if is_paving(C) != 1:
+            continue
+        facts = dim1_gu_facts(C)
+        cls = classify_minimality(C)
+        assert facts["gu"] == _is_gu(C) == (jt_complex(C).dim > 1)
+        assert facts["mngu"] == (cls == "MNGU")
+        assert facts["mgu"] == (cls == "mGU")
+
+
+def test_broken_witness_route_fails_the_defect_graph_check_under_O():
+    # the comparison lives in reproduce, not in library asserts, so it still
+    # runs, and reports, when python -O strips asserts
+    code = (
+        "from brsc import t_operator\n"
+        "t_operator._is_gu = lambda C: True\n"
+        "from brsc.reproduce import run_criterion\n"
+        "print('\\n'.join(run_criterion('going-up').lines()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = next(l for l in proc.stdout.splitlines() if "defect-graph criteria agree" in l)
+    assert line.split()[0] == "FAIL"
