@@ -13,11 +13,12 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
-    bits,
     k_submasks,
     mask_of,
+    union,
 )
 from .lattice import BooleanMatrix, MooreFamily, complex_of_matrix, j_complex
+from .operators import b_d
 from .t_operator import jijn
 
 
@@ -396,9 +397,6 @@ def _nonun():
 
 
 def _ncu():
-    from .core import union
-    from .operators import b_d
-
     return union(b_d(6, mask_of((0, 1)), 2), b_d(6, mask_of((0, 1, 2, 3)), 2))
 
 

@@ -16,10 +16,10 @@ per candidate, so its cost follows the size of the family rather than 2^n:
 flats, T(H) and T(H_k) bind it to a Horn closure, moore_close to an
 intersection closure. Either closure cl defines the complex J of the sets
 whose elements can be ordered so that each leaves the closure of the earlier
-ones: _independent decides one set by a memoised search and
-_independent_complex builds J level by level, one closure per independent
-set, handing only J's facets to Complex. The public functions below are short
-calls into these helpers.
+ones: _independent_complex builds J level by level, one closure per
+independent set, handing only J's facets to Complex, and _first_gap walks it
+up to a complex's dimension + 1 to decide BR (the flat closure) and TBRSC
+(the T(H) closure). The public functions below are short calls into these.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -27,6 +27,7 @@ j_complex goes through the boolean matrix M(R) and successive closures.
 Tests compare them; library code uses j_complex (faster).
 """
 
+from collections import Counter
 from functools import lru_cache, partial
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     SetFamily,
     _antichain,
     bits,
+    is_paving,
     k_submasks,
     submasks,
 )
@@ -87,19 +89,26 @@ def _extension_constraints(C, k):
     """Pairs (X, bad) over the faces X with |X| < k, where bad holds the
     points whose addition to X leaves H (pairs with bad empty are dropped).
 
-    X + p has at most k points, so H and its truncation H_k agree on it.
+    X + p has at most k points, so H and its truncation H_k agree on it. The
+    points that do extend X are read off the faces one point larger: each
+    face Z with |Z| <= k marks every p in Z as extending Z - p.
     """
     faces = C.faces
+    good = dict.fromkeys(faces, 0)
+    for Z in faces:
+        if Z.bit_count() <= k:
+            m = Z
+            while m:
+                b = m & -m
+                good[Z ^ b] |= b
+                m ^= b
+    full = C.full_mask
     out = []
-    for X in faces:
-        if X.bit_count() >= k:
-            continue
-        bad = 0
-        for p in bits(C.full_mask & ~X):
-            if X | (1 << p) not in faces:
-                bad |= 1 << p
-        if bad:
-            out.append((X, bad))
+    for X, g in good.items():
+        if X.bit_count() < k:
+            bad = full & ~(X | g)
+            if bad:
+                out.append((X, bad))
     return tuple(out)
 
 
@@ -216,6 +225,33 @@ def _independent_complex(cl, n, labels=None):
     return Complex(n, facets, labels)
 
 
+def _first_gap(C, cl):
+    """The first set where J(cl), walked level by level up to size dim + 1,
+    differs from C: an independent set outside C, else the smallest face of
+    the first level that has fewer sets than C has faces of its size (a level
+    inside C misses a face exactly then); None when they agree. One closure
+    per independent set of size <= dim.
+    """
+    full = C.full_mask
+    faces = C.faces
+    sizes = Counter(map(int.bit_count, faces))
+    level = [0]
+    for k in range(1, C.dim + 2):
+        nxt = set()
+        for Y in level:
+            m = full & ~cl(Y)
+            while m:
+                b = m & -m
+                if Y | b not in faces:
+                    return Y | b
+                nxt.add(Y | b)
+                m ^= b
+        if len(nxt) < sizes[k]:
+            return min(X for X in faces if X.bit_count() == k and X not in nxt)
+        level = nxt
+    return None
+
+
 @lru_cache(maxsize=2048)
 def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
@@ -232,8 +268,6 @@ def closure(C, X):
 
 def long_hyperplanes(C):
     """Maximal sets of size > dim containing no facet (paving, dim >= 2 only)."""
-    from .core import is_paving
-
     d = is_paving(C)
     if d is None or d < 2:
         raise DomainError("long hyperplanes require a paving complex of dimension >= 2")
@@ -257,8 +291,6 @@ def long_hyperplane_partition(C):
     maximal long hyperplanes have size < dim, in the third part otherwise.
     Flat members always intersect the others in < dim points.
     """
-    from .core import is_paving
-
     d = is_paving(C)
     lh = long_hyperplanes(C)
     l1, l2, l3 = [], [], []
@@ -279,8 +311,6 @@ def flats_paving(C):
     Small sets are all flats; a dim-size set is a flat iff every one-point
     extension stays in H; the long flats are the flat maximal long hyperplanes.
     """
-    from .core import is_paving
-
     d = is_paving(C)
     if d is None or d < 2:
         raise DomainError("flats_paving requires a paving complex of dimension >= 2")
@@ -443,16 +473,11 @@ def is_boolean_representable(C):
     """Whether every face is a partial transversal of the flat chains.
 
     Returns (ok, witness) where witness is a smallest non-representable face
-    (None when ok). Checking facets suffices for the positive direction.
+    (None when ok). J(Fl H) lies inside H, since a point outside the flat
+    cl(Y) extends the face Y, so the first gap of the walk is that witness.
     """
-    cl = flats(C).closure
-    if all(_independent(cl, f) is not None for f in C.facets):
-        return True, None
-    for k in range(2, C.dim + 2):
-        for X in sorted(C.faces_of_size(k)):
-            if _independent(cl, X) is None:
-                return False, X
-    raise AssertionError("facet failed but no witness found")
+    gap = _first_gap(C, flats(C).closure)
+    return gap is None, gap
 
 
 def tess_core(C):
@@ -461,8 +486,6 @@ def tess_core(C):
     The family keeps the flats of size <= dim plus V; the returned complex is
     its complex of partial transversals, a subcomplex of C.
     """
-    from .core import is_paving
-
     d = is_paving(C)
     if d is None:
         raise DomainError("tess_core requires a paving complex")

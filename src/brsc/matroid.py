@@ -8,7 +8,7 @@ and the line complex H* for paving complexes.
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     CapacityError,

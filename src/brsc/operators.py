@@ -1,7 +1,5 @@
 """Up operator, one-point constructions, and graph-derived complexes."""
 
-from itertools import combinations
-
 from .core import (
     CapacityError,
     Complex,
@@ -10,9 +8,8 @@ from .core import (
     bits,
     is_paving,
     k_submasks,
-    mask_of,
 )
-from .lattice import MooreFamily, flats, j_complex
+from .lattice import MooreFamily, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -92,8 +89,6 @@ def boxplus_point(C, label=None):
     and I plus the new point whenever the closure of I is proper; the tests
     compare the two descriptions.
     """
-    from .lattice import is_boolean_representable
-
     label = _fresh_label(C, label)
     ok, _ = is_boolean_representable(C)
     if not ok:

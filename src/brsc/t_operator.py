@@ -20,18 +20,23 @@ from .core import (
     Complex,
     DomainError,
     bits,
+    defect,
+    defect_graph_components,
     is_paving,
     k_submasks,
+    union,
 )
 # flats is not used here; it stays a name of this module because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace
 from .lattice import (
     _closed_sets,
     _extension_constraints,
+    _first_gap,
     _horn_closure,
     _independent_complex,
     flats,
 )
+from .operators import b_d
 
 
 @lru_cache(maxsize=4096)
@@ -40,11 +45,16 @@ def _t_constraints(C):
     return _extension_constraints(C, C.dim + 1)
 
 
+def _t_closure(C):
+    """cl_T for one complex, its constraints looked up once."""
+    return partial(_horn_closure, _t_constraints(C), C.full_mask)
+
+
 def t_family(C):
     """All members of T(H), enumerated by NextClosure over cl_T."""
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    return _closed_sets(C.n, partial(_horn_closure, _t_constraints(C), C.full_mask))
+    return _closed_sets(C.n, _t_closure(C))
 
 
 def truncation_t_family(C, k):
@@ -72,35 +82,16 @@ def cl_T(C, X):
 def jt_complex(C):
     """The complex J(T(H)): the sets whose elements can be ordered so that
     each leaves the cl_T closure of the previous ones."""
+    # closes through cl_T rather than _t_closure: perfbench/selftest.py
+    # requires cl_T calls under codimension(desargues)
     return _independent_complex(partial(cl_T, C), C.n, C.labels)
 
 
 def is_tbrsc(C):
-    """Whether C is the (dim+1)-truncation of the BRSC J(T(H)).
-
-    Walks J(T(H)) level by level as jt_complex does, up to size dim + 1: an
-    independent set outside C answers no at once, and otherwise C is the
-    truncation when the walk reached every facet. One cl_T per independent
-    set of size <= dim.
-    """
-    cl = partial(cl_T, C)
-    full = C.full_mask
-    faces = C.faces
-    reached = set()
-    level = [0]
-    for _ in range(C.dim + 1):
-        nxt = set()
-        for Y in level:
-            m = full & ~cl(Y)
-            while m:
-                b = m & -m
-                if Y | b not in faces:
-                    return False
-                nxt.add(Y | b)
-                m ^= b
-        reached |= nxt
-        level = nxt
-    return reached >= C.facets
+    """Whether C is the (dim+1)-truncation of the BRSC J(T(H)): the lattice
+    core's walk of J(T(H)) up to size dim + 1 finds no set where they differ,
+    one cl_T per independent set of size <= dim."""
+    return _first_gap(C, _t_closure(C)) is None
 
 
 def paving_tbrsc_criterion(C):
@@ -109,8 +100,9 @@ def paving_tbrsc_criterion(C):
     d = is_paving(C)
     if d is None:
         raise DomainError("criterion requires a paving complex")
+    cl = _t_closure(C)
     for X in sorted(C.faces_of_size(d + 1)):
-        if not any(cl_T(C, Y) & (X & ~Y) == 0 for Y in k_submasks(X, d)):
+        if not any(cl(Y) & (X & ~Y) == 0 for Y in k_submasks(X, d)):
             return False, X
     return True, None
 
@@ -159,7 +151,7 @@ def goes_up(C):
     if is_paving(C) is None:
         raise DomainError("going up is defined for paving complexes")
     dim_jt = jt_complex(C).dim
-    witness = _cltt_witness(partial(cl_T, C), C.full_mask, C.dim)
+    witness = _cltt_witness(_t_closure(C), C.full_mask, C.dim)
     size = len(t_family(C)) if C.n <= 20 else -1
     verdict = "GU" if dim_jt > C.dim else "NGU"
     return GoesUpReport(size, dim_jt + 2, dim_jt, verdict, witness)
@@ -168,7 +160,7 @@ def goes_up(C):
 def _is_gu(C):
     # witness route; equivalent to dim J(T(H)) > dim C on paving complexes
     # and much cheaper than building J(T(H))
-    return _cltt_witness(partial(cl_T, C), C.full_mask, C.dim) is not None
+    return _cltt_witness(_t_closure(C), C.full_mask, C.dim) is not None
 
 
 def classify_minimality(C):
@@ -216,10 +208,6 @@ def classify_minimality(C):
     return "MNGU"
 
 
-def _clique_mask_check(comp, adj):
-    return all((adj[v] | (1 << v)) & comp == comp for v in bits(comp))
-
-
 def dim1_gu_facts(C):
     """Defect-graph reading of GU / MNGU / mGU for paving dim-1 complexes.
 
@@ -228,8 +216,6 @@ def dim1_gu_facts(C):
     three components, each a clique. `brsc reproduce going-up` and the tests
     compare these answers with _is_gu and classify_minimality.
     """
-    from .core import defect, defect_graph_components
-
     if is_paving(C) != 1:
         raise DomainError("dim1_gu_facts requires a paving complex of dimension 1")
     comps = defect_graph_components(C)
@@ -245,16 +231,13 @@ def dim1_gu_facts(C):
         "components": comps,
         "gu": len(comps) >= 3,
         "mngu": acyclic and len(comps) == 2,
-        "mgu": len(comps) == 3 and all(_clique_mask_check(c, adj) for c in comps),
+        "mgu": len(comps) == 3 and all((adj[v] | 1 << v) & c == c for c in comps for v in bits(c)),
     }
 
 
 def jijn(i, j, n):
     """The two-line complex J(i,j,n): the union of the b_d line complexes on
     the first i and the first j of n points, for 2 <= i < j < n."""
-    from .operators import b_d
-    from .core import union
-
     if not 2 <= i < j < n:
         raise DomainError("jijn needs 2 <= i < j < n")
     return union(b_d(n, (1 << i) - 1, 2), b_d(n, (1 << j) - 1, 2))
@@ -321,9 +304,6 @@ def j_restriction_params(i, j, n, p):
 def two_line_complex(a, b, m):
     """Union of the b-line complexes for prefixes of sizes a <= b, with the
     degenerate sizes (a <= 1 or a = b) collapsing to fewer lines."""
-    from .operators import b_d
-    from .core import union
-
     base = Complex(m, set(k_submasks((1 << m) - 1, 2)))
     parts = [base]
     for size in {a, b}:

@@ -353,3 +353,24 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # t_operator keeps `flats` because perfbench/selftest.py checks that the
+    # tracer wraps the name in that module's namespace
+    allowed = {"t_operator.flats"}
+    found = []
+    for path in sorted(Path(brsc.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.stem}.{name}")
+    assert sorted(set(found) - allowed) == []
+    assert allowed <= set(found)

@@ -21,6 +21,7 @@ from brsc.lattice import (
     flats,
     flats_paving,
     _horn_closure,
+    _independent,
     _independent_complex,
     independence_witness,
     is_boolean_representable,
@@ -34,6 +35,7 @@ from brsc.lattice import (
     tess_core,
     transversal_complex,
 )
+from brsc.iso import all_complexes
 from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
 
 
@@ -100,6 +102,36 @@ def flats_oracle(C):
         if good:
             out.add(F)
     return out
+
+
+def per_point_extension_constraints(C, k):
+    """Pairs (X, bad) over the faces X with |X| < k, probing X + p for every
+    point p outside X."""
+    faces = C.faces
+    out = set()
+    for X in faces:
+        if X.bit_count() >= k:
+            continue
+        bad = 0
+        for p in bits(C.full_mask & ~X):
+            if X | (1 << p) not in faces:
+                bad |= 1 << p
+        if bad:
+            out.add((X, bad))
+    return out
+
+
+def per_face_boolean_representable(C):
+    """(ok, witness) by a memoised independence search over the flat closure,
+    first on every facet, then on each face by size and mask until one fails."""
+    cl = flats(C).closure
+    if all(_independent(cl, f) is not None for f in C.facets):
+        return True, None
+    for k in range(2, C.dim + 2):
+        for X in sorted(C.faces_of_size(k)):
+            if _independent(cl, X) is None:
+                return False, X
+    raise AssertionError("a facet failed but no face did")
 
 
 def complexes(max_n=6):
@@ -320,6 +352,30 @@ def test_membership_iff_independent(fam, seed):
     M = matrix_of(fam)
     C = j_complex(fam)
     assert is_independent(M, X) == C.has(X)
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_extension_constraints_match_per_point_scan(C):
+    # k = dim + 2 gives the flats' constraints, k = dim + 1 T(H)'s, and the
+    # smaller k those of T(H_k)
+    for k in range(1, C.dim + 3):
+        assert set(_extension_constraints(C, k)) == per_point_extension_constraints(C, k)
+
+
+def test_br_walk_matches_per_face_search_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert is_boolean_representable(C) == per_face_boolean_representable(C)
+            seen += 1
+    assert seen == 7020
+
+
+@given(complexes(max_n=7))
+@settings(max_examples=200, deadline=None)
+def test_br_walk_matches_per_face_search(C):
+    assert is_boolean_representable(C) == per_face_boolean_representable(C)
 
 
 def test_br_far_example():
