@@ -18,8 +18,9 @@ intersection closure. Either closure cl defines the complex J of the sets
 whose elements can be ordered so that each leaves the closure of the earlier
 ones: _independent_complex builds J level by level, one closure per
 independent set, handing only J's facets to Complex, and _first_gap walks it
-up to a complex's dimension + 1 to decide BR (the flat closure) and TBRSC
-(the T(H) closure). The public functions below are short calls into these.
+up to sets of size dim + 1 of a complex H, comparing it with H: this decides
+BR (cl the flat closure) and TBRSC (cl the T(H) closure). The public
+functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
