@@ -147,9 +147,11 @@ class Complex:
             raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
         full = (1 << n) - 1
         gens = set(generators)
-        if reduce(or_, gens, 0) & ~full:
+        cover = reduce(or_, gens, 0)
+        if cover & ~full:
             raise DomainError("generator uses vertices outside 0..n-1")
-        gens.update(1 << i for i in range(n))
+        # a covered vertex lies in a generator, which would drop its singleton
+        gens.update(1 << i for i in bits(full & ~cover))
         self.n = n
         self.facets = _antichain(gens)
         if labels is None:

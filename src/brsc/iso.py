@@ -76,57 +76,57 @@ def canonical_key(C):
     verts = {f: tuple(bits(f)) for f in C.facets}
     through = [[f for f in verts if f >> v & 1] for v in range(n)]
     rep = _twin_classes(n, through)
-    inf = 1 << n
-    label = [0] * n
-    path = [None] * n
-    best = None
-
-    def rec(d, placed, tight):
-        # tight: path[:d] equals best[:d]; otherwise path[:d] is smaller
-        nonlocal best
-        if d == n:
-            if not tight:
-                best = path[:]
-            return
-        tried = set()
-        low = None
-        ties = []
-        for v in range(n):
-            if placed >> v & 1 or rep[v] in tried:
-                continue
-            tried.add(rep[v])
-            inside = placed | 1 << v
-            label[v] = d
-            seg = []
-            for f in through[v]:
-                if not f & ~inside:
-                    m = 0
-                    for u in verts[f]:
-                        m |= 1 << label[u]
-                    seg.append(m)
-            seg.sort()
-            seg.append(inf)
-            seg = tuple(seg)
-            if low is None or seg < low:
-                low = seg
-                ties = [v]
-            elif seg == low:
-                ties.append(v)
-        if tight:
-            if low > best[d]:
-                return
-            tight = low == best[d]
-        path[d] = low
-        before = best
-        for v in ties:
-            # a best key found below this node shares path[:d + 1]
-            if best is not before:
-                tight = True
-            label[v] = d
-            rec(d + 1, placed | 1 << v, tight)
-
-    rec(0, 0, False)
+    best = _canonical_from((n, verts, through, rep, [0] * n, [None] * n), 0, 0, False, None)
     return tuple(m for seg in best for m in seg[:-1])
+
+
+def _canonical_from(ctx, d, placed, tight, best):
+    """The canonical search below a node that has handed out labels 0..d-1
+    to the vertices of placed; returns the best key found so far, as a list
+    of padded segments.  ctx holds the tables of `canonical_key` and the
+    label and path arrays shared along the search.  tight: path[:d] equals
+    best[:d]; otherwise path[:d] is smaller."""
+    n, verts, through, rep, label, path = ctx
+    if d == n:
+        return best if tight else path[:]
+    inf = 1 << n
+    tried = set()
+    low = None
+    ties = []
+    for v in range(n):
+        if placed >> v & 1 or rep[v] in tried:
+            continue
+        tried.add(rep[v])
+        inside = placed | 1 << v
+        label[v] = d
+        seg = []
+        for f in through[v]:
+            if not f & ~inside:
+                m = 0
+                for u in verts[f]:
+                    m |= 1 << label[u]
+                seg.append(m)
+        seg.sort()
+        seg.append(inf)
+        seg = tuple(seg)
+        if low is None or seg < low:
+            low = seg
+            ties = [v]
+        elif seg == low:
+            ties.append(v)
+    if tight:
+        if low > best[d]:
+            return best
+        tight = low == best[d]
+    path[d] = low
+    before = best
+    for v in ties:
+        # a best key found below this node shares path[:d + 1]
+        if best is not before:
+            tight = True
+        label[v] = d
+        best = _canonical_from(ctx, d + 1, placed | 1 << v, tight, best)
+    return best
 
 
 @lru_cache(maxsize=8192)
@@ -164,22 +164,25 @@ def embeds(C, D):
     for f in sorted(C.facets, key=lambda f: -f.bit_count()):
         top[f.bit_length() - 1].append(f)
 
-    def rec(partial, used):
-        v = len(partial)
-        if v == C.n:
-            return tuple(partial)
-        for w in range(D.n):
-            if used >> w & 1:
-                continue
-            partial.append(w)
-            if all(D.has(mask_of(partial[u] for u in bits(f))) for f in top[v]):
-                got = rec(partial, used | (1 << w))
-                if got is not None:
-                    return got
-            partial.pop()
-        return None
+    return _embedding_from(top, D, [], 0)
 
-    return rec([], 0)
+
+def _embedding_from(top, D, partial, used):
+    """Extend the vertex images in partial, D's vertices in used, to an
+    embedding; top[v] lists the facets whose highest vertex is v."""
+    v = len(partial)
+    if v == len(top):
+        return tuple(partial)
+    for w in range(D.n):
+        if used >> w & 1:
+            continue
+        partial.append(w)
+        if all(D.has(mask_of(partial[u] for u in bits(f))) for f in top[v]):
+            got = _embedding_from(top, D, partial, used | (1 << w))
+            if got is not None:
+                return got
+        partial.pop()
+    return None
 
 
 @lru_cache(maxsize=32)
@@ -292,23 +295,21 @@ def all_complexes(n):
     """
     if n > 5:
         raise CapacityError("full complex enumeration supported for n <= 5")
-    full = (1 << n) - 1
-
-    def level_masks(k):
-        return [mask_of(c) for c in combinations(range(n), k)]
-
-    def rec(k, chosen_prev, acc):
-        if k > n:
-            yield Complex(n, acc)
-            return
-        elig = [
-            m
-            for m in level_masks(k)
-            if all((m ^ (1 << v)) in chosen_prev for v in bits(m))
-        ]
-        for pick in range(1 << len(elig)):
-            sel = {elig[t] for t in range(len(elig)) if pick >> t & 1}
-            yield from rec(k + 1, sel, acc | sel)
-
     prev = {1 << v for v in range(n)}
-    yield from rec(2, prev, set(prev))
+    yield from _complexes_from(n, 2, prev, set(prev))
+
+
+def _complexes_from(n, k, chosen_prev, acc):
+    """Every complex whose nonempty faces of size < k are acc, chosen_prev
+    being those of size k - 1."""
+    if k > n:
+        yield Complex(n, acc)
+        return
+    elig = [
+        m
+        for m in map(mask_of, combinations(range(n), k))
+        if all((m ^ (1 << v)) in chosen_prev for v in bits(m))
+    ]
+    for pick in range(1 << len(elig)):
+        sel = {elig[t] for t in range(len(elig)) if pick >> t & 1}
+        yield from _complexes_from(n, k + 1, sel, acc | sel)

@@ -170,23 +170,24 @@ def _meet_closure(sets, full, X):
 def _independent(cl, X):
     """An order of X's elements in which each leaves the closure cl of the
     earlier ones, or None when there is none (memoised search over prefixes)."""
-    memo = {}
+    return _independent_from(cl, X, {}, 0)
 
-    def go(placed):
-        if placed == X:
-            return []
-        if placed in memo:
-            return memo[placed]
-        res = None
-        for x in bits(X & ~placed & ~cl(placed)):
-            rest = go(placed | (1 << x))
-            if rest is not None:
-                res = [x] + rest
-                break
-        memo[placed] = res
-        return res
 
-    return go(0)
+def _independent_from(cl, X, memo, placed):
+    """An order of X - placed extending the prefix placed, or None; memo maps
+    the prefixes already searched to their answers."""
+    if placed == X:
+        return []
+    if placed in memo:
+        return memo[placed]
+    res = None
+    for x in bits(X & ~placed & ~cl(placed)):
+        rest = _independent_from(cl, X, memo, placed | (1 << x))
+        if rest is not None:
+            res = [x] + rest
+            break
+    memo[placed] = res
+    return res
 
 
 # Most faces a J-complex build visits before it refuses; J(T(H)) of
@@ -432,25 +433,8 @@ def transversal_complex(family, labels=None):
 
     memo = {}
 
-    def chain_from(F, rem):
-        if rem == 0:
-            return True
-        key = (F, rem)
-        if key in memo:
-            return memo[key]
-        ok = False
-        for G in members:
-            if G & ~F == 0 or F & ~G:
-                continue
-            picked = rem & G & ~F
-            if picked.bit_count() == 1 and chain_from(G, rem ^ picked):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
     def member(X):
-        return any(F & X == 0 and chain_from(F, X) for F in members)
+        return any(F & X == 0 and _chain_from(members, memo, F, X) for F in members)
 
     for x in range(n):
         if not member(1 << x):
@@ -468,6 +452,26 @@ def transversal_complex(family, labels=None):
         faces |= nxt
         level = list(nxt)
     return Complex(n, faces, labels)
+
+
+def _chain_from(members, memo, F, rem):
+    """Whether a chain of members above F picks up the points of rem one per
+    successive difference; memo maps (F, rem) pairs already decided."""
+    if rem == 0:
+        return True
+    key = (F, rem)
+    if key in memo:
+        return memo[key]
+    ok = False
+    for G in members:
+        if G & ~F == 0 or F & ~G:
+            continue
+        picked = rem & G & ~F
+        if picked.bit_count() == 1 and _chain_from(members, memo, G, rem ^ picked):
+            ok = True
+            break
+    memo[key] = ok
+    return ok
 
 
 def is_boolean_representable(C):

@@ -245,6 +245,7 @@ def search_matroid_extensions(C, budget=10**8):
         if all(s in fset for s in k_submasks(X, d1)):
             cands.append(X)
 
+    # per candidate: the clauses it owns, each the mask of its option indices
     index = {X: ci for ci, X in enumerate(cands)}
     raw = []
     for X in cands:
@@ -252,48 +253,47 @@ def search_matroid_extensions(C, budget=10**8):
         for J in tops:
             if J & ~X == 0:
                 continue
-            cls.append(
-                [index[J | (1 << i)] for i in bits(X & ~J) if J | (1 << i) in index]
-            )
+            opts = 0
+            for i in bits(X & ~J):
+                o = index.get(J | (1 << i))
+                if o is not None:
+                    opts |= 1 << o
+            cls.append(opts)
         raw.append(cls)
 
-    # a candidate owning a clause with no possible options can never be chosen
-    possible = [True] * len(cands)
+    # a candidate owning a clause with no live options can never be chosen;
+    # dead candidates leave every mask below, so the DFS never branches on them
+    live = (1 << len(cands)) - 1
     changed = True
     while changed:
         changed = False
         for ci, cls in enumerate(raw):
-            if possible[ci] and any(
-                all(not possible[o] for o in opts) for opts in cls
-            ):
-                possible[ci] = False
+            if live >> ci & 1 and any(not opts & live for opts in cls):
+                live ^= 1 << ci
                 changed = True
-
-    live = [ci for ci in range(len(cands)) if possible[ci]]
-    remap = {ci: t for t, ci in enumerate(live)}
-    masks = [cands[ci] for ci in live]
-    M = len(masks)
 
     # per candidate t: the option masks of the clauses it owns (read when t
     # goes in), and the (owner bit, option mask) clauses and cover masks it
     # is an option of (read when t goes out)
+    M = len(cands)
     owned = [[] for _ in range(M)]
     occurs = [[] for _ in range(M)]
-    for t, ci in enumerate(live):
-        for opts in raw[ci]:
-            lopts = [remap[o] for o in opts if possible[o]]
-            omask = mask_of(lopts)
+    for t in bits(live):
+        for opts in raw[t]:
+            omask = opts & live
             owned[t].append(omask)
-            for o in lopts:
+            for o in bits(omask):
                 occurs[o].append((1 << t, omask))
 
     covers_of = [[] for _ in range(M)]
     for J in tops:
-        opts = [t for t in range(M) if J & ~masks[t] == 0]
-        if not opts:
+        omask = 0
+        for t in bits(live):
+            if J & ~cands[t] == 0:
+                omask |= 1 << t
+        if not omask:
             return ExtensionSearch([], True, 0)
-        omask = mask_of(opts)
-        for o in opts:
+        for o in bits(omask):
             covers_of[o].append(omask)
 
     nodes = 0
@@ -347,7 +347,6 @@ def search_matroid_extensions(C, budget=10**8):
     # depth first on an explicit stack of branches (IN, OUT, bit, value), IN
     # before OUT; a recursive nested function would hold these tables in a
     # reference cycle until the cyclic collector runs
-    live_mask = (1 << M) - 1
     solutions = []
     branches = []
     state = (0, 0)
@@ -356,13 +355,18 @@ def search_matroid_extensions(C, budget=10**8):
             if nodes >= budget:
                 return ExtensionSearch(solutions, False, nodes)
             IN, OUT = state
-            rest = live_mask & ~(IN | OUT)
+            rest = live & ~(IN | OUT)
             if rest:
                 bit = rest & -rest
                 branches.append((IN, OUT, bit, False))
                 branches.append((IN, OUT, bit, True))
             else:
-                solutions.append(Complex(n, [masks[t] for t in bits(IN)], C.labels))
+                chosen = []
+                while IN:
+                    bit = IN & -IN
+                    chosen.append(cands[bit.bit_length() - 1])
+                    IN ^= bit
+                solutions.append(Complex(n, chosen, C.labels))
         if not branches:
             return ExtensionSearch(solutions, True, nodes)
         state = assign(*branches.pop())
@@ -379,13 +383,24 @@ class Shelling:
 
 def _step_certificate(placed, B):
     """Maximal intersections of B with the placed facets when they are all of
-    size |B| - 1, else None."""
-    inters = {B & A for A in placed}
-    maxi = [x for x in inters if not any(y != x and x & ~y == 0 for y in inters)]
-    want = B.bit_count() - 1
-    if all(x.bit_count() == want for x in maxi):
-        return tuple(sorted(maxi))
-    return None
+    size |B| - 1, else None.
+
+    Facets form an antichain, so B - A is never empty.  A placed A with
+    B - A = {p} meets B in B - p; call such points p ridge points.  The sets
+    B - p are maximal among proper subsets of B, and A meets B inside B - p
+    exactly when p misses A, so the step is valid exactly when every placed A
+    misses a ridge point, and then the sets B - p are the maximal
+    intersections.  Two linear passes over placed.
+    """
+    ridge = 0
+    for A in placed:
+        p = B & ~A
+        if p & (p - 1) == 0:
+            ridge |= p
+    for A in placed:
+        if not B & ~A & ridge:
+            return None
+    return tuple(sorted(B ^ (1 << p) for p in bits(ridge)))
 
 
 def shelling_certificates(C, order):

@@ -157,6 +157,47 @@ def test_antichain_edge_cases():
     assert _antichain([1, 3, 7, 15]) == {15}
 
 
+def generator_lists(max_n=6):
+    """(n, generators) with the empty set, duplicates, singletons and nested
+    sets all likely among the generators."""
+
+    @st.composite
+    def strat(draw):
+        n = draw(st.integers(1, max_n))
+        full = (1 << n) - 1
+        member = st.one_of(
+            st.just(0),
+            st.integers(0, n - 1).map(lambda i: 1 << i),
+            st.integers(0, full),
+        )
+        gens = draw(st.lists(member, max_size=10))
+        # a nested chain, and repeats of members already drawn
+        gens += list(accumulate(draw(st.lists(st.integers(0, full), max_size=4)), or_))
+        if gens:
+            gens += draw(st.lists(st.sampled_from(gens), max_size=4))
+        return n, draw(st.permutations(gens))
+
+    return strat()
+
+
+@given(generator_lists())
+@settings(max_examples=400, deadline=None)
+def test_facets_match_antichain_of_generators_and_every_singleton(case):
+    # the route before singletons were added for uncovered vertices only
+    n, gens = case
+    assert Complex(n, gens).facets == _antichain(set(gens) | {1 << i for i in range(n)})
+
+
+@given(generator_lists(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_out_of_range_generator_is_refused(case, shift):
+    n, gens = case
+    with pytest.raises(DomainError):
+        Complex(n, gens + [1 << (n + shift)])
+    with pytest.raises(DomainError):
+        Complex(n, gens + [-1 - shift])
+
+
 @given(complexes(), st.integers(0, 127))
 @settings(max_examples=200, deadline=None)
 def test_has_agrees_with_faces(C, probe):
@@ -374,3 +415,20 @@ def test_library_has_no_unused_imports():
                         found.append(f"{path.stem}.{name}")
     assert sorted(set(found) - allowed) == []
     assert allowed <= set(found)
+
+
+def test_library_has_no_self_referencing_closures():
+    # a nested function that calls itself holds itself through its closure
+    # cell, so every call leaves a reference cycle for the cyclic collector
+    found = []
+    for path in sorted(Path(brsc.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
+                    found.append(f"{path.stem}.{outer.name}.{inner.name}")
+    assert found == []

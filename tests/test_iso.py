@@ -1,5 +1,6 @@
 """Canonical form, isomorphism, embedding, and orbit enumeration tests."""
 
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -153,6 +154,19 @@ def test_canonical_key_is_orbit_minimum(C):
             mask_of(perm[v] for v in bits(f)) for f in C.facets
         )))
     assert canonical_key(C) == min(keys)
+
+
+def test_canonical_key_leaves_no_reference_cycle():
+    # a self-referencing nested search would leave a cycle on every call
+    C = load_complex("tracks")
+    want = brute_canonical_key(C)
+    gc.collect()
+    gc.disable()
+    try:
+        assert canonical_key(C) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_idempotent():

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc import matroid
 from brsc.core import (
     Complex,
     DomainError,
+    _antichain,
     bits,
     is_paving,
     k_submasks,
@@ -35,7 +37,7 @@ from brsc.matroid import (
     truncation_is_brsc_for_near_matroid,
 )
 from brsc.catalog import desargues, named, non_desargues
-from brsc.reproduce import random_matroid
+from brsc.reproduce import random_matroid, random_paving
 from brsc.operators import b_d, up
 from brsc.t_operator import jt_complex
 
@@ -610,6 +612,60 @@ def test_shelling_certificates_on_two_triangle_example():
 
     with pytest.raises(DomainError):
         shelling_certificates(C, (tri(1, 2, 3),))
+
+
+def maximal_intersection_certificate(placed, B):
+    """Maximal intersections of B with the placed facets when they are all of
+    size |B| - 1, else None, by comparing every pair of intersections."""
+    inters = {B & A for A in placed}
+    maxi = [x for x in inters if not any(y != x and x & ~y == 0 for y in inters)]
+    want = B.bit_count() - 1
+    if all(x.bit_count() == want for x in maxi):
+        return tuple(sorted(maxi))
+    return None
+
+
+@st.composite
+def shelling_steps(draw):
+    """(placed, B): B and the placed facets, in drawn order, form an
+    antichain of mixed sizes, most of one size k, so valid steps with
+    certificates are common."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, max(n - 1, 1)))
+    full = (1 << n) - 1
+    same = st.sampled_from(list(k_submasks(full, k)))
+    near = st.sampled_from(list(k_submasks(full, k - 1)) + list(k_submasks(full, min(k + 1, n))))
+    member = st.one_of(same, same, near, st.integers(0, full))
+    drawn = draw(st.lists(member, min_size=2, max_size=14, unique=True))
+    facets = draw(st.permutations(sorted(_antichain(drawn))))
+    return facets[:-1], facets[-1]
+
+
+@given(shelling_steps())
+@settings(max_examples=500, deadline=None)
+def test_step_certificate_matches_maximal_intersections(step):
+    placed, B = step
+    assert matroid._step_certificate(placed, B) == maximal_intersection_certificate(placed, B)
+
+
+def _shelling_inputs():
+    out = []
+    for name in ("exs", "boom", "tracks"):
+        C = named(name)
+        out += [C, up(C)]
+        if name != "exs":
+            out.append(h_star(C))
+    rng = random.Random(29)
+    out += [random_paving(rng, rng.randint(4, 6), 2, rng.uniform(0.2, 0.9)) for _ in range(40)]
+    return out
+
+
+def test_shelling_search_matches_maximal_intersection_route(monkeypatch):
+    got = [is_shellable(C) for C in _shelling_inputs()]
+    monkeypatch.setattr(matroid, "_step_certificate", maximal_intersection_certificate)
+    want = [is_shellable(C) for C in _shelling_inputs()]
+    assert got == want
+    assert any(sh is None for sh in got) and any(sh is not None for sh in got)
 
 
 def test_shelling_search_leaves_no_reference_cycle():
