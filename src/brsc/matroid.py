@@ -394,9 +394,9 @@ def _step_certificate(placed, B):
     """
     ridge = 0
     for A in placed:
-        p = B & ~A
-        if p & (p - 1) == 0:
-            ridge |= p
+        rest = B & ~A
+        if rest & (rest - 1) == 0:
+            ridge |= rest
     for A in placed:
         if not B & ~A & ridge:
             return None

@@ -183,7 +183,7 @@ def generator_lists(max_n=6):
 @given(generator_lists())
 @settings(max_examples=400, deadline=None)
 def test_facets_match_antichain_of_generators_and_every_singleton(case):
-    # the route before singletons were added for uncovered vertices only
+    # every singleton added, covered or not, as a complex holds them all
     n, gens = case
     assert Complex(n, gens).facets == _antichain(set(gens) | {1 << i for i in range(n)})
 
