@@ -17,10 +17,15 @@ flats, T(H) and T(H_k) bind it to a Horn closure, moore_close to an
 intersection closure. Either closure cl defines the complex J of the sets
 whose elements can be ordered so that each leaves the closure of the earlier
 ones: _independent_complex builds J level by level, one closure per
-independent set, handing only J's facets to Complex, and _first_gap walks it
-up to sets of size dim + 1 of a complex H, comparing it with H: this decides
-BR (cl the flat closure) and TBRSC (cl the T(H) closure). The public
-functions below are short calls into these helpers.
+independent set, handing only J's facets to Complex. A coloop p, outside
+cl(V - p), is by monotonicity outside the closure of every set without p, so
+J is a cone over the set K of coloops: J' * simplex(K), with |J'| * 2^|K|
+faces, J' the independent sets avoiding K. Only J' is walked, and
+uniform:k=3,n=18, whose J(T(H)) is the full simplex, takes 19 closures
+rather than 2^18. _first_gap walks J up to sets of size dim + 1 of a
+complex H, comparing it with H: this decides BR (cl the flat closure) and
+TBRSC (cl the T(H) closure). The public functions below are short calls
+into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -190,29 +195,46 @@ def _independent_from(cl, X, memo, placed):
     return res
 
 
-# Most faces a J-complex build visits before it refuses; J(T(H)) of
-# uniform:k=3,n=18 is the full simplex on 18 points, 2^18 faces.
+# Most faces a J-complex may have (the empty set counted); larger ones are
+# refused. Coloops are split off as a cone and never walked, so J(T(H)) of
+# uniform:k=3,n=18, the full simplex on 18 points, costs 19 closures.
 J_FACE_LIMIT = 1 << 20
 
 
 def _independent_complex(cl, n, labels=None):
     """Complex of all sets independent for the closure cl, built level by level.
 
-    A set Y extends by each point outside cl(Y). A facet Y of J has
-    cl(Y) = V, or a point outside cl(Y) would extend it; such a Y is a facet
-    unless one point more gives a set of the next level (J is closed under
-    subsets). Only the facets are handed to Complex. Refuses once the walk
-    passes J_FACE_LIMIT faces.
+    A coloop is a point p outside cl(V - p); K, the set of them, costs n
+    closures. By monotonicity p lies outside cl(S) for every S not holding p,
+    so p can be appended to any independent order, and deleting p from one
+    leaves it independent, since the closures of the later prefixes only
+    shrink. J is therefore the cone J' * simplex(K), J' the sets of
+    rest = V - K independent for cl, with |J'| * 2^|K| faces; only J' is
+    walked, and each of its facets gets K added.
+
+    A set Y extends by each point of rest outside cl(Y). A facet Y of J'
+    covers rest by cl(Y), or a point outside it would extend Y; such a Y is a
+    facet unless one point more gives a set of the next level (J' is closed
+    under subsets). Only the facets are handed to Complex. Refuses when J has
+    more than J_FACE_LIMIT faces: at once when 2^|K| alone is more, else once
+    the walk passes J_FACE_LIMIT >> |K| faces of J'.
     """
     full = (1 << n) - 1
+    K = 0
+    for p in range(n):
+        if not cl(full ^ 1 << p) >> p & 1:
+            K |= 1 << p
+    room = (J_FACE_LIMIT >> K.bit_count()) - 1
+    if room < 0:
+        raise CapacityError(f"J-complex with more than {J_FACE_LIMIT} faces is out of range")
+    rest = full & ~K
     facets = []
     level = [0]
-    room = J_FACE_LIMIT - 1
     while level:
         nxt = set()
         spanning = []
         for Y in level:
-            m = full & ~cl(Y)
+            m = rest & ~cl(Y)
             if not m:
                 spanning.append(Y)
             while m:
@@ -221,7 +243,7 @@ def _independent_complex(cl, n, labels=None):
                 m ^= b
             if len(nxt) > room:
                 raise CapacityError(f"J-complex with more than {J_FACE_LIMIT} faces is out of range")
-        facets += [Y for Y in spanning if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
+        facets += [Y | K for Y in spanning if not any(Y | 1 << x in nxt for x in bits(rest & ~Y))]
         room -= len(nxt)
         level = nxt
     return Complex(n, facets, labels)

@@ -58,7 +58,8 @@ def test_check_report_fields(capsys, tmp_path):
 
 
 def test_j_complex_past_the_face_limit(capsys):
-    # J(T(H)) of U(2,26) is the full 26-simplex, 2^26 faces; the command
+    # J(T(H)) of U(2,26) is the full 26-simplex: all 26 points are coloops,
+    # so its 2^26 faces are counted and refused before any walk; the command
     # runs in a fresh process so the refusal is timed end to end
     t0 = time.perf_counter()
     proc = subprocess.run(

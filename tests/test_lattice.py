@@ -1,6 +1,7 @@
 """Flats, closures, matrices, transversal complexes: oracle comparisons."""
 
 import random
+import time
 from functools import partial
 from itertools import combinations
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc.core import Complex, DomainError, bits, k_submasks, mask_of, submasks
+from brsc import lattice
+from brsc.core import CapacityError, Complex, DomainError, bits, k_submasks, mask_of, submasks
 from brsc.lattice import (
     BooleanMatrix,
     J_FACE_LIMIT,
@@ -82,6 +84,59 @@ def all_faces_complex(cl, n):
         faces |= nxt
         level = list(nxt)
     return Complex(n, faces)
+
+
+def level_walk_complex(cl, n, labels=None):
+    """Complex of the sets independent for cl, by a level walk over all of
+    0..n-1 with no coloop split: one closure per independent set, facets only,
+    refusing once the walk passes lattice.J_FACE_LIMIT faces."""
+    full = (1 << n) - 1
+    facets = []
+    level = [0]
+    room = lattice.J_FACE_LIMIT - 1
+    while level:
+        nxt = set()
+        spanning = []
+        for Y in level:
+            m = full & ~cl(Y)
+            if not m:
+                spanning.append(Y)
+            while m:
+                b = m & -m
+                nxt.add(Y | b)
+                m ^= b
+            if len(nxt) > room:
+                raise CapacityError(f"J-complex with more than {lattice.J_FACE_LIMIT} faces is out of range")
+        facets += [Y for Y in spanning if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
+        room -= len(nxt)
+        level = nxt
+    return Complex(n, facets, labels)
+
+
+def assert_same_complex(A, B):
+    assert (A.n, A.facets, A.labels) == (B.n, B.facets, B.labels)
+
+
+def counted(cl):
+    """cl and a one-item list counting its calls."""
+    calls = [0]
+
+    def wrapped(X):
+        calls[0] += 1
+        return cl(X)
+
+    return wrapped, calls
+
+
+def uniform_closure(m, r, n):
+    """Closure on 0..n-1 that is U(r, m) on the points 0..m-1 and the identity
+    on the others: a set of r or more low points closes to all of them."""
+    low = (1 << m) - 1
+
+    def cl(Y):
+        return (low if (Y & low).bit_count() >= r else Y & low) | Y & ~low
+
+    return cl
 
 
 def flats_oracle(C):
@@ -230,10 +285,90 @@ def test_spanning_sets_generate_the_matrix_complex(fam):
 
 
 def test_j_walk_fits_the_full_18_simplex():
-    # no closure constraint: J is the full simplex, 2^18 faces (the refusal
-    # past the limit is tested through `brsc codim`)
+    # no closure constraint: J is the full simplex, 2^18 faces, and every
+    # point is a coloop, so the build takes 18 coloop tests and cl(0) only
     assert J_FACE_LIMIT > 1 << 18
-    assert _independent_complex(lambda Y: Y, 18).facets == {(1 << 18) - 1}
+    cl, calls = counted(lambda Y: Y)
+    assert _independent_complex(cl, 18).facets == {(1 << 18) - 1}
+    assert calls[0] == 19
+    assert jt_complex(named("uniform", k=3, n=18)).dim == 17
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=200, deadline=None)
+def test_cone_split_matches_level_walk_on_t_closures(C):
+    assert_same_complex(jt_complex(C), level_walk_complex(partial(cl_T, C), C.n, C.labels))
+
+
+@given(moore_families(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_cone_split_matches_level_walk_on_matrix_closures(fam):
+    M = matrix_of(fam)
+    labels = tuple(range(10, 10 + M.n))
+    assert_same_complex(complex_of_matrix(M, labels), level_walk_complex(_column_closure(M), M.n, labels))
+
+
+@given(complexes(max_n=6), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_cone_split_matches_level_walk_on_cones(C, extra):
+    # the join of C with a simplex on `extra` new points: no face of size
+    # <= dim forbids a new point, so each is a coloop of cl_T
+    n = C.n + extra
+    apex = ((1 << extra) - 1) << C.n
+    D = Complex(n, [f | apex for f in C.facets])
+    cl = partial(cl_T, D)
+    assert all(not cl(D.full_mask ^ 1 << p) >> p & 1 for p in bits(apex))
+    assert_same_complex(jt_complex(D), level_walk_complex(cl, n, D.labels))
+
+
+@pytest.mark.parametrize("k, n", [(3, 12), (2, 10)])
+def test_cone_split_matches_level_walk_on_uniform(k, n):
+    C = named("uniform", k=k, n=n)
+    assert_same_complex(jt_complex(C), level_walk_complex(partial(cl_T, C), n, C.labels))
+
+
+@pytest.mark.parametrize("n, refused", [(20, False), (21, True)])
+def test_identity_closure_at_the_face_limit(n, refused):
+    # J is the n-simplex, 2^n faces; the limit is 2^20
+    t0 = time.perf_counter()
+    if refused:
+        with pytest.raises(CapacityError):
+            _independent_complex(lambda Y: Y, n)
+    else:
+        assert _independent_complex(lambda Y: Y, n).facets == {(1 << n) - 1}
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("m, r, k", [(3, 1, 18), (3, 1, 19), (4, 1, 17), (4, 1, 18), (5, 2, 16), (5, 2, 17), (6, 2, 15), (6, 2, 16)])
+def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
+    # U(r, m) has f = sum of C(m, i), i <= r, independent sets and no coloop;
+    # the k identity points are coloops, so J has f * 2^k faces
+    f = len(all_faces_complex(uniform_closure(m, r, m), m).faces)
+    cl = uniform_closure(m, r, m + k)
+    if f << k > J_FACE_LIMIT:
+        with pytest.raises(CapacityError):
+            _independent_complex(cl, m + k)
+    else:
+        J = _independent_complex(cl, m + k)
+        assert len(J.facets) == len(list(k_submasks((1 << m) - 1, r)))
+
+
+@given(complexes(max_n=6), st.integers(0, 3), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
+    # a small face limit, so that both routes meet it: each refuses exactly
+    # when J, C joined with `extra` coloops, has more faces than the limit
+    n = C.n + extra
+    D = Complex(n, [f | ((1 << extra) - 1) << C.n for f in C.facets])
+    cl = partial(cl_T, D)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "J_FACE_LIMIT", 1 << log_limit)
+        if len(all_faces_complex(cl, n).faces) > 1 << log_limit:
+            for build in (_independent_complex, level_walk_complex):
+                with pytest.raises(CapacityError):
+                    build(cl, n)
+        else:
+            assert_same_complex(_independent_complex(cl, n), level_walk_complex(cl, n))
 
 
 @given(
