@@ -4,6 +4,7 @@ import random
 import time
 from functools import partial
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,12 @@ def uniform_closure(m, r, n):
         return (low if (Y & low).bit_count() >= r else Y & low) | Y & ~low
 
     return cl
+
+
+def cone(C, extra):
+    """C joined with a simplex on `extra` new points n..n+extra-1."""
+    apex = ((1 << extra) - 1) << C.n
+    return Complex(C.n + extra, [f | apex for f in C.facets])
 
 
 def flats_oracle(C):
@@ -311,14 +318,11 @@ def test_cone_split_matches_level_walk_on_matrix_closures(fam):
 @given(complexes(max_n=6), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_cone_split_matches_level_walk_on_cones(C, extra):
-    # the join of C with a simplex on `extra` new points: no face of size
-    # <= dim forbids a new point, so each is a coloop of cl_T
-    n = C.n + extra
-    apex = ((1 << extra) - 1) << C.n
-    D = Complex(n, [f | apex for f in C.facets])
+    # no face of size <= dim forbids a new point, so each is a coloop of cl_T
+    D = cone(C, extra)
     cl = partial(cl_T, D)
-    assert all(not cl(D.full_mask ^ 1 << p) >> p & 1 for p in bits(apex))
-    assert_same_complex(jt_complex(D), level_walk_complex(cl, n, D.labels))
+    assert all(not cl(D.full_mask ^ 1 << p) >> p & 1 for p in range(C.n, D.n))
+    assert_same_complex(jt_complex(D), level_walk_complex(cl, D.n, D.labels))
 
 
 @pytest.mark.parametrize("k, n", [(3, 12), (2, 10)])
@@ -327,30 +331,25 @@ def test_cone_split_matches_level_walk_on_uniform(k, n):
     assert_same_complex(jt_complex(C), level_walk_complex(partial(cl_T, C), n, C.labels))
 
 
-@pytest.mark.parametrize("n, refused", [(20, False), (21, True)])
-def test_identity_closure_at_the_face_limit(n, refused):
-    # J is the n-simplex, 2^n faces; the limit is 2^20
-    t0 = time.perf_counter()
-    if refused:
-        with pytest.raises(CapacityError):
-            _independent_complex(lambda Y: Y, n)
-    else:
-        assert _independent_complex(lambda Y: Y, n).facets == {(1 << n) - 1}
-    assert time.perf_counter() - t0 < 1
-
-
-@pytest.mark.parametrize("m, r, k", [(3, 1, 18), (3, 1, 19), (4, 1, 17), (4, 1, 18), (5, 2, 16), (5, 2, 17), (6, 2, 15), (6, 2, 16)])
+@pytest.mark.parametrize(
+    "m, r, k",
+    [(0, 0, 20), (0, 0, 21), (3, 1, 18), (3, 1, 19), (4, 1, 17), (4, 1, 18), (5, 2, 16), (5, 2, 17), (6, 2, 15), (6, 2, 16)],
+)
 def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
-    # U(r, m) has f = sum of C(m, i), i <= r, independent sets and no coloop;
-    # the k identity points are coloops, so J has f * 2^k faces
-    f = len(all_faces_complex(uniform_closure(m, r, m), m).faces)
+    # U(r, m) has f = sum of C(m, i), i <= r, independent sets and no coloop
+    # (m = 0 leaves the identity closure, f = 1); the k identity points are
+    # coloops, so J has f * 2^k faces, and neither answer walks them all
+    f = sum(comb(m, i) for i in range(r + 1))
     cl = uniform_closure(m, r, m + k)
+    t0 = time.perf_counter()
     if f << k > J_FACE_LIMIT:
         with pytest.raises(CapacityError):
             _independent_complex(cl, m + k)
     else:
-        J = _independent_complex(cl, m + k)
-        assert len(J.facets) == len(list(k_submasks((1 << m) - 1, r)))
+        coloops = ((1 << k) - 1) << m
+        want = {B | coloops for B in k_submasks((1 << m) - 1, r)}
+        assert _independent_complex(cl, m + k).facets == want
+    assert time.perf_counter() - t0 < 1
 
 
 @given(complexes(max_n=6), st.integers(0, 3), st.integers(0, 9))
@@ -358,17 +357,16 @@ def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
 def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
     # a small face limit, so that both routes meet it: each refuses exactly
     # when J, C joined with `extra` coloops, has more faces than the limit
-    n = C.n + extra
-    D = Complex(n, [f | ((1 << extra) - 1) << C.n for f in C.facets])
+    D = cone(C, extra)
     cl = partial(cl_T, D)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "J_FACE_LIMIT", 1 << log_limit)
-        if len(all_faces_complex(cl, n).faces) > 1 << log_limit:
+        if len(all_faces_complex(cl, D.n).faces) > 1 << log_limit:
             for build in (_independent_complex, level_walk_complex):
                 with pytest.raises(CapacityError):
-                    build(cl, n)
+                    build(cl, D.n)
         else:
-            assert_same_complex(_independent_complex(cl, n), level_walk_complex(cl, n))
+            assert_same_complex(_independent_complex(cl, D.n), level_walk_complex(cl, D.n))
 
 
 @given(
