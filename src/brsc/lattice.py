@@ -8,24 +8,22 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 - T(H) for k = dim + 1 (the faces of size <= dim),
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
-_extension_constraints builds the pairs and _horn_closure propagates them to
-a fixpoint, stopping as soon as it reaches the full set V. A family given by
-its members closes by intersection instead (_meet_closure). _closed_sets
+_extension_map, the one place that asks whether X + p is a face, reads the
+points extending each face off the faces one point larger; the pairs built
+from it are propagated to a fixpoint by _horn_closure, which stops as soon
+as it reaches the full set V. _level_closure binds the two for one k, and F
+is a flat exactly when the closure for k = dim + 2 fixes F. A family given
+by its members closes by intersection instead (_meet_closure). _closed_sets
 lists the closed sets of either closure by Ganter's NextClosure, one closure
-per candidate, so its cost follows the size of the family rather than 2^n:
-flats, T(H) and T(H_k) bind it to a Horn closure, moore_close to an
-intersection closure. Either closure cl defines the complex J of the sets
+per candidate, so its cost follows the size of the family rather than 2^n;
+the paving layer walks the facet-free sets by levels, so no function here
+scans all 2^n subsets. Either closure cl defines the complex J of the sets
 whose elements can be ordered so that each leaves the closure of the earlier
-ones: _independent_complex builds J level by level, one closure per
-independent set, handing only J's facets to Complex. A coloop p, outside
-cl(V - p), is by monotonicity outside the closure of every set without p, so
-J is a cone over the set K of coloops: J' * simplex(K), with |J'| * 2^|K|
-faces, J' the independent sets avoiding K. Only J' is walked, and
-uniform:k=3,n=18, whose J(T(H)) is the full simplex, takes 19 closures
-rather than 2^18. _first_gap walks J up to sets of size dim + 1 of a
-complex H, comparing it with H: this decides BR (cl the flat closure) and
-TBRSC (cl the T(H) closure). The public functions below are short calls
-into these helpers.
+ones: _independent_complex builds it level by level, one closure per
+independent set, as a cone over the coloops of cl, which it never walks.
+_first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
+with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
+closure). The public functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -41,11 +39,9 @@ from .core import (
     Complex,
     DomainError,
     SetFamily,
-    _antichain,
     bits,
     is_paving,
     k_submasks,
-    submasks,
 )
 
 
@@ -80,25 +76,15 @@ def moore_close(n, sets):
 
 
 def is_flat(C, F):
-    """F is a flat: every face inside F extends into H by any outside point."""
-    faces = C.faces
-    outside = C.full_mask & ~F
-    for X in submasks(F):
-        if X in faces:
-            for p in bits(outside):
-                if X | (1 << p) not in faces:
-                    return False
-    return True
+    """F is a flat: the flat closure fixes it."""
+    return _level_closure(C, C.dim + 2)(F) == F
 
 
-def _extension_constraints(C, k):
-    """Pairs (X, bad) over the faces X with |X| < k, where bad holds the
-    points whose addition to X leaves H (pairs with bad empty are dropped).
-
-    X + p has at most k points, so H and its truncation H_k agree on it. The
-    points that do extend X are read off the faces one point larger: each
-    face Z with |Z| <= k marks every p in Z as extending Z - p.
-    """
+def _extension_map(C, k):
+    """Map every face X to the mask of the points p outside X for which
+    X + p is a face of at most k points (0 when |X| >= k), so H and its
+    truncation H_k agree on it: each face Z with |Z| <= k marks every p in Z
+    as extending Z - p."""
     faces = C.faces
     good = dict.fromkeys(faces, 0)
     for Z in faces:
@@ -108,14 +94,26 @@ def _extension_constraints(C, k):
                 b = m & -m
                 good[Z ^ b] |= b
                 m ^= b
+    return good
+
+
+def _extension_constraints(C, k):
+    """Pairs (X, bad) over the faces X with |X| < k, where bad holds the
+    points whose addition to X leaves H (pairs with bad empty are dropped)."""
     full = C.full_mask
     out = []
-    for X, g in good.items():
+    for X, g in _extension_map(C, k).items():
         if X.bit_count() < k:
             bad = full & ~(X | g)
             if bad:
                 out.append((X, bad))
     return tuple(out)
+
+
+def _level_closure(C, k):
+    """The Horn closure of the constraints of the faces with |X| < k: the
+    flat closure for k = dim + 2, that of T(H_k) for k <= dim + 1."""
+    return partial(_horn_closure, _extension_constraints(C, k), C.full_mask)
 
 
 def _closed_sets(n, cl):
@@ -250,12 +248,12 @@ def _independent_complex(cl, n, labels=None):
 
 
 def _first_gap(C, cl):
-    """The first set where J(cl), walked level by level up to size dim + 1,
-    differs from C: an independent set outside C, else the smallest face of
-    the first level that has fewer sets than C has faces of its size (a level
-    inside C misses a face exactly then); None when they agree. One closure
-    per independent set of size <= dim.
-    """
+    """The smallest face of the first level where J(cl), walked level by level
+    up to size dim + 1, misses a face of C; None when they agree. One closure
+    per independent set of size <= dim. The flat and T(H) closures put bad(Y)
+    inside cl(Y) for each face Y of size <= dim, so every point outside cl(Y)
+    extends Y: each level lies inside C, and misses a face exactly when it has
+    fewer sets than C has faces of its size."""
     full = C.full_mask
     faces = C.faces
     sizes = Counter(map(int.bit_count, faces))
@@ -266,8 +264,6 @@ def _first_gap(C, cl):
             m = full & ~cl(Y)
             while m:
                 b = m & -m
-                if Y | b not in faces:
-                    return Y | b
                 nxt.add(Y | b)
                 m ^= b
         if len(nxt) < sizes[k]:
@@ -281,8 +277,7 @@ def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
     if C.n > 22:
         raise CapacityError(f"flat scan over 2^{C.n} subsets is out of range")
-    cons = _extension_constraints(C, C.dim + 2)
-    return _closed_sets(C.n, partial(_horn_closure, cons, C.full_mask))
+    return _closed_sets(C.n, _level_closure(C, C.dim + 2))
 
 
 def closure(C, X):
@@ -291,21 +286,35 @@ def closure(C, X):
 
 
 def long_hyperplanes(C):
-    """Maximal sets of size > dim containing no facet (paving, dim >= 2 only)."""
+    """Maximal sets of size > dim containing no facet (paving, dim >= 2 only).
+
+    Facets of a paving complex of dimension d have d or d + 1 points, so past
+    d + 1 points a set is facet-free exactly when all its one-point-smaller
+    subsets are (the Apriori rule). The walk goes by levels from the facet-free
+    (d+1)-sets, building each set once from itself minus its highest point; a
+    set is maximal when the next level holds no superset of it. A level on at
+    most 20 vertices holds at most C(20, 10) sets."""
     d = is_paving(C)
     if d is None or d < 2:
         raise DomainError("long hyperplanes require a paving complex of dimension >= 2")
     if C.n > 20:
-        raise CapacityError(f"long hyperplane scan over 2^{C.n} subsets is out of range")
-    fct = sorted(C.facets)
-    candidates = []
-    for X in range(1 << C.n):
-        if X.bit_count() <= d:
-            continue
-        if any(f & ~X == 0 for f in fct):
-            continue
-        candidates.append(X)
-    return sorted(_antichain(candidates))
+        raise CapacityError(f"long hyperplanes on {C.n} > 20 vertices are out of range")
+    full = C.full_mask
+    fct = C.facets
+    # a (d+1)-set holds a facet exactly when it or one of its d-subsets is one
+    level = [X for X in k_submasks(full, d + 1) if fct.isdisjoint([X, *(X ^ 1 << x for x in bits(X))])]
+    out = []
+    while level:
+        kept = set(level)
+        nxt = set()
+        for Y in level:
+            for p in range(Y.bit_length(), C.n):
+                Z = Y | 1 << p
+                if all(Z ^ 1 << x in kept for x in bits(Y)):
+                    nxt.add(Z)
+        out += [Y for Y in level if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
+        level = nxt
+    return sorted(out)
 
 
 def long_hyperplane_partition(C):
@@ -317,9 +326,10 @@ def long_hyperplane_partition(C):
     """
     d = is_paving(C)
     lh = long_hyperplanes(C)
+    cl = _level_closure(C, d + 2)
     l1, l2, l3 = [], [], []
     for L in lh:
-        if is_flat(C, L):
+        if cl(L) == L:
             l1.append(L)
         elif any(Lp != L and (L & Lp).bit_count() >= d for Lp in lh):
             l3.append(L)
@@ -330,25 +340,22 @@ def long_hyperplane_partition(C):
 
 
 def flats_paving(C):
-    """Flats of a paving complex of dimension >= 2, assembled without a full scan.
+    """Flats of a paving complex of dimension >= 2, assembled from its layers.
 
-    Small sets are all flats; a dim-size set is a flat iff every one-point
-    extension stays in H; the long flats are the flat maximal long hyperplanes.
+    Small sets are all flats; a dim-size set, and a long flat, which is a flat
+    maximal long hyperplane, are each tested by one flat closure.
     """
     d = is_paving(C)
     if d is None or d < 2:
         raise DomainError("flats_paving requires a paving complex of dimension >= 2")
-    faces = C.faces
     full = C.full_mask
-    out = [0]
+    cl = _level_closure(C, d + 2)
+    out = {0, full}
     for k in range(1, d):
-        out.extend(k_submasks(full, k))
-    for A in k_submasks(full, d):
-        if all(A | (1 << p) in faces for p in bits(full & ~A)):
-            out.append(A)
-    out.extend(L for L in long_hyperplanes(C) if is_flat(C, L))
-    out.append(full)
-    return MooreFamily(C.n, set(out), validate=False)
+        out.update(k_submasks(full, k))
+    out.update(X for X in k_submasks(full, d) if cl(X) == X)
+    out.update(L for L in long_hyperplanes(C) if cl(L) == L)
+    return MooreFamily(C.n, out, validate=False)
 
 
 class BooleanMatrix:

@@ -24,7 +24,7 @@ from .core import (
     restriction,
     truncate,
 )
-from .lattice import MooreFamily, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
 from .t_operator import is_tbrsc, jt_complex
 
 
@@ -34,19 +34,9 @@ def is_matroid(C):
     Returns (ok, pair) where pair = (I, J) admits no exchange point when the
     check fails, None otherwise.
     """
-    faces = C.faces
-    fset = set(faces)
-    full = C.full_mask
-    # good[J] = points p outside J keeping J + p a face
-    good = {}
-    for J in faces:
-        g = 0
-        for p in bits(full & ~J):
-            if J | (1 << p) in fset:
-                g |= 1 << p
-        good[J] = g
+    good = _extension_map(C, C.dim + 2)
     by_size = defaultdict(list)
-    for f in faces:
+    for f in C.faces:
         by_size[f.bit_count()].append(f)
     for k in sorted(by_size):
         for I in by_size.get(k + 1, ()):

@@ -9,7 +9,7 @@ from .core import (
     is_paving,
     k_submasks,
 )
-from .lattice import MooreFamily, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -22,6 +22,9 @@ def up(C):
 
 
 def up_iter(C, m):
+    """up applied m times."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
     for _ in range(m):
         C = up(C)
     return C
@@ -125,10 +128,7 @@ def is_graphic_boolean(C):
     extensions are faces.
     """
     full = C.full_mask
-    edges = set()
-    for e in k_submasks(full, 2):
-        if all(C.has(e | (1 << p)) for p in bits(full & ~e)):
-            edges.add(e)
+    edges = {e for e, g in _extension_map(C, 3).items() if e.bit_count() == 2 and g == full & ~e}
     G = graph_complex(C.n, edges, C.labels)
     ok = up(G) == C
     return ok, (SetFamily(C.n, edges) if ok else None)

@@ -14,6 +14,7 @@ from time import perf_counter
 
 from .core import (
     Complex,
+    DomainError,
     alpha_vector,
     counting_function,
     is_paving,
@@ -927,10 +928,10 @@ def run_criterion(tag, **params):
     """Run one tagged criterion; returns its CriterionReport."""
     row = next((r for r in REPRODUCE_TABLE if r.tag == tag), None)
     if row is None:
-        raise KeyError(tag)
+        raise DomainError(f"unknown criterion {tag!r}")
     for name in params:
         if name not in row.params:
-            raise KeyError(f"criterion {tag!r} takes no parameter {name!r}")
+            raise DomainError(f"criterion {tag!r} takes no parameter {name!r}")
     rep = CriterionReport(tag=row.tag, title=row.title, budget=row.budget)
 
     def check(label, ok, detail=""):

@@ -34,6 +34,7 @@ from .lattice import (
     _first_gap,
     _horn_closure,
     _independent_complex,
+    _level_closure,
     flats,
 )
 from .operators import b_d
@@ -70,8 +71,7 @@ def truncation_t_family(C, k):
         raise DomainError("truncation level must be at least 1")
     if C.n > 20:
         raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
-    cons = _extension_constraints(C, k)
-    return _closed_sets(C.n, partial(_horn_closure, cons, C.full_mask))
+    return _closed_sets(C.n, _level_closure(C, k))
 
 
 def cl_T(C, X):
@@ -281,7 +281,7 @@ def enumerate_mgu(n, d=2):
     if d != 2:
         raise DomainError("only d = 2 is classified")
     if n < 4:
-        raise CapacityError("mGU(2) needs n >= 4")
+        raise DomainError("mGU(2) needs n >= 4")
     if n > 9:
         raise CapacityError("mGU enumeration supported for n <= 9")
     return [jijn(i, j, n) for i, j in mgu_pairs(n)]

@@ -189,6 +189,22 @@ def test_reproduce_parameterized(capsys):
     assert code == 0 and "count 1" in out
 
 
+def test_reproduce_parameter_outside_the_domain(capsys):
+    # a tag without parameters, and mGU(2) below four vertices, are usage
+    # errors; past nine vertices the enumeration is a capacity limit
+    code, out, err = run(capsys, "reproduce", "up", "--n", "5")
+    assert code == 2 and "takes no parameter 'n'" in err and out == ""
+    code, _, err = run(capsys, "reproduce", "computemgu", "--n", "3")
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "reproduce", "computemgu", "--n", "10")
+    assert code == 3 and err.startswith("capacity:")
+
+
+def test_op_up_refuses_negative_m(capsys):
+    code, out, err = run(capsys, "op", "up", "cfup", "--m", "-2")
+    assert code == 2 and out == "" and "m must be >= 0" in err
+
+
 def test_classify_requires_paving(capsys):
     code, _, err = run(capsys, "classify", "exs")
     assert code == 2 and err

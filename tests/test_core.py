@@ -417,6 +417,24 @@ def test_library_has_no_unused_imports():
     assert allowed <= set(found)
 
 
+def test_lattice_has_no_power_set_scan():
+    # closed sets, flats and long hyperplanes are listed output-sensitively;
+    # a loop over range(1 << n) would cost 2^n whatever the answer
+    path = Path(brsc.__file__).parent / "lattice.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if (
+                isinstance(it, ast.Call)
+                and getattr(it.func, "id", None) == "range"
+                and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in it.args)
+            ):
+                found.append(f"lattice.py:{it.lineno}")
+    assert found == []
+
+
 def test_library_has_no_self_referencing_closures():
     # a nested function that calls itself holds itself through its closure
     # cell, so every call leaves a reference cycle for the cyclic collector

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 
 from brsc.catalog import named
 from brsc import lattice
-from brsc.core import CapacityError, Complex, DomainError, bits, k_submasks, mask_of, submasks
+from brsc.core import (
+    CapacityError,
+    Complex,
+    DomainError,
+    _antichain,
+    bits,
+    is_paving,
+    k_submasks,
+    mask_of,
+    submasks,
+)
 from brsc.lattice import (
     BooleanMatrix,
     J_FACE_LIMIT,
@@ -429,6 +439,88 @@ def test_flats_paving_matches_brute():
         assert set(flats_paving(C).members) == set(flats(C).members)
 
 
+def subset_walk_is_flat(C, F):
+    """F is a flat: every face inside F, found by walking the 2^|F| subsets
+    of F, extends into H by any outside point."""
+    faces = C.faces
+    outside = C.full_mask & ~F
+    for X in submasks(F):
+        if X in faces:
+            for p in bits(outside):
+                if X | (1 << p) not in faces:
+                    return False
+    return True
+
+
+def scan_long_hyperplanes(C):
+    """Maximal sets of size > dim containing no facet, by testing all 2^n
+    subsets against every facet."""
+    d = C.dim
+    fct = sorted(C.facets)
+    candidates = [
+        X for X in range(1 << C.n) if X.bit_count() > d and not any(f & ~X == 0 for f in fct)
+    ]
+    return sorted(_antichain(candidates))
+
+
+def test_is_flat_matches_subset_walk_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            fl = set(flats(C).members)
+            for F in range(1 << n):
+                assert is_flat(C, F) == subset_walk_is_flat(C, F) == (F in fl)
+            seen += 1
+    assert seen == 7020
+
+
+@given(complexes(max_n=8), st.integers(0, 255))
+@settings(max_examples=200, deadline=None)
+def test_is_flat_matches_subset_walk(C, seed):
+    for F in (seed & C.full_mask, closure(C, seed & C.full_mask)):
+        assert is_flat(C, F) == subset_walk_is_flat(C, F) == (F in flats(C).members)
+
+
+def test_long_hyperplanes_match_scan_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            d = is_paving(C)
+            if d is None or d < 2:
+                continue
+            assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+            assert flats_paving(C) == flats(C)
+            seen += 1
+    assert seen > 0
+
+
+@st.composite
+def paving_complexes(draw, max_n=9):
+    n = draw(st.integers(4, max_n))
+    d = draw(st.integers(2, n - 2))
+    full = (1 << n) - 1
+    tops = list(k_submasks(full, d + 1))
+    keep = draw(st.lists(st.sampled_from(tops), min_size=1, max_size=12))
+    return Complex(n, set(keep) | set(k_submasks(full, d)))
+
+
+@given(paving_complexes())
+@settings(max_examples=120, deadline=None)
+def test_long_hyperplanes_match_scan(C):
+    assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+    assert flats_paving(C) == flats(C)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [named("nfb", n=9), _random_paving(random.Random(20), 20, 2)],
+    ids=["nfb:n=9", "paving:n=20"],
+)
+def test_long_hyperplanes_match_scan_on_wide_complexes(C):
+    assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+    assert flats_paving(C) == flats(C)
+
+
 def test_long_hyperplane_partition_example():
     # ten points 0..9; remove four named triples and every triple around {5,6}
     V = tuple(range(10))
@@ -509,6 +601,34 @@ def test_br_walk_matches_per_face_search_on_every_small_complex():
 @settings(max_examples=200, deadline=None)
 def test_br_walk_matches_per_face_search(C):
     assert is_boolean_representable(C) == per_face_boolean_representable(C)
+
+
+def probing_first_gap(C, cl):
+    """The first set where J(cl), walked level by level up to size dim + 1,
+    differs from C, probing each independent set against the faces."""
+    faces = C.faces
+    level = [0]
+    for k in range(1, C.dim + 2):
+        nxt = set()
+        for Y in level:
+            for x in bits(C.full_mask & ~cl(Y)):
+                if Y | 1 << x not in faces:
+                    return Y | 1 << x
+                nxt.add(Y | 1 << x)
+        missing = [X for X in faces if X.bit_count() == k and X not in nxt]
+        if missing:
+            return min(missing)
+        level = nxt
+    return None
+
+
+@given(complexes(max_n=7))
+@settings(max_examples=200, deadline=None)
+def test_first_gap_matches_probing_walk(C):
+    # the walk counts instead of probing because both closures put every
+    # point that leaves a face inside its closure
+    for cl in (flats(C).closure, partial(cl_T, C)):
+        assert lattice._first_gap(C, cl) == probing_first_gap(C, cl)
 
 
 def test_br_far_example():

@@ -20,6 +20,7 @@ from brsc.core import (
     pure_part,
     truncate,
 )
+from brsc.iso import all_complexes
 from brsc.lattice import flats, is_boolean_representable
 from brsc.matroid import (
     ExtensionSearch,
@@ -113,6 +114,37 @@ def _size_consistent_everywhere(C):
 @settings(max_examples=150, deadline=None)
 def test_matroid_iff_closure_determines_size(C):
     assert is_matroid(C)[0] == _size_consistent_everywhere(C)
+
+
+def probe_is_matroid(C):
+    """The exchange check with each face's extending points found by probing
+    J + p against the faces for every point p outside J."""
+    faces = C.faces
+    good = {J: sum(1 << p for p in bits(C.full_mask & ~J) if J | (1 << p) in faces) for J in faces}
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    for k in sorted(by_size):
+        for I in by_size.get(k + 1, ()):
+            for J in by_size[k]:
+                if I & ~J & good[J] == 0:
+                    return False, (I, J)
+    return True, None
+
+
+def test_is_matroid_matches_probe_loop_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert is_matroid(C) == probe_is_matroid(C)
+            seen += 1
+    assert seen == 7020
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=200, deadline=None)
+def test_is_matroid_matches_probe_loop(C):
+    assert is_matroid(C) == probe_is_matroid(C)
 
 
 @given(complexes())

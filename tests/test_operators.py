@@ -18,6 +18,7 @@ from brsc.core import (
     restriction,
     truncate,
 )
+from brsc.iso import all_complexes
 from brsc.lattice import MooreFamily, flats, j_complex, matrix_of
 from brsc.operators import (
     GraphClass,
@@ -132,6 +133,14 @@ def test_up_iter_paving_formula():
             continue
         for m in range(0, 3):
             assert up_iter(C, m) == up_iter_paving(C, m)
+
+
+def test_up_iter_refuses_negative_m():
+    C = Complex(3, [0b011])
+    assert up_iter(C, 0) == C
+    for it in (up_iter, up_iter_paving):
+        with pytest.raises(DomainError):
+            it(C, -1)
 
 
 def test_up_of_two_tetrahedra_facets():
@@ -270,6 +279,31 @@ def test_graphic_boolean_negative():
     C = Complex(4, set(k_submasks(0b1111, 2)) | {tri(1, 2, 3)})
     ok, rec = is_graphic_boolean(C)
     assert not ok and rec is None
+
+
+def probe_graphic_boolean(C):
+    """(ok, edge family) with the candidate edges found by probing e + p
+    against the faces for every pair e and every point p outside it."""
+    full = C.full_mask
+    edges = {e for e in k_submasks(full, 2) if all(C.has(e | (1 << p)) for p in bits(full & ~e))}
+    ok = up(graph_complex(C.n, edges, C.labels)) == C
+    return ok, (SetFamily(C.n, edges) if ok else None)
+
+
+def test_graphic_boolean_matches_probe_loop_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert is_graphic_boolean(C) == probe_graphic_boolean(C)
+            seen += 1
+    assert seen == 7020
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_graphic_boolean_matches_probe_loop(C):
+    assert is_graphic_boolean(C) == probe_graphic_boolean(C)
+    assert is_graphic_boolean(up(C)) == probe_graphic_boolean(up(C))
 
 
 def test_class_complexes():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from brsc.catalog import named
 from brsc.core import (
+    CapacityError,
     Complex,
     DomainError,
     bits,
@@ -484,6 +485,15 @@ def test_enumerate_mgu_counts():
         # an exhaustive scan of the paving classes finds no others
         found = {canonical_complex(C) for C in paving2_reps(n) if classify_minimality(C) == "mGU"}
         assert found == {canonical_complex(C) for C in out}
+
+
+def test_enumerate_mgu_bounds():
+    # below 4 vertices there is no class to list; past 9 the count is untested
+    assert len(enumerate_mgu(4)) == 1
+    with pytest.raises(DomainError):
+        enumerate_mgu(3)
+    with pytest.raises(CapacityError):
+        enumerate_mgu(10)
 
 
 @pytest.mark.parametrize("n", range(5, 10))
