@@ -491,7 +491,8 @@ def test_long_hyperplanes_match_scan_on_every_small_complex():
             assert long_hyperplanes(C) == scan_long_hyperplanes(C)
             assert flats_paving(C) == flats(C)
             seen += 1
-    assert seen > 0
+    # the paving complexes of dimension >= 2 among the 7020
+    assert seen == 1072
 
 
 @st.composite
