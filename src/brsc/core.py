@@ -353,37 +353,50 @@ def defect(C):
     return SetFamily(C.n, missing)
 
 
-def defect_graph_components(C):
-    """Connected components of the defect graph of a paving dim-1 complex.
-
-    Every vertex of V counts; vertices not covered by a defect edge are
-    singleton components. Returns a list of vertex masks.
-    """
-    d = is_paving(C)
-    if d != 1:
-        raise DomainError("defect graph is defined for paving complexes of dimension 1")
-    edges = list(defect(C).members)
-    adj = [0] * C.n
+def adjacency(n, edges):
+    """Neighbour masks of the graph on 0..n-1 with the given edges, each a mask
+    of two points."""
+    full = (1 << n) - 1
+    adj = [0] * n
     for e in edges:
-        u, v = tuple(bits(e))
+        if e.bit_count() != 2 or e & ~full:
+            raise DomainError("edges must be masks of two points in 0..n-1")
+        u, v = bits(e)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def components(W, adj):
+    """Vertex masks of the connected components of the subgraph that the
+    neighbour masks adj induce on W, in order of their lowest vertex."""
     comps = []
     seen = 0
-    for s in range(C.n):
+    for s in bits(W):
         if seen >> s & 1:
             continue
         comp = 1 << s
         frontier = comp
         while frontier:
             nxt = 0
-            for i in bits(frontier):
-                nxt |= adj[i]
+            for v in bits(frontier):
+                nxt |= adj[v] & W
             frontier = nxt & ~comp
             comp |= nxt
         comps.append(comp)
         seen |= comp
     return comps
+
+
+def defect_graph_components(C):
+    """Connected components of the defect graph of a paving dim-1 complex.
+
+    Every vertex of V counts; vertices not covered by a defect edge are
+    singleton components. Returns a list of vertex masks.
+    """
+    if is_paving(C) != 1:
+        raise DomainError("defect graph is defined for paving complexes of dimension 1")
+    return components(C.full_mask, adjacency(C.n, defect(C).members))
 
 
 # JSON interchange: {"vertices": <int n or label list>, "facets": [[labels...], ...]}

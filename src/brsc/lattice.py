@@ -15,12 +15,14 @@ as it reaches the full set V. _level_closure binds the two for one k, and F
 is a flat exactly when the closure for k = dim + 2 fixes F. A family given
 by its members closes by intersection instead (_meet_closure). _closed_sets
 lists the closed sets of either closure by Ganter's NextClosure, one closure
-per candidate, so its cost follows the size of the family rather than 2^n;
-the paving layer walks the facet-free sets by levels, so no function here
-scans all 2^n subsets. Either closure cl defines the complex J of the sets
-whose elements can be ordered so that each leaves the closure of the earlier
-ones: _independent_complex builds it level by level, one closure per
-independent set, as a cone over the coloops of cl, which it never walks.
+per candidate, so its cost follows the size of the family rather than 2^n.
+_level_walk lists the maximal members of a subset-closed family level by
+level, each set grown from a set one point smaller, and refuses past SET_LIMIT
+sets, so no function here scans all 2^n subsets. It builds the complex J of
+either closure cl, the sets whose elements can be ordered so that each leaves
+the closure of the earlier ones (_independent_complex, as a cone over the
+coloops of cl, which it never walks), the long hyperplanes of a paving
+complex, and the graph-class complexes of operators.class_complex.
 _first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
 with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
 closure). The public functions below are short calls into these helpers.
@@ -33,6 +35,7 @@ Tests compare them; library code uses j_complex (faster).
 
 from collections import Counter
 from functools import lru_cache, partial
+from math import comb
 
 from .core import (
     CapacityError,
@@ -193,14 +196,50 @@ def _independent_from(cl, X, memo, placed):
     return res
 
 
-# Most faces a J-complex may have (the empty set counted); larger ones are
-# refused. Coloops are split off as a cone and never walked, so J(T(H)) of
-# uniform:k=3,n=18, the full simplex on 18 points, costs 19 closures.
-J_FACE_LIMIT = 1 << 20
+# Most sets the level walk may list, its first level counted. J' may hold
+# SET_LIMIT >> |K| sets, so J(T(H)) of uniform:k=3,n=18, the full simplex on
+# 18 points, costs 19 closures and that of uniform:k=2,n=26 is refused at once.
+SET_LIMIT = 1 << 20
+
+
+def _level_walk(level, grow, what, limit=None):
+    """The maximal members of a subset-closed family, listed level by level.
+
+    level is the family's first level; grow(Y, level) is a mask of points p
+    with Y + p in the family, and every member of the next level is such a
+    Y + p. Each level is then complete, so a member Y is maximal exactly when
+    grow(Y, level) is 0 and no Y + p is on the next level (only the points of
+    its sets are tried). Refuses past limit (SET_LIMIT) sets listed.
+    """
+    level = set(level)
+    room = (SET_LIMIT if limit is None else limit) - len(level)
+    out = []
+    while room >= 0 and level:
+        nxt = set()
+        stuck = []
+        reach = 0
+        for Y in level:
+            m = grow(Y, level)
+            if not m:
+                stuck.append(Y)
+                continue
+            reach |= Y | m
+            while m:
+                b = m & -m
+                nxt.add(Y | b)
+                m ^= b
+            if len(nxt) > room:
+                break
+        out += [Y for Y in stuck if not any(Y | 1 << x in nxt for x in bits(reach & ~Y))]
+        room -= len(nxt)
+        level = nxt
+    if room < 0:
+        raise CapacityError(f"{what} with more than {SET_LIMIT} sets is out of range")
+    return out
 
 
 def _independent_complex(cl, n, labels=None):
-    """Complex of all sets independent for the closure cl, built level by level.
+    """Complex of all sets independent for the closure cl.
 
     A coloop is a point p outside cl(V - p); K, the set of them, costs n
     closures. By monotonicity p lies outside cl(S) for every S not holding p,
@@ -210,41 +249,19 @@ def _independent_complex(cl, n, labels=None):
     rest = V - K independent for cl, with |J'| * 2^|K| faces; only J' is
     walked, and each of its facets gets K added.
 
-    A set Y extends by each point of rest outside cl(Y). A facet Y of J'
-    covers rest by cl(Y), or a point outside it would extend Y; such a Y is a
-    facet unless one point more gives a set of the next level (J' is closed
-    under subsets). Only the facets are handed to Complex. Refuses when J has
-    more than J_FACE_LIMIT faces: at once when 2^|K| alone is more, else once
-    the walk passes J_FACE_LIMIT >> |K| faces of J'.
+    The level walk grows Y by each p in rest outside cl(Y), which builds each
+    set from an independent order's prefix. It refuses once J has more than
+    SET_LIMIT faces: at once when 2^|K| alone is more, else once the walk of
+    J' passes SET_LIMIT >> |K| sets.
     """
     full = (1 << n) - 1
     K = 0
     for p in range(n):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
-    room = (J_FACE_LIMIT >> K.bit_count()) - 1
-    if room < 0:
-        raise CapacityError(f"J-complex with more than {J_FACE_LIMIT} faces is out of range")
     rest = full & ~K
-    facets = []
-    level = [0]
-    while level:
-        nxt = set()
-        spanning = []
-        for Y in level:
-            m = rest & ~cl(Y)
-            if not m:
-                spanning.append(Y)
-            while m:
-                b = m & -m
-                nxt.add(Y | b)
-                m ^= b
-            if len(nxt) > room:
-                raise CapacityError(f"J-complex with more than {J_FACE_LIMIT} faces is out of range")
-        facets += [Y | K for Y in spanning if not any(Y | 1 << x in nxt for x in bits(rest & ~Y))]
-        room -= len(nxt)
-        level = nxt
-    return Complex(n, facets, labels)
+    spanning = _level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", SET_LIMIT >> K.bit_count())
+    return Complex(n, [Y | K for Y in spanning], labels)
 
 
 def _first_gap(C, cl):
@@ -285,36 +302,44 @@ def closure(C, X):
     return flats(C).closure(X)
 
 
+def _paving_dimension(C, what):
+    """The dimension d of a paving complex with d >= 2; DomainError otherwise."""
+    d = is_paving(C)
+    if d is None or d < 2:
+        raise DomainError(f"{what} requires a paving complex of dimension >= 2")
+    return d
+
+
 def long_hyperplanes(C):
-    """Maximal sets of size > dim containing no facet (paving, dim >= 2 only).
+    """Maximal sets of size > dim containing no facet (paving, dim >= 2 only)."""
+    return _long_hyperplanes(C, _paving_dimension(C, "long_hyperplanes"))
+
+
+def _long_hyperplanes(C, d):
+    """The long hyperplanes of C, paving of dimension d >= 2.
 
     Facets of a paving complex of dimension d have d or d + 1 points, so past
     d + 1 points a set is facet-free exactly when all its one-point-smaller
-    subsets are (the Apriori rule). The walk goes by levels from the facet-free
-    (d+1)-sets, building each set once from itself minus its highest point; a
-    set is maximal when the next level holds no superset of it. A level on at
-    most 20 vertices holds at most C(20, 10) sets."""
-    d = is_paving(C)
-    if d is None or d < 2:
-        raise DomainError("long hyperplanes require a paving complex of dimension >= 2")
-    if C.n > 20:
-        raise CapacityError(f"long hyperplanes on {C.n} > 20 vertices are out of range")
-    full = C.full_mask
+    subsets are (the Apriori rule). The level walk starts from the facet-free
+    (d+1)-sets and builds each set once from itself minus its highest point.
+    C(n, d + 1) bounds the first level, so it is checked against SET_LIMIT
+    before the level is listed."""
+    n = C.n
+    if comb(n, d + 1) > SET_LIMIT:
+        raise CapacityError(f"facet-free family with more than {SET_LIMIT} sets is out of range")
     fct = C.facets
     # a (d+1)-set holds a facet exactly when it or one of its d-subsets is one
-    level = [X for X in k_submasks(full, d + 1) if fct.isdisjoint([X, *(X ^ 1 << x for x in bits(X))])]
-    out = []
-    while level:
-        kept = set(level)
-        nxt = set()
-        for Y in level:
-            for p in range(Y.bit_length(), C.n):
-                Z = Y | 1 << p
-                if all(Z ^ 1 << x in kept for x in bits(Y)):
-                    nxt.add(Z)
-        out += [Y for Y in level if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
-        level = nxt
-    return sorted(out)
+    first = [X for X in k_submasks(C.full_mask, d + 1) if fct.isdisjoint([X, *(X ^ 1 << x for x in bits(X))])]
+
+    def grow(Y, level):
+        m = 0
+        for p in range(Y.bit_length(), n):
+            Z = Y | 1 << p
+            if all(Z ^ 1 << x in level for x in bits(Y)):
+                m |= 1 << p
+        return m
+
+    return sorted(_level_walk(first, grow, "facet-free family"))
 
 
 def long_hyperplane_partition(C):
@@ -324,8 +349,8 @@ def long_hyperplane_partition(C):
     maximal long hyperplanes have size < dim, in the third part otherwise.
     Flat members always intersect the others in < dim points.
     """
-    d = is_paving(C)
-    lh = long_hyperplanes(C)
+    d = _paving_dimension(C, "long_hyperplane_partition")
+    lh = _long_hyperplanes(C, d)
     cl = _level_closure(C, d + 2)
     l1, l2, l3 = [], [], []
     for L in lh:
@@ -335,8 +360,7 @@ def long_hyperplane_partition(C):
             l3.append(L)
         else:
             l2.append(L)
-    n = C.n
-    return SetFamily(n, l1), SetFamily(n, l2), SetFamily(n, l3)
+    return SetFamily(C.n, l1), SetFamily(C.n, l2), SetFamily(C.n, l3)
 
 
 def flats_paving(C):
@@ -345,16 +369,14 @@ def flats_paving(C):
     Small sets are all flats; a dim-size set, and a long flat, which is a flat
     maximal long hyperplane, are each tested by one flat closure.
     """
-    d = is_paving(C)
-    if d is None or d < 2:
-        raise DomainError("flats_paving requires a paving complex of dimension >= 2")
+    d = _paving_dimension(C, "flats_paving")
     full = C.full_mask
     cl = _level_closure(C, d + 2)
     out = {0, full}
     for k in range(1, d):
         out.update(k_submasks(full, k))
     out.update(X for X in k_submasks(full, d) if cl(X) == X)
-    out.update(L for L in long_hyperplanes(C) if cl(L) == L)
+    out.update(L for L in _long_hyperplanes(C, d) if cl(L) == L)
     return MooreFamily(C.n, out, validate=False)
 
 

@@ -46,15 +46,16 @@ def is_matroid(C):
     return True, None
 
 
-def _closure_size_consistent(C, include_full):
-    """Faces sharing a closure must share cardinality; closures equal to V
-    are exempt unless include_full is set.  Returns (ok, face pair)."""
+def is_near_matroid(C):
+    """Whether closure-equal faces always share cardinality, proper closures
+    only (faces whose closure is V are exempt).  Returns (ok, violating face
+    pair)."""
     fl = flats(C)
     full = C.full_mask
     seen = {}
     for X in sorted(C.faces, key=int.bit_count):
         F = fl.closure(X)
-        if F == full and not include_full:
+        if F == full:
             continue
         if F in seen:
             if seen[F].bit_count() != X.bit_count():
@@ -62,12 +63,6 @@ def _closure_size_consistent(C, include_full):
         else:
             seen[F] = X
     return True, None
-
-
-def is_near_matroid(C):
-    """Whether closure-equal faces always share cardinality, proper closures
-    only.  Returns (ok, violating face pair)."""
-    return _closure_size_consistent(C, include_full=False)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Up operator, one-point constructions, and graph-derived complexes."""
 
 from .core import (
-    CapacityError,
     Complex,
     DomainError,
     SetFamily,
+    adjacency,
     bits,
+    components,
     is_paving,
     k_submasks,
 )
-from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_map, _level_walk, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -157,29 +158,10 @@ class GraphClass:
         if self.kind == "edgeless":
             return deg_edges == 0
         if self.kind == "forests":
-            return deg_edges == len(verts) - _component_count(W, adj)
+            return deg_edges == len(verts) - len(components(W, adj))
         if self.kind == "triangle_free":
             return not _has_short_cycle(W, adj, 3)
         return not _has_short_cycle(W, adj, self.bound)
-
-
-def _component_count(W, adj):
-    count = 0
-    seen = 0
-    for s in bits(W):
-        if seen >> s & 1:
-            continue
-        count += 1
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v] & W
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-    return count
 
 
 def _has_short_cycle(W, adj, bound):
@@ -206,34 +188,25 @@ def _has_short_cycle(W, adj, bound):
 
 
 def class_complex(n, edges, graph_class, labels=None):
-    """Faces are the vertex sets whose induced subgraph lies in the class."""
-    if n > 20:
-        raise CapacityError(f"scan over 2^{n} subsets is out of range")
-    adj = [0] * n
-    for e in edges:
-        if e.bit_count() != 2:
-            raise DomainError("edges must be 2-element masks")
-        u, v = tuple(bits(e))
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    allowed = {W for W in range(1 << n) if graph_class.allows(W, adj)}
-    gens = [
-        W
-        for W in allowed
-        if all(W >> v & 1 or (W | (1 << v)) not in allowed for v in range(n))
-    ]
-    return Complex(n, gens, labels)
+    """Faces are the vertex sets whose induced subgraph lies in the class.
+
+    The class is hereditary, so these sets form a subset-closed family: the
+    lattice level walk lists its maximal members from the empty set, building
+    each set once from itself minus its highest vertex. It refuses once the
+    family passes lattice.SET_LIMIT sets."""
+    adj = adjacency(n, edges)
+
+    def grow(Y, level):
+        m = 0
+        for v in range(Y.bit_length(), n):
+            if graph_class.allows(Y | 1 << v, adj):
+                m |= 1 << v
+        return m
+
+    return Complex(n, _level_walk([0], grow, "class complex"), labels)
 
 
 def anticliques_of_size(n, edges, k):
     """All k-subsets inducing no edge."""
-    adj = [0] * n
-    for e in edges:
-        u, v = tuple(bits(e))
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    out = []
-    for X in k_submasks((1 << n) - 1, k):
-        if all(adj[v] & X == 0 for v in bits(X)):
-            out.append(X)
-    return out
+    adj = adjacency(n, edges)
+    return [X for X in k_submasks((1 << n) - 1, k) if all(adj[v] & X == 0 for v in bits(X))]

@@ -19,9 +19,10 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
+    adjacency,
     bits,
+    components,
     defect,
-    defect_graph_components,
     is_paving,
     k_submasks,
     union,
@@ -218,14 +219,9 @@ def dim1_gu_facts(C):
     """
     if is_paving(C) != 1:
         raise DomainError("dim1_gu_facts requires a paving complex of dimension 1")
-    comps = defect_graph_components(C)
-    edges = sorted(defect(C).members)
-    adj = [0] * C.n
-    for e in edges:
-        u, v = tuple(bits(e))
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
+    edges = defect(C).members
+    adj = adjacency(C.n, edges)
+    comps = components(C.full_mask, adj)
     acyclic = len(edges) == C.n - len(comps)
     return {
         "components": comps,

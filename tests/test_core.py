@@ -418,20 +418,22 @@ def test_library_has_no_unused_imports():
 
 
 def test_lattice_has_no_power_set_scan():
-    # closed sets, flats and long hyperplanes are listed output-sensitively;
-    # a loop over range(1 << n) would cost 2^n whatever the answer
-    path = Path(brsc.__file__).parent / "lattice.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    # closed sets, flats, long hyperplanes, J-complexes and class complexes
+    # are listed output-sensitively; a loop over range(1 << n) would cost 2^n
+    # whatever the answer
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.comprehension)):
-            it = node.iter
-            if (
-                isinstance(it, ast.Call)
-                and getattr(it.func, "id", None) == "range"
-                and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in it.args)
-            ):
-                found.append(f"lattice.py:{it.lineno}")
+    for name in ("lattice.py", "operators.py"):
+        path = Path(brsc.__file__).parent / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                it = node.iter
+                if (
+                    isinstance(it, ast.Call)
+                    and getattr(it.func, "id", None) == "range"
+                    and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in it.args)
+                ):
+                    found.append(f"{name}:{it.lineno}")
     assert found == []
 
 

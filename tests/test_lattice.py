@@ -25,7 +25,7 @@ from brsc.core import (
 )
 from brsc.lattice import (
     BooleanMatrix,
-    J_FACE_LIMIT,
+    SET_LIMIT,
     MooreFamily,
     closure,
     complex_of_matrix,
@@ -49,6 +49,7 @@ from brsc.lattice import (
     transversal_complex,
 )
 from brsc.iso import all_complexes
+from brsc.operators import b_d
 from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
 
 
@@ -100,11 +101,11 @@ def all_faces_complex(cl, n):
 def level_walk_complex(cl, n, labels=None):
     """Complex of the sets independent for cl, by a level walk over all of
     0..n-1 with no coloop split: one closure per independent set, facets only,
-    refusing once the walk passes lattice.J_FACE_LIMIT faces."""
+    refusing once the walk passes lattice.SET_LIMIT faces."""
     full = (1 << n) - 1
     facets = []
     level = [0]
-    room = lattice.J_FACE_LIMIT - 1
+    room = lattice.SET_LIMIT - 1
     while level:
         nxt = set()
         spanning = []
@@ -117,7 +118,7 @@ def level_walk_complex(cl, n, labels=None):
                 nxt.add(Y | b)
                 m ^= b
             if len(nxt) > room:
-                raise CapacityError(f"J-complex with more than {lattice.J_FACE_LIMIT} faces is out of range")
+                raise CapacityError(f"J-complex with more than {lattice.SET_LIMIT} faces is out of range")
         facets += [Y for Y in spanning if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
         room -= len(nxt)
         level = nxt
@@ -304,7 +305,7 @@ def test_spanning_sets_generate_the_matrix_complex(fam):
 def test_j_walk_fits_the_full_18_simplex():
     # no closure constraint: J is the full simplex, 2^18 faces, and every
     # point is a coloop, so the build takes 18 coloop tests and cl(0) only
-    assert J_FACE_LIMIT > 1 << 18
+    assert SET_LIMIT > 1 << 18
     cl, calls = counted(lambda Y: Y)
     assert _independent_complex(cl, 18).facets == {(1 << 18) - 1}
     assert calls[0] == 19
@@ -352,7 +353,7 @@ def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
     f = sum(comb(m, i) for i in range(r + 1))
     cl = uniform_closure(m, r, m + k)
     t0 = time.perf_counter()
-    if f << k > J_FACE_LIMIT:
+    if f << k > SET_LIMIT:
         with pytest.raises(CapacityError):
             _independent_complex(cl, m + k)
     else:
@@ -370,7 +371,7 @@ def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
     D = cone(C, extra)
     cl = partial(cl_T, D)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "J_FACE_LIMIT", 1 << log_limit)
+        mp.setattr(lattice, "SET_LIMIT", 1 << log_limit)
         if len(all_faces_complex(cl, D.n).faces) > 1 << log_limit:
             for build in (_independent_complex, level_walk_complex):
                 with pytest.raises(CapacityError):
@@ -520,6 +521,39 @@ def test_long_hyperplanes_match_scan(C):
 def test_long_hyperplanes_match_scan_on_wide_complexes(C):
     assert long_hyperplanes(C) == scan_long_hyperplanes(C)
     assert flats_paving(C) == flats(C)
+
+
+def test_long_hyperplanes_past_twenty_vertices():
+    # b_d(24, L, 2) with |L| = 12: the facets are the triples meeting L in
+    # two points and the pairs outside L, so a set of three or more points is
+    # facet-free exactly when it lies in L
+    L = (1 << 12) - 1
+    C = b_d(24, L, 2)
+    assert long_hyperplanes(C) == [L]
+    assert long_hyperplane_partition(C)[0].members == {L}
+
+
+def facet_free_count(C):
+    """Number of sets of size > dim containing no facet, by a 2^n scan."""
+    d = C.dim
+    return sum(
+        1 for X in range(1 << C.n) if X.bit_count() > d and not any(f & ~X == 0 for f in C.facets)
+    )
+
+
+@given(paving_complexes(max_n=7), st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_long_hyperplanes_refuse_exactly_past_the_set_limit(C, log_limit):
+    # refused when C(n, d + 1), which bounds the first level, or the
+    # facet-free family passes the limit
+    limit = 1 << log_limit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "SET_LIMIT", limit)
+        if comb(C.n, C.dim + 1) > limit or facet_free_count(C) > limit:
+            with pytest.raises(CapacityError):
+                long_hyperplanes(C)
+        else:
+            assert long_hyperplanes(C) == scan_long_hyperplanes(C)
 
 
 def test_long_hyperplane_partition_example():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc import lattice
 from brsc.core import (
+    CapacityError,
     Complex,
     DomainError,
     SetFamily,
@@ -333,6 +335,79 @@ def test_class_complexes():
         GraphClass("widgets")
     with pytest.raises(DomainError):
         GraphClass("no_cycle_upto", 2)
+
+
+def scan_class_sets(n, edges, graph_class):
+    """The vertex sets whose induced subgraph lies in the class, by testing
+    all 2^n subsets."""
+    adj = [0] * n
+    for e in edges:
+        u, v = tuple(bits(e))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return {W for W in range(1 << n) if graph_class.allows(W, adj)}
+
+
+def scan_class_complex(n, edges, graph_class, labels=None):
+    """The class complex generated by the maximal allowed sets of the 2^n scan."""
+    allowed = scan_class_sets(n, edges, graph_class)
+    gens = [W for W in allowed if all(W >> v & 1 or (W | (1 << v)) not in allowed for v in range(n))]
+    return Complex(n, gens, labels)
+
+
+GRAPH_CLASSES = [
+    GraphClass("edgeless"),
+    GraphClass("forests"),
+    GraphClass("triangle_free"),
+    GraphClass("no_cycle_upto", 4),
+    GraphClass("no_cycle_upto", 5),
+]
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = list(k_submasks((1 << n) - 1, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return n, edges
+
+
+@given(graphs(), st.sampled_from(GRAPH_CLASSES))
+@settings(max_examples=300, deadline=None)
+def test_class_complex_matches_scan(graph, graph_class):
+    n, edges = graph
+    assert class_complex(n, edges, graph_class) == scan_class_complex(n, edges, graph_class)
+
+
+def test_class_complex_past_twenty_vertices():
+    # the 2^n scan stopped at 20 vertices; the walk lists only the members
+    n = 24
+    k = list(k_submasks((1 << n) - 1, 2))
+    assert class_complex(n, k, GraphClass("edgeless")).facets == {1 << v for v in range(n)}
+    for graph_class in GRAPH_CLASSES[1:]:
+        # every three points of K_24 span a triangle
+        assert class_complex(n, k, graph_class).facets == set(k)
+
+
+@given(graphs(max_n=7), st.sampled_from(GRAPH_CLASSES), st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_class_complex_refuses_exactly_past_the_set_limit(graph, graph_class, log_limit):
+    n, edges = graph
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "SET_LIMIT", 1 << log_limit)
+        if len(scan_class_sets(n, edges, graph_class)) > 1 << log_limit:
+            with pytest.raises(CapacityError):
+                class_complex(n, edges, graph_class)
+        else:
+            assert class_complex(n, edges, graph_class) == scan_class_complex(n, edges, graph_class)
+
+
+@pytest.mark.parametrize("edge", [0b111, 0b1, 0, 0b100001, -3], ids=["three-points", "one-point", "empty", "outside", "negative"])
+def test_graph_edges_are_validated(edge):
+    with pytest.raises(DomainError):
+        class_complex(4, [0b11, edge], GraphClass("forests"))
+    with pytest.raises(DomainError):
+        anticliques_of_size(4, [0b11, edge], 2)
 
 
 def test_iterated_up_of_graph_counts_anticliques():
