@@ -348,9 +348,13 @@ def defect(C):
     d = is_paving(C)
     if d is None:
         raise DomainError("defect is defined for paving complexes")
+    return _defect(C, d)
+
+
+def _defect(C, d):
+    """Non-faces of size d + 1 of C, paving of dimension d (unchecked)."""
     faces = C.faces
-    missing = [X for X in k_submasks(C.full_mask, d + 1) if X not in faces]
-    return SetFamily(C.n, missing)
+    return SetFamily(C.n, [X for X in k_submasks(C.full_mask, d + 1) if X not in faces])
 
 
 def adjacency(n, edges):
@@ -396,7 +400,7 @@ def defect_graph_components(C):
     """
     if is_paving(C) != 1:
         raise DomainError("defect graph is defined for paving complexes of dimension 1")
-    return components(C.full_mask, adjacency(C.n, defect(C).members))
+    return components(C.full_mask, adjacency(C.n, _defect(C, 1).members))
 
 
 # JSON interchange: {"vertices": <int n or label list>, "facets": [[labels...], ...]}

@@ -7,8 +7,14 @@ are listed by the core's NextClosure. Most operators here avoid enumerating
 T(H): its closure cl_T is the core's propagation fixpoint over the finitely
 many (face, forced points) pairs, which is enough to build J(T(H)), to walk
 it up to size dim + 1 for the TBRSC test, and to find the going-up witness.
-The going-up classification decides each neighbour C - X or C + X by
-toggling one point of C's constraints rather than building the neighbour.
+The going-up classification decides each removal neighbour C - X from C's
+own going-up witnesses and closures. Removing the top face X adds X - Z to
+bad(Z) for each d-subset Z of X, so every closure grows and every witness of
+C - X is already one of C. A closed set F of C keeps its closure unless it
+holds exactly d points of X; then the new constraint forces X, and since a
+set containing X is closed under the new constraints exactly when it is
+closed under the old ones, its new closure is cl(F | X). Each addition
+neighbour C + X is decided by dropping X's points from C's constraints.
 """
 
 from dataclasses import dataclass
@@ -19,10 +25,10 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
+    _defect,
     adjacency,
     bits,
     components,
-    defect,
     is_paving,
     k_submasks,
     union,
@@ -164,32 +170,47 @@ def _is_gu(C):
     return _cltt_witness(_t_closure(C), C.full_mask, C.dim) is not None
 
 
+def _gu_witnesses(cl, full, d):
+    """C's going-up witnesses, grouped: a map from each pair (cl(Y), cl(Y + x))
+    to the mask of its points x, over the d-sets Y and the points x outside
+    cl(Y) with cl(Y + x) short of full. Empty exactly when C does not go up.
+    As cl(Y + x) = cl(cl(Y) + x), each such set is closed once."""
+    out = {}
+    above = {}
+    for Y in k_submasks(full, d):
+        F = cl(Y)
+        m = full & ~F
+        while m:
+            x = m & -m
+            m ^= x
+            G = above.get(F | x)
+            if G is None:
+                G = above[F | x] = cl(F | x)
+            if G != full:
+                out[F, G] = out.get((F, G), 0) | x
+    return out
+
+
 def classify_minimality(C):
     """mGU / MNGU / neither, among paving complexes of the same dimension.
 
-    The neighbours C - X and C + X, X a (d+1)-set, are decided from C's
-    T-constraints: the only faces whose extensions change are the d-subsets
-    Y of X, and bad(Y) gains or loses the point X - Y.
+    C goes up when it has a witness, a d-set Y and a point x outside cl(Y)
+    with cl(Y + x) short of V. A removal neighbour C - X (X a top face) has
+    only witnesses of C, and its closure of a closed set F of C is F, or
+    cl(F | X) when F holds exactly d points of X (module docstring). So C - X
+    goes up iff for some witness of C, x stays outside the grown cl(Y) and
+    the grown cl(Y + x) stays short of V; the grown sets are closed once each
+    for all X. An addition neighbour C + X drops X's points from C's
+    constraints, as bad(Y) loses X - Y for each d-subset Y of X, and is
+    searched for a witness.
     """
     d = is_paving(C)
     if d is None:
         raise DomainError("classification requires a paving complex")
     full = C.full_mask
-    bad = dict(_t_constraints(C))
-
-    def neighbour_is_gu(X, added):
-        nb = dict(bad)
-        for Y in k_submasks(X, d):
-            p = X & ~Y
-            b = nb.get(Y, 0) & ~p if added else nb.get(Y, 0) | p
-            if b:
-                nb[Y] = b
-            else:
-                nb.pop(Y, None)
-        cl = partial(_horn_closure, tuple(nb.items()), full)
-        return _cltt_witness(cl, full, d) is not None
-
-    if _is_gu(C):
+    cl = _t_closure(C)
+    witnesses = _gu_witnesses(cl, full, d)
+    if witnesses:
         top = C.faces_of_size(d + 1)
         # a lone top face may not be removed: that would leave P_{<=d},
         # which sits outside the strict comparison range
@@ -198,13 +219,40 @@ def classify_minimality(C):
             # its singletons, so the neighbour is C itself and goes up
             if d == 0:
                 return "neither"
+            grown = {}
+
+            def after_removal(F, X):
+                # the closure in C - X of F, a closed set of C
+                if (F & X).bit_count() != d:
+                    return F
+                F |= X
+                if F not in grown:
+                    grown[F] = cl(F)
+                return grown[F]
+
             for X in sorted(top):
-                if neighbour_is_gu(X, added=False):
+                if any(
+                    xs & ~after_removal(F, X) and after_removal(G, X) != full
+                    for (F, G), xs in witnesses.items()
+                ):
                     return "neither"
         return "mGU"
+    bad = dict(_t_constraints(C))
+
+    def addition_is_gu(X):
+        nb = dict(bad)
+        for Y in k_submasks(X, d):
+            # bad(Y) misses Y, so losing X - Y is losing X
+            b = nb.get(Y, 0) & ~X
+            if b:
+                nb[Y] = b
+            else:
+                nb.pop(Y, None)
+        return _cltt_witness(partial(_horn_closure, tuple(nb.items()), full), full, d) is not None
+
     faces = C.faces
     for X in k_submasks(full, d + 1):
-        if X not in faces and not neighbour_is_gu(X, added=True):
+        if X not in faces and not addition_is_gu(X):
             return "neither"
     return "MNGU"
 
@@ -219,7 +267,7 @@ def dim1_gu_facts(C):
     """
     if is_paving(C) != 1:
         raise DomainError("dim1_gu_facts requires a paving complex of dimension 1")
-    edges = defect(C).members
+    edges = _defect(C, 1).members
     adj = adjacency(C.n, edges)
     comps = components(C.full_mask, adj)
     acyclic = len(edges) == C.n - len(comps)

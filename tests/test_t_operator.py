@@ -6,11 +6,13 @@ import subprocess
 import sys
 from functools import partial
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brsc import core, t_operator
 from brsc.catalog import named
 from brsc.core import (
     CapacityError,
@@ -24,11 +26,14 @@ from brsc.core import (
     truncate,
     union,
 )
-from brsc.lattice import MooreFamily, _independent, flats, j_complex, is_boolean_representable
+from brsc.lattice import MooreFamily, _horn_closure, _independent, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
+from brsc.reproduce import random_line_union
 from brsc.t_operator import (
+    _cltt_witness,
     _is_gu,
+    _t_constraints,
     classify_minimality,
     cl_T,
     codimension,
@@ -95,6 +100,43 @@ def neighbour_complex_classify(C):
         if not C.has(X) and _witness_by_cl_T(Complex(C.n, set(C.facets) | {X}, C.labels)) is None:
             return "neither"
     return "MNGU"
+
+
+def rebuilt_constraints_classify(C):
+    """mGU / MNGU / neither, deciding each neighbour C - X or C + X on its own
+    constraint dict, C's with bad(Y) gaining or losing X - Y for every
+    d-subset Y of X, rescanned for a witness by _cltt_witness."""
+    d = is_paving(C)
+    full = C.full_mask
+    bad = dict(_t_constraints(C))
+
+    def neighbour_is_gu(X, added):
+        nb = dict(bad)
+        for Y in k_submasks(X, d):
+            p = X & ~Y
+            b = nb.get(Y, 0) & ~p if added else nb.get(Y, 0) | p
+            if b:
+                nb[Y] = b
+            else:
+                nb.pop(Y, None)
+        return _cltt_witness(partial(_horn_closure, tuple(nb.items()), full), full, d) is not None
+
+    if _is_gu(C):
+        top = C.faces_of_size(d + 1)
+        if len(top) > 1:
+            if d == 0:
+                return "neither"
+            if any(neighbour_is_gu(X, added=False) for X in sorted(top)):
+                return "neither"
+        return "mGU"
+    for X in k_submasks(full, d + 1):
+        if not C.has(X) and not neighbour_is_gu(X, added=True):
+            return "neither"
+    return "MNGU"
+
+
+def relabeled(C, perm):
+    return Complex(C.n, [mask_of(perm[v] for v in bits(f)) for f in C.facets])
 
 
 def complexes(max_n=5):
@@ -179,6 +221,81 @@ def test_incremental_classify_matches_neighbour_complexes_in_low_dimension():
         seen.add((C.dim, verdict))
     # every verdict shows up in both dimensions
     assert seen >= {(0, "neither"), (0, "MNGU"), (1, "mGU"), (1, "MNGU"), (1, "neither")}
+
+
+def test_removal_route_matches_rebuilt_constraints_on_paving_classes():
+    for n in (4, 5, 6):
+        for C in paving2_reps(n):
+            assert classify_minimality(C) == rebuilt_constraints_classify(C)
+
+
+def test_removal_route_matches_rebuilt_constraints_on_line_unions():
+    for n in range(4, 10):
+        for i in range(2, n):
+            for j in range(i + 1, n):
+                C = jijn(i, j, n)
+                assert classify_minimality(C) == rebuilt_constraints_classify(C)
+
+
+def test_removal_route_matches_rebuilt_constraints_on_random_line_unions():
+    # the benchmark's wide line unions: same seed, the sampler's own labels
+    rng = random.Random(2309)
+    seen = set()
+    for _ in range(32):
+        C = random_line_union(rng, rng.randint(10, 12), rng.randint(2, 3))
+        verdict = classify_minimality(C)
+        assert verdict == rebuilt_constraints_classify(C)
+        seen.add(verdict)
+    assert seen == {"mGU", "neither"}
+
+
+@given(pavings())
+@settings(max_examples=150, deadline=None)
+def test_removal_route_matches_rebuilt_constraints(C):
+    assert classify_minimality(C) == rebuilt_constraints_classify(C)
+
+
+def test_removal_route_closure_count(monkeypatch):
+    # an mGU line union with more than 100 top faces: every removal
+    # neighbour is decided, so every witness meets every top face
+    rng = random.Random(2309)
+    while True:
+        C = random_line_union(rng, rng.randint(10, 12), rng.randint(2, 3))
+        if len(C.faces_of_size(3)) > 100 and rebuilt_constraints_classify(C) == "mGU":
+            break
+    perm = list(range(C.n))
+    random.Random(17).shuffle(perm)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _horn_closure(*args)
+
+    monkeypatch.setattr(t_operator, "_horn_closure", counted)
+    counts = []
+    for D in (C, relabeled(C, perm)):
+        top = D.faces_of_size(3)
+        calls.clear()
+        assert classify_minimality(D) == "mGU"
+        assert len(calls) <= comb(D.n, 2) * (D.n - 1) + len(top)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_dim1_gu_facts_checks_paving_once(monkeypatch):
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return is_paving(C)
+
+    monkeypatch.setattr(core, "is_paving", counted)
+    monkeypatch.setattr(t_operator, "is_paving", counted)
+    C = Complex(6, set(k_submasks((1 << 6) - 1, 2)) - {tri(1, 2), tri(1, 3), tri(4, 5)})
+    dim1_gu_facts(C)
+    assert len(calls) == 1
+    core.defect_graph_components(C)
+    assert len(calls) == 2
 
 
 def test_t_family_far_example():
