@@ -109,7 +109,7 @@ def cmd_check(args):
     out = {"id": args.input, "vertices": C.n}
     timings = {}
     out["dim"] = C.dim
-    # brsc and near_matroid share the cached flat scan; time it on its own,
+    # brsc and near_matroid share the cached flat listing; time it on its own,
     # as null when it is out of range
     scan = {}
     _guarded(scan, timings, "flats", lambda: flats(C))

@@ -293,7 +293,7 @@ def _first_gap(C, cl):
 def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
     if C.n > 22:
-        raise CapacityError(f"flat scan over 2^{C.n} subsets is out of range")
+        raise CapacityError(f"flat listing past 22 vertices (n = {C.n}) is out of range")
     return _closed_sets(C.n, _level_closure(C, C.dim + 2))
 
 

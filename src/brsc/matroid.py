@@ -456,14 +456,18 @@ def lines(C):
     and V, and two lines meet in fewer than d points; `brsc reproduce
     shellability` and the tests check both.
     """
-    d = _bpav_dim(C)
+    return _lines(C, _bpav_dim(C))
+
+
+def _lines(C, d):
+    # lines of C, already checked by _bpav_dim to have dimension d
     return SetFamily(C.n, {F for F in flats(C).members if d <= F.bit_count() < C.n})
 
 
 def l_mu(C, L):
     """Faces I + p with I a d-subset of the line L and p outside L."""
     d = _bpav_dim(C)
-    if L not in lines(C):
+    if L not in _lines(C, d):
         raise DomainError("L must be a line")
     out = set()
     for I in k_submasks(L, d):
@@ -481,10 +485,9 @@ def h_star(C):
     reproduce shellability` and the tests check that.
     """
     d = _bpav_dim(C)
-    ls = lines(C)
     vstar = 0
     gens = set()
-    for L in ls:
+    for L in _lines(C, d):
         vstar |= L
         if L.bit_count() == d:
             gens.add(L)

@@ -5,16 +5,19 @@ of size <= dim, and T(H_k), read off H directly, those of the faces of size
 < k (the lattice core's constraints with k = dim + 1 and k); both families
 are listed by the core's NextClosure. Most operators here avoid enumerating
 T(H): its closure cl_T is the core's propagation fixpoint over the finitely
-many (face, forced points) pairs, which is enough to build J(T(H)), to walk
-it up to size dim + 1 for the TBRSC test, and to find the going-up witness.
-The going-up classification decides each removal neighbour C - X from C's
-own going-up witnesses and closures. Removing the top face X adds X - Z to
-bad(Z) for each d-subset Z of X, so every closure grows and every witness of
-C - X is already one of C. A closed set F of C keeps its closure unless it
-holds exactly d points of X; then the new constraint forces X, and since a
-set containing X is closed under the new constraints exactly when it is
-closed under the old ones, its new closure is cl(F | X). Each addition
-neighbour C + X is decided by dropping X's points from C's constraints.
+many (face, forced points) pairs, which is enough to build J(T(H)) and to
+walk it up to size dim + 1 for the TBRSC test. A going-up witness is a d-set
+Y and a point x outside cl(Y) with cl(Y + x) short of V; one walk lists them
+and answers every going-up question: whether C goes up, the witness of
+`goes_up`, and both neighbour checks of the classification, which decides
+each removal neighbour C - X from C's own witnesses and closures. Removing
+the top face X adds X - Z to bad(Z) for each d-subset Z of X, so every
+closure grows and every witness of C - X is already one of C. A closed set F
+of C keeps its closure unless it holds exactly d points of X; then the new
+constraint forces X, and since a set containing X is closed under the new
+constraints exactly when it is closed under the old ones, its new closure is
+cl(F | X). Each addition neighbour C + X is decided by dropping X's points
+from C's constraints.
 """
 
 from dataclasses import dataclass
@@ -61,7 +64,7 @@ def _t_closure(C):
 def t_family(C):
     """All members of T(H), enumerated by NextClosure over cl_T."""
     if C.n > 20:
-        raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
+        raise CapacityError(f"T-family listing past 20 vertices (n = {C.n}) is out of range")
     return _closed_sets(C.n, _t_closure(C))
 
 
@@ -77,7 +80,7 @@ def truncation_t_family(C, k):
     if k < 1:
         raise DomainError("truncation level must be at least 1")
     if C.n > 20:
-        raise CapacityError(f"T-family scan over 2^{C.n} subsets is out of range")
+        raise CapacityError(f"T-family listing past 20 vertices (n = {C.n}) is out of range")
     return _closed_sets(C.n, _level_closure(C, k))
 
 
@@ -128,54 +131,12 @@ class GoesUpReport:
     witness: Optional[Tuple[int, int]]
 
 
-def _cltt_witness(cl, full, d):
-    """The first pair (X, Y), X a (d+1)-set with cl(X) short of the full set
-    and Y a d-subset of X with cl(Y) != cl(X), or None. Each d-subset is
-    closed once."""
-    closed = {}
-    for X in k_submasks(full, d + 1):
-        cx = cl(X)
-        if cx == full:
-            continue
-        for Y in k_submasks(X, d):
-            cy = closed.get(Y)
-            if cy is None:
-                cy = closed[Y] = cl(Y)
-            if cy != cx:
-                return X, Y
-    return None
-
-
-def goes_up(C):
-    """Does dim J(T(H)) exceed dim C: the report of dim J(T(H)), the verdict
-    read off it, the witness pair, and |T(H)| (-1 past 20 vertices).
-
-    Only paving complexes qualify: the witness characterization needs
-    P_{<=d-1} among the flats. The longest chain of T(H) has dim J(T(H)) + 2
-    members, and the witness exists exactly when the verdict is GU; `brsc
-    reproduce going-up` and the tests check both.
-    """
-    if is_paving(C) is None:
-        raise DomainError("going up is defined for paving complexes")
-    dim_jt = jt_complex(C).dim
-    witness = _cltt_witness(_t_closure(C), C.full_mask, C.dim)
-    size = len(t_family(C)) if C.n <= 20 else -1
-    verdict = "GU" if dim_jt > C.dim else "NGU"
-    return GoesUpReport(size, dim_jt + 2, dim_jt, verdict, witness)
-
-
-def _is_gu(C):
-    # witness route; equivalent to dim J(T(H)) > dim C on paving complexes
-    # and much cheaper than building J(T(H))
-    return _cltt_witness(_t_closure(C), C.full_mask, C.dim) is not None
-
-
 def _gu_witnesses(cl, full, d):
-    """C's going-up witnesses, grouped: a map from each pair (cl(Y), cl(Y + x))
-    to the mask of its points x, over the d-sets Y and the points x outside
-    cl(Y) with cl(Y + x) short of full. Empty exactly when C does not go up.
-    As cl(Y + x) = cl(cl(Y) + x), each such set is closed once."""
-    out = {}
+    """C's going-up witnesses, one at a time: each (Y, x, cl(Y), cl(Y + x))
+    with Y a d-set, x a point outside cl(Y) and cl(Y + x) short of full, the
+    d-sets in k_submasks order and the points x in increasing order. There is
+    none exactly when C does not go up. As cl(Y + x) = cl(cl(Y) + x), each
+    such set is closed once."""
     above = {}
     for Y in k_submasks(full, d):
         F = cl(Y)
@@ -187,8 +148,34 @@ def _gu_witnesses(cl, full, d):
             if G is None:
                 G = above[F | x] = cl(F | x)
             if G != full:
-                out[F, G] = out.get((F, G), 0) | x
-    return out
+                yield Y, x, F, G
+
+
+def goes_up(C):
+    """Does dim J(T(H)) exceed dim C: the report of dim J(T(H)), the verdict
+    read off it, the witness pair, and |T(H)| (-1 past t_family's cap).
+
+    Only paving complexes qualify: the witness characterization needs
+    P_{<=d-1} among the flats. The pair is C's first witness as (Y + x, Y),
+    a (d+1)-set X and a d-subset Y with cl(Y) != cl(X) != V. The longest
+    chain of T(H) has dim J(T(H)) + 2 members, and the witness exists exactly
+    when the verdict is GU; `brsc reproduce going-up` and the tests check both.
+    """
+    if is_paving(C) is None:
+        raise DomainError("going up is defined for paving complexes")
+    dim_jt = jt_complex(C).dim
+    first = next(_gu_witnesses(_t_closure(C), C.full_mask, C.dim), None)
+    witness = None if first is None else (first[0] | first[1], first[0])
+    try:
+        size = len(t_family(C))
+    except CapacityError:
+        size = -1
+    verdict = "GU" if dim_jt > C.dim else "NGU"
+    return GoesUpReport(size, dim_jt + 2, dim_jt, verdict, witness)
+
+
+def _is_gu(C):
+    return next(_gu_witnesses(_t_closure(C), C.full_mask, C.dim), None) is not None
 
 
 def classify_minimality(C):
@@ -209,7 +196,9 @@ def classify_minimality(C):
         raise DomainError("classification requires a paving complex")
     full = C.full_mask
     cl = _t_closure(C)
-    witnesses = _gu_witnesses(cl, full, d)
+    witnesses = {}
+    for _, x, F, G in _gu_witnesses(cl, full, d):
+        witnesses[F, G] = witnesses.get((F, G), 0) | x
     if witnesses:
         top = C.faces_of_size(d + 1)
         # a lone top face may not be removed: that would leave P_{<=d},
@@ -248,7 +237,7 @@ def classify_minimality(C):
                 nb[Y] = b
             else:
                 nb.pop(Y, None)
-        return _cltt_witness(partial(_horn_closure, tuple(nb.items()), full), full, d) is not None
+        return next(_gu_witnesses(partial(_horn_closure, tuple(nb.items()), full), full, d), None) is not None
 
     faces = C.faces
     for X in k_submasks(full, d + 1):

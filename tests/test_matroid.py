@@ -745,6 +745,25 @@ def test_lines_and_l_mu():
         lines(_far())
 
 
+def test_h_star_and_l_mu_check_representability_once(monkeypatch):
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return is_boolean_representable(C)
+
+    monkeypatch.setattr(matroid, "is_boolean_representable", counted)
+    for name in ("boom", "tracks", "desargues"):
+        C = named(name)
+        calls.clear()
+        h_star(C)
+        assert len(calls) == 1
+        for L in lines(C):
+            calls.clear()
+            l_mu(C, L)
+            assert len(calls) == 1
+
+
 def _paving_line_cases():
     rng = random.Random(17)
     out = [named("boom"), named("tracks")]

@@ -31,7 +31,7 @@ from brsc.operators import b_d
 from brsc.iso import canonical_complex
 from brsc.reproduce import random_line_union
 from brsc.t_operator import (
-    _cltt_witness,
+    _gu_witnesses,
     _is_gu,
     _t_constraints,
     classify_minimality,
@@ -70,15 +70,20 @@ def dfs_is_tbrsc(C):
     return True
 
 
-def _witness_by_cl_T(C):
-    d = C.dim
-    full = C.full_mask
+def _cltt_witness(cl, full, d):
+    """The first pair (X, Y), X a (d+1)-set with cl(X) short of the full set
+    and Y a d-subset of X with cl(Y) != cl(X), or None: the (d+1)-set-first
+    search for a going-up witness. Each d-subset is closed once."""
+    closed = {}
     for X in k_submasks(full, d + 1):
-        cx = cl_T(C, X)
+        cx = cl(X)
         if cx == full:
             continue
         for Y in k_submasks(X, d):
-            if cl_T(C, Y) != cx:
+            cy = closed.get(Y)
+            if cy is None:
+                cy = closed[Y] = cl(Y)
+            if cy != cx:
                 return X, Y
     return None
 
@@ -89,15 +94,19 @@ def neighbour_complex_classify(C):
     d = is_paving(C)
     top = sorted(C.faces_of_size(d + 1))
     full = C.full_mask
-    if _witness_by_cl_T(C) is not None:
+
+    def gu(D):
+        return _cltt_witness(partial(cl_T, D), D.full_mask, D.dim) is not None
+
+    if gu(C):
         if len(top) > 1:
             for X in top:
                 gens = (set(C.facets) - {X}) | set(k_submasks(X, d))
-                if _witness_by_cl_T(Complex(C.n, gens, C.labels)) is not None:
+                if gu(Complex(C.n, gens, C.labels)):
                     return "neither"
         return "mGU"
     for X in k_submasks(full, d + 1):
-        if not C.has(X) and _witness_by_cl_T(Complex(C.n, set(C.facets) | {X}, C.labels)) is None:
+        if not C.has(X) and not gu(Complex(C.n, set(C.facets) | {X}, C.labels)):
             return "neither"
     return "MNGU"
 
@@ -253,6 +262,45 @@ def test_removal_route_matches_rebuilt_constraints_on_random_line_unions():
 @settings(max_examples=150, deadline=None)
 def test_removal_route_matches_rebuilt_constraints(C):
     assert classify_minimality(C) == rebuilt_constraints_classify(C)
+
+
+def _walk_matches_witness_search(C):
+    # the walk yields, each once, exactly the pairs (Y, x) with x outside
+    # cl_T(Y) and cl_T(Y + x) short of V, and has one exactly when the
+    # (d+1)-set-first search finds a witness
+    d, full = C.dim, C.full_mask
+    cl = partial(cl_T, C)
+    walked = [(Y, x) for Y, x, _, _ in _gu_witnesses(cl, full, d)]
+    expect = [
+        (Y, 1 << p)
+        for Y in k_submasks(full, d)
+        for p in bits(full & ~cl(Y))
+        if cl(Y | 1 << p) != full
+    ]
+    assert walked == expect
+    assert bool(walked) == (_cltt_witness(cl, full, d) is not None)
+    return bool(walked)
+
+
+def test_witness_walk_matches_witness_search_on_paving_classes():
+    seen = set()
+    for n in (4, 5, 6):
+        for C in paving2_reps(n):
+            seen.add(_walk_matches_witness_search(C))
+    assert seen == {True, False}
+
+
+def test_witness_walk_matches_witness_search_on_line_unions():
+    for n in range(4, 10):
+        for i in range(2, n):
+            for j in range(i + 1, n):
+                _walk_matches_witness_search(jijn(i, j, n))
+
+
+@given(pavings())
+@settings(max_examples=150, deadline=None)
+def test_witness_walk_matches_witness_search(C):
+    _walk_matches_witness_search(C)
 
 
 def test_removal_route_closure_count(monkeypatch):
@@ -547,6 +595,19 @@ def test_going_up_witness_matches_dimension(C):
     assert rep.verdict == ("GU" if dim_jt > C.dim else "NGU")
     assert (rep.witness is not None) == (dim_jt > C.dim)
     assert _is_gu(C) == (dim_jt > C.dim)
+    if rep.witness is not None:
+        X, Y = rep.witness
+        assert X.bit_count() == C.dim + 1 and Y.bit_count() == C.dim
+        assert Y & ~X == 0
+        assert cl_T(C, Y) != cl_T(C, X) != C.full_mask
+
+
+def test_goes_up_past_the_t_family_cap():
+    # J(T(H)) of a line union on 21 vertices is small, but T(H) is not listed
+    rep = goes_up(jijn(2, 3, 21))
+    assert rep.t_family_size == -1
+    with pytest.raises(CapacityError):
+        t_family(jijn(2, 3, 21))
 
 
 @given(pavings())
