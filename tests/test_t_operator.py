@@ -604,10 +604,10 @@ def test_going_up_witness_matches_dimension(C):
 
 def test_goes_up_past_the_t_family_cap():
     # J(T(H)) of a line union on 21 vertices is small, but T(H) is not listed
-    rep = goes_up(jijn(2, 3, 21))
-    assert rep.t_family_size == -1
+    C = jijn(2, 3, 21)
     with pytest.raises(CapacityError):
-        t_family(jijn(2, 3, 21))
+        t_family(C)
+    assert goes_up(C).t_family_size == -1
 
 
 @given(pavings())
