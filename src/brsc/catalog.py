@@ -354,8 +354,6 @@ def _nfb(n):
     if n < 6:
         raise DomainError("nfb needs n >= 6")
     total = n + 9
-    if total > 22:
-        raise CapacityError("nfb scan needs n + 9 <= 22")
     x = list(range(n + 1))
     y = [x[0], x[n], n + 1, n + 2, n + 3, n + 4, x[1]]
     z = [x[1], x[n], n + 5, n + 6, n + 7, n + 8, x[0]]

@@ -6,11 +6,13 @@ All complex output uses the same JSON shape, with facets sorted by size then
 bitmask, so output can be fed straight back in.
 
 Exit codes: 0 success, 1 a reproduce check failed, 2 bad usage or input,
-3 a capacity or budget limit was hit.
+3 a capacity or budget limit was hit, 141 standard output was closed early
+(128 + SIGPIPE, the code a shell gives a process that signal ends).
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -110,7 +112,7 @@ def cmd_check(args):
     timings = {}
     out["dim"] = C.dim
     # brsc and near_matroid share the cached flat listing; time it on its own,
-    # as null when it is out of range
+    # as null when the faces or the flats pass core.SET_LIMIT
     scan = {}
     _guarded(scan, timings, "flats", lambda: flats(C))
     if scan["flats"] is None:
@@ -412,7 +414,13 @@ def main(argv=None):
     if args.cmd == "catalog" and args.sub == "get" and not args.name:
         ap.error("catalog get needs a name")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,11 @@ class CapacityError(RuntimeError):
     """Instance too large for the implemented algorithms."""
 
 
+# Most sets any family the library lists may hold: faces, closed sets and
+# level-walk sets. Readers look it up here at call time, so one patch moves it.
+SET_LIMIT = 1 << 20
+
+
 def bits(mask):
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -169,11 +174,16 @@ class Complex:
 
     @property
     def faces(self):
-        """The full face family as a frozenset of masks (materialized on first use)."""
+        """The full face family as a frozenset of masks, materialized on first use.
+        Refused past SET_LIMIT faces, at once if one facet has more subsets."""
         if self._faces is None:
+            if 1 << self.dim + 1 > SET_LIMIT:
+                raise CapacityError(f"face family with more than {SET_LIMIT} sets is out of range")
             out = set()
             for f in self.facets:
                 out.update(submasks(f))
+                if len(out) > SET_LIMIT:
+                    raise CapacityError(f"face family with more than {SET_LIMIT} sets is out of range")
             self._faces = frozenset(out)
         return self._faces
 
@@ -392,17 +402,6 @@ def components(W, adj):
     return comps
 
 
-def defect_graph_components(C):
-    """Connected components of the defect graph of a paving dim-1 complex.
-
-    Every vertex of V counts; vertices not covered by a defect edge are
-    singleton components. Returns a list of vertex masks.
-    """
-    if is_paving(C) != 1:
-        raise DomainError("defect graph is defined for paving complexes of dimension 1")
-    return components(C.full_mask, adjacency(C.n, _defect(C, 1).members))
-
-
 # JSON interchange: {"vertices": <int n or label list>, "facets": [[labels...], ...]}
 
 def complex_to_json(C, indent=None):
@@ -448,7 +447,8 @@ def complex_from_json(text):
     n = len(labels)
     if n > 64:
         raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
-    pos = {l: i for i, l in enumerate(labels)}
+    # keyed by (is a boolean, label): true equals 1 in Python, not in JSON
+    pos = {(isinstance(l, bool), l): i for i, l in enumerate(labels)}
     facets = data["facets"]
     if not isinstance(facets, list):
         raise DomainError('"facets" must be a list of facets')
@@ -458,8 +458,11 @@ def complex_from_json(text):
             raise DomainError("each facet must be a list of labels")
         m = 0
         for l in facet:
-            if not isinstance(l, _JSON_LABEL) or l not in pos:
+            i = pos.get((isinstance(l, bool), l)) if isinstance(l, _JSON_LABEL) else None
+            if i is None:
                 raise DomainError(f"facet uses unknown vertex label {l!r}")
-            m |= 1 << pos[l]
+            if m >> i & 1:
+                raise DomainError(f"facet lists vertex label {l!r} twice")
+            m |= 1 << i
         gens.append(m)
     return Complex(n, gens, labels)

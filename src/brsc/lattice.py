@@ -17,8 +17,9 @@ by its members closes by intersection instead (_meet_closure). _closed_sets
 lists the closed sets of either closure by Ganter's NextClosure, one closure
 per candidate, so its cost follows the size of the family rather than 2^n.
 _level_walk lists the maximal members of a subset-closed family level by
-level, each set grown from a set one point smaller, and refuses past SET_LIMIT
-sets, so no function here scans all 2^n subsets. It builds the complex J of
+level, each set grown from a set one point smaller, so no function here scans
+all 2^n subsets. Both refuse past core.SET_LIMIT sets, as Complex.faces does,
+and cap no vertex count. The level walk builds the complex J of
 either closure cl, the sets whose elements can be ordered so that each leaves
 the closure of the earlier ones (_independent_complex, as a cone over the
 coloops of cl, which it never walks), the long hyperplanes of a paving
@@ -37,6 +38,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from math import comb
 
+from . import core
 from .core import (
     CapacityError,
     Complex,
@@ -75,12 +77,7 @@ def moore_close(n, sets):
     for s in base:
         if s & ~full:
             raise DomainError("set uses vertices outside 0..n-1")
-    return _closed_sets(n, partial(_meet_closure, base, full))
-
-
-def is_flat(C, F):
-    """F is a flat: the flat closure fixes it."""
-    return _level_closure(C, C.dim + 2)(F) == F
+    return _closed_sets(n, partial(_meet_closure, base, full), "Moore family")
 
 
 def _extension_map(C, k):
@@ -119,10 +116,10 @@ def _level_closure(C, k):
     return partial(_horn_closure, _extension_constraints(C, k), C.full_mask)
 
 
-def _closed_sets(n, cl):
+def _closed_sets(n, cl, what):
     """Every subset of 0..n-1 closed under the closure cl, by Ganter's
     NextClosure: one closure per candidate, so the cost follows the number
-    of closed sets rather than 2^n.
+    of closed sets rather than 2^n. Refuses past SET_LIMIT of them.
 
     Bit i weighs 2^i, so lectic order is increasing int order. The closed set
     after A is found at the lowest point b outside A whose closure of
@@ -143,6 +140,8 @@ def _closed_sets(n, cl):
             m ^= b
         A = B
         out.append(A)
+        if len(out) > core.SET_LIMIT:
+            raise CapacityError(f"{what} with more than {core.SET_LIMIT} sets is out of range")
     return MooreFamily(n, out, validate=False)
 
 
@@ -196,12 +195,6 @@ def _independent_from(cl, X, memo, placed):
     return res
 
 
-# Most sets the level walk may list, its first level counted. J' may hold
-# SET_LIMIT >> |K| sets, so J(T(H)) of uniform:k=3,n=18, the full simplex on
-# 18 points, costs 19 closures and that of uniform:k=2,n=26 is refused at once.
-SET_LIMIT = 1 << 20
-
-
 def _level_walk(level, grow, what, limit=None):
     """The maximal members of a subset-closed family, listed level by level.
 
@@ -209,10 +202,10 @@ def _level_walk(level, grow, what, limit=None):
     with Y + p in the family, and every member of the next level is such a
     Y + p. Each level is then complete, so a member Y is maximal exactly when
     grow(Y, level) is 0 and no Y + p is on the next level (only the points of
-    its sets are tried). Refuses past limit (SET_LIMIT) sets listed.
+    its sets are tried). Refuses past limit (core.SET_LIMIT) sets listed.
     """
     level = set(level)
-    room = (SET_LIMIT if limit is None else limit) - len(level)
+    room = (core.SET_LIMIT if limit is None else limit) - len(level)
     out = []
     while room >= 0 and level:
         nxt = set()
@@ -234,7 +227,7 @@ def _level_walk(level, grow, what, limit=None):
         room -= len(nxt)
         level = nxt
     if room < 0:
-        raise CapacityError(f"{what} with more than {SET_LIMIT} sets is out of range")
+        raise CapacityError(f"{what} with more than {core.SET_LIMIT} sets is out of range")
     return out
 
 
@@ -260,7 +253,7 @@ def _independent_complex(cl, n, labels=None):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
     rest = full & ~K
-    spanning = _level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", SET_LIMIT >> K.bit_count())
+    spanning = _level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", core.SET_LIMIT >> K.bit_count())
     return Complex(n, [Y | K for Y in spanning], labels)
 
 
@@ -292,9 +285,7 @@ def _first_gap(C, cl):
 @lru_cache(maxsize=2048)
 def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
-    if C.n > 22:
-        raise CapacityError(f"flat listing past 22 vertices (n = {C.n}) is out of range")
-    return _closed_sets(C.n, _level_closure(C, C.dim + 2))
+    return _closed_sets(C.n, _level_closure(C, C.dim + 2), "flat family")
 
 
 def closure(C, X):
@@ -325,8 +316,8 @@ def _long_hyperplanes(C, d):
     C(n, d + 1) bounds the first level, so it is checked against SET_LIMIT
     before the level is listed."""
     n = C.n
-    if comb(n, d + 1) > SET_LIMIT:
-        raise CapacityError(f"facet-free family with more than {SET_LIMIT} sets is out of range")
+    if comb(n, d + 1) > core.SET_LIMIT:
+        raise CapacityError(f"facet-free family with more than {core.SET_LIMIT} sets is out of range")
     fct = C.facets
     # a (d+1)-set holds a facet exactly when it or one of its d-subsets is one
     first = [X for X in k_submasks(C.full_mask, d + 1) if fct.isdisjoint([X, *(X ^ 1 << x for x in bits(X))])]

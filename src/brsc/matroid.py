@@ -217,6 +217,8 @@ def search_matroid_extensions(C, budget=10**8):
     `brsc reproduce extensions` and the tests check that each is a matroid
     whose truncation is C.
     """
+    if budget < 0:
+        raise DomainError("the search budget must be >= 0")
     ok, _ = is_matroid(C)
     if not ok:
         raise DomainError("the extension search starts from a matroid")

@@ -193,7 +193,8 @@ def class_complex(n, edges, graph_class, labels=None):
     The class is hereditary, so these sets form a subset-closed family: the
     lattice level walk lists its maximal members from the empty set, building
     each set once from itself minus its highest vertex. It refuses once the
-    family passes lattice.SET_LIMIT sets."""
+    family passes core.SET_LIMIT sets, as Complex.faces does; with no count
+    first, that happens only after SET_LIMIT sets are listed."""
     adj = adjacency(n, edges)
 
     def grow(Y, level):

@@ -63,9 +63,7 @@ def _t_closure(C):
 
 def t_family(C):
     """All members of T(H), enumerated by NextClosure over cl_T."""
-    if C.n > 20:
-        raise CapacityError(f"T-family listing past 20 vertices (n = {C.n}) is out of range")
-    return _closed_sets(C.n, _t_closure(C))
+    return _closed_sets(C.n, _t_closure(C), "T-family")
 
 
 def truncation_t_family(C, k):
@@ -79,9 +77,7 @@ def truncation_t_family(C, k):
     """
     if k < 1:
         raise DomainError("truncation level must be at least 1")
-    if C.n > 20:
-        raise CapacityError(f"T-family listing past 20 vertices (n = {C.n}) is out of range")
-    return _closed_sets(C.n, _level_closure(C, k))
+    return _closed_sets(C.n, _level_closure(C, k), "T-family")
 
 
 def cl_T(C, X):
@@ -153,7 +149,9 @@ def _gu_witnesses(cl, full, d):
 
 def goes_up(C):
     """Does dim J(T(H)) exceed dim C: the report of dim J(T(H)), the verdict
-    read off it, the witness pair, and |T(H)| (-1 past t_family's cap).
+    read off it, the witness pair, and |T(H)|. Each member of T(H) is the
+    closure of an independent set grown inside it, so |T(H)| <= |J(T(H))|,
+    and T(H) is listed whenever J(T(H)) is within SET_LIMIT.
 
     Only paving complexes qualify: the witness characterization needs
     P_{<=d-1} among the flats. The pair is C's first witness as (Y + x, Y),
@@ -166,12 +164,8 @@ def goes_up(C):
     dim_jt = jt_complex(C).dim
     first = next(_gu_witnesses(_t_closure(C), C.full_mask, C.dim), None)
     witness = None if first is None else (first[0] | first[1], first[0])
-    try:
-        size = len(t_family(C))
-    except CapacityError:
-        size = -1
     verdict = "GU" if dim_jt > C.dim else "NGU"
-    return GoesUpReport(size, dim_jt + 2, dim_jt, verdict, witness)
+    return GoesUpReport(len(t_family(C)), dim_jt + 2, dim_jt, verdict, witness)
 
 
 def _is_gu(C):

@@ -498,6 +498,13 @@ def test_nfb_fails_only_globally():
         named("nfb", n=5)
 
 
+def test_nfb_past_twenty_two_vertices():
+    # no vertex cap: nfb on 23 points is built and its verdict listed
+    F = named("nfb", n=14)
+    assert F.n == 23 and is_paving(F) == 2
+    assert not is_boolean_representable(F)[0]
+
+
 # ------------------------------------------------------------------ cepct
 
 

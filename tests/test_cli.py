@@ -48,13 +48,61 @@ def test_check_report_fields(capsys, tmp_path):
     assert d["dim"] == 2 and d["paving"] == 2
     assert set(d["timings"]) >= {"flats", "brsc", "tbrsc", "matroid", "shellable"}
     assert d["timings"]["flats"] >= 0
-    # past the 22-vertex flat scan the shared entry reads null
+    # 24 vertices are no bar: this complex has 26 faces and two flats
     wide = tmp_path / "wide.json"
     wide.write_text('{"vertices": 24, "facets": [[1, 2]]}')
     code, out, _ = run(capsys, "check", str(wide))
     d = json.loads(out)
+    assert code == 0 and d["brsc"] is False and d["timings"]["flats"] >= 0
+    # one 21-point facet has 2^21 faces, past core.SET_LIMIT: the shared
+    # entry reads null
+    wide.write_text(json.dumps({"vertices": 24, "facets": [list(range(1, 22))]}))
+    code, out, _ = run(capsys, "check", str(wide))
+    d = json.loads(out)
     assert code == 0 and d["brsc"] is None
     assert d["timings"]["flats"] is None
+
+
+# the CLI under a 2 GB address-space limit
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from brsc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_check_past_the_face_limit(tmp_path):
+    # one 32-point facet has 2^32 faces, past core.SET_LIMIT: the face-based
+    # entries read null at once. A fresh process with a bounded address space
+    # runs it, so a build that lists those faces fails rather than filling memory
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vertices": 40, "facets": [list(range(1, 33))]}))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, "check", str(big)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    d = json.loads(proc.stdout)
+    assert d["vertices"] == 40 and d["dim"] == 31
+    for key in ("brsc", "tbrsc", "matroid", "near_matroid", "codim"):
+        assert d[key] is None
+    assert d["timings"]["flats"] is None
+
+
+def test_brcheck_past_twenty_two_vertices(capsys):
+    # 353 flats on 26 vertices: listed, not refused by a vertex count
+    code, out, _ = run(capsys, "brcheck", "uniform:k=3,n=26")
+    assert code == 0 and json.loads(out)["brsc"] is True
+    code, out, _ = run(capsys, "brcheck", "jnmk:n=26,m=6,k=3")
+    d = json.loads(out)
+    assert code == 0 and d["brsc"] is False and d["witness"] == [1, 2]
+    # every subset of the 26 points is in T(U(2,26)): refused at the limit
+    code, out, err = run(capsys, "tfam", "uniform:k=2,n=26")
+    assert code == 3 and out == ""
+    assert err == f"capacity: T-family with more than {1 << 20} sets is out of range\n"
 
 
 def test_j_complex_past_the_face_limit(capsys):
@@ -121,6 +169,37 @@ def test_any_json_input_exits_cleanly(value):
             code = main(["op", "pure", "-"])
     assert code in (0, 2, 3)
     assert (code == 0) == (err.getvalue() == "")
+
+
+@pytest.mark.parametrize(
+    "facets",
+    ["[[true, 2]]", "[[1, 1]]"],
+    ids=["boolean-for-number", "repeated-label"],
+)
+def test_malformed_facet_labels_are_usage_errors(capsys, tmp_path, facets):
+    # true is not the label 1, and a facet names each vertex once
+    p = tmp_path / "bad.json"
+    p.write_text(f'{{"vertices": 3, "facets": {facets}}}')
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == "" and err.startswith("error: facet")
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the pipe's read end is closed before the command starts, so its first
+    # write fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "brsc.cli", "check", "exs"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 def test_unknown_catalog_name(capsys):

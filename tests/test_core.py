@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brsc
+from brsc import core
 from brsc import (
     CapacityError,
     Complex,
@@ -35,7 +36,6 @@ from brsc.core import (
     bits,
     compress,
     decompress,
-    defect_graph_components,
     is_unimodal,
     k_submasks,
     mask_of,
@@ -340,12 +340,39 @@ def test_paving_and_defect():
         defect(C2)
 
 
-def test_defect_graph_components():
-    # n=5, defect edges 12 and 23 form one component; 4 and 5 are isolated
-    gens = set(k_submasks(0b11111, 2)) - {0b00011, 0b00110}
-    C = Complex(5, gens)
-    comps = defect_graph_components(C)
-    assert sorted(comps) == [0b00111, 0b01000, 0b10000]
+def test_faces_refuse_a_facet_past_the_set_limit(monkeypatch):
+    # a facet with more subsets than the limit is refused before any subset
+    # is listed; membership is still answered from the facets
+    listed = []
+
+    def counted(mask):
+        listed.append(mask)
+        return submasks(mask)
+
+    monkeypatch.setattr(core, "submasks", counted)
+    monkeypatch.setattr(core, "SET_LIMIT", 8)
+    assert len(Complex(3, [0b111]).faces) == 8
+    listed.clear()
+    C = Complex(5, [0b01111])
+    with pytest.raises(CapacityError, match="face family with more than 8 sets"):
+        C.faces
+    assert listed == []
+    assert C.has(0b0101) and not C.has(0b10001)
+    # unpatched: one 32-point facet on 40 vertices has 2^32 faces
+    monkeypatch.undo()
+    with pytest.raises(CapacityError, match=f"face family with more than {1 << 20} sets"):
+        Complex(40, [(1 << 32) - 1]).faces
+
+
+def test_faces_refuse_a_union_past_the_set_limit(monkeypatch):
+    # two disjoint triangles: 8 subsets each, 15 faces in all
+    monkeypatch.setattr(core, "SET_LIMIT", 15)
+    assert len(Complex(6, [0b000111, 0b111000]).faces) == 15
+    monkeypatch.setattr(core, "SET_LIMIT", 14)
+    C = Complex(6, [0b000111, 0b111000])
+    with pytest.raises(CapacityError, match="face family with more than 14 sets"):
+        C.faces
+    assert C.dim == 2
 
 
 def test_json_round_trip():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc import lattice
+from brsc import core, lattice
 from brsc.core import (
+    SET_LIMIT,
     CapacityError,
     Complex,
     DomainError,
@@ -25,7 +26,6 @@ from brsc.core import (
 )
 from brsc.lattice import (
     BooleanMatrix,
-    SET_LIMIT,
     MooreFamily,
     closure,
     complex_of_matrix,
@@ -33,12 +33,13 @@ from brsc.lattice import (
     _extension_constraints,
     flats,
     flats_paving,
+    _closed_sets,
     _horn_closure,
     _independent,
     _independent_complex,
+    _level_closure,
     independence_witness,
     is_boolean_representable,
-    is_flat,
     is_independent,
     j_complex,
     long_hyperplane_partition,
@@ -101,11 +102,11 @@ def all_faces_complex(cl, n):
 def level_walk_complex(cl, n, labels=None):
     """Complex of the sets independent for cl, by a level walk over all of
     0..n-1 with no coloop split: one closure per independent set, facets only,
-    refusing once the walk passes lattice.SET_LIMIT faces."""
+    refusing once the walk passes core.SET_LIMIT faces."""
     full = (1 << n) - 1
     facets = []
     level = [0]
-    room = lattice.SET_LIMIT - 1
+    room = core.SET_LIMIT - 1
     while level:
         nxt = set()
         spanning = []
@@ -118,7 +119,7 @@ def level_walk_complex(cl, n, labels=None):
                 nxt.add(Y | b)
                 m ^= b
             if len(nxt) > room:
-                raise CapacityError(f"J-complex with more than {lattice.SET_LIMIT} faces is out of range")
+                raise CapacityError(f"J-complex with more than {core.SET_LIMIT} faces is out of range")
         facets += [Y for Y in spanning if not any(Y | 1 << x in nxt for x in bits(full & ~Y))]
         room -= len(nxt)
         level = nxt
@@ -367,12 +368,15 @@ def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
 @settings(max_examples=150, deadline=None)
 def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
     # a small face limit, so that both routes meet it: each refuses exactly
-    # when J, C joined with `extra` coloops, has more faces than the limit
+    # when J, C joined with `extra` coloops, has more faces than the limit;
+    # D's faces and J's face count are read before the limit is set, as
+    # Complex.faces obeys it too
     D = cone(C, extra)
     cl = partial(cl_T, D)
+    size = len(all_faces_complex(cl, D.n).faces)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "SET_LIMIT", 1 << log_limit)
-        if len(all_faces_complex(cl, D.n).faces) > 1 << log_limit:
+        mp.setattr(core, "SET_LIMIT", 1 << log_limit)
+        if size > 1 << log_limit:
             for build in (_independent_complex, level_walk_complex):
                 with pytest.raises(CapacityError):
                     build(cl, D.n)
@@ -391,7 +395,24 @@ def test_moore_close_matches_frontier_closure(draw):
     assert moore_close(n, sets).members == frontier_moore_close(n, sets)
 
 
-def test_moore_close_and_validation():
+@given(complexes(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_closed_sets_refuse_exactly_past_the_set_limit(C, log_limit):
+    # the flats, T(H) and each T(H_k): NextClosure lists a family whole when
+    # it has at most the limit's members, and refuses it otherwise
+    limit = 1 << log_limit
+    families = [(_level_closure(C, k), scan_closed_sets(C.n, _extension_constraints(C, k))) for k in range(1, C.dim + 3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SET_LIMIT", limit)
+        for cl, want in families:
+            if len(want) > limit:
+                with pytest.raises(CapacityError, match=f"closed family with more than {limit} sets"):
+                    _closed_sets(C.n, cl, "closed family")
+            else:
+                assert set(_closed_sets(C.n, cl, "closed family").members) == want
+
+
+def test_moore_close_and_validation(monkeypatch):
     fam = moore_close(4, [0b0011, 0b0101])
     assert fam.members == frozenset({0b0011, 0b0101, 0b0001, 0b1111})
     assert moore_close(3, []).members == frozenset({0b111})
@@ -402,6 +423,9 @@ def test_moore_close_and_validation():
     MooreFamily(3, [0b011, 0b111])
     with pytest.raises(DomainError):
         MooreFamily(3, [0b011, 0b101, 0b111])  # 0b001 missing
+    monkeypatch.setattr(core, "SET_LIMIT", 3)
+    with pytest.raises(CapacityError, match="Moore family with more than 3 sets"):
+        moore_close(4, [0b0011, 0b0101])
 
 
 def test_flats_of_full_boolean():
@@ -464,22 +488,24 @@ def scan_long_hyperplanes(C):
     return sorted(_antichain(candidates))
 
 
-def test_is_flat_matches_subset_walk_on_every_small_complex():
+def test_flat_closure_fixes_exactly_the_flats_on_every_small_complex():
     seen = 0
     for n in range(1, 6):
         for C in all_complexes(n):
             fl = set(flats(C).members)
+            cl = _level_closure(C, C.dim + 2)
             for F in range(1 << n):
-                assert is_flat(C, F) == subset_walk_is_flat(C, F) == (F in fl)
+                assert (cl(F) == F) == subset_walk_is_flat(C, F) == (F in fl)
             seen += 1
     assert seen == 7020
 
 
 @given(complexes(max_n=8), st.integers(0, 255))
 @settings(max_examples=200, deadline=None)
-def test_is_flat_matches_subset_walk(C, seed):
+def test_flat_closure_fixes_exactly_the_flats(C, seed):
+    cl = _level_closure(C, C.dim + 2)
     for F in (seed & C.full_mask, closure(C, seed & C.full_mask)):
-        assert is_flat(C, F) == subset_walk_is_flat(C, F) == (F in flats(C).members)
+        assert (cl(F) == F) == subset_walk_is_flat(C, F) == (F in flats(C).members)
 
 
 def test_long_hyperplanes_match_scan_on_every_small_complex():
@@ -548,7 +574,7 @@ def test_long_hyperplanes_refuse_exactly_past_the_set_limit(C, log_limit):
     # facet-free family passes the limit
     limit = 1 << log_limit
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "SET_LIMIT", limit)
+        mp.setattr(core, "SET_LIMIT", limit)
         if comb(C.n, C.dim + 1) > limit or facet_free_count(C) > limit:
             with pytest.raises(CapacityError):
                 long_hyperplanes(C)

@@ -387,6 +387,13 @@ def test_budget_exhaustion_is_reported():
     assert out.nodes >= 3
 
 
+def test_negative_budget_is_refused():
+    with pytest.raises(DomainError, match="budget must be >= 0"):
+        search_matroid_extensions(named("sme"), budget=-1)
+    out = search_matroid_extensions(named("sme"), budget=0)
+    assert not out.complete and out.nodes == 0
+
+
 # Parent route of search_matroid_extensions, kept as its oracle.
 _IN, _OUT = 1, 2
 

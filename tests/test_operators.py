@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsc import lattice
+from brsc import core
 from brsc.core import (
     CapacityError,
     Complex,
@@ -394,7 +394,7 @@ def test_class_complex_past_twenty_vertices():
 def test_class_complex_refuses_exactly_past_the_set_limit(graph, graph_class, log_limit):
     n, edges = graph
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "SET_LIMIT", 1 << log_limit)
+        mp.setattr(core, "SET_LIMIT", 1 << log_limit)
         if len(scan_class_sets(n, edges, graph_class)) > 1 << log_limit:
             with pytest.raises(CapacityError):
                 class_complex(n, edges, graph_class)

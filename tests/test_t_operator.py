@@ -342,8 +342,6 @@ def test_dim1_gu_facts_checks_paving_once(monkeypatch):
     C = Complex(6, set(k_submasks((1 << 6) - 1, 2)) - {tri(1, 2), tri(1, 3), tri(4, 5)})
     dim1_gu_facts(C)
     assert len(calls) == 1
-    core.defect_graph_components(C)
-    assert len(calls) == 2
 
 
 def test_t_family_far_example():
@@ -602,12 +600,17 @@ def test_going_up_witness_matches_dimension(C):
         assert cl_T(C, Y) != cl_T(C, X) != C.full_mask
 
 
-def test_goes_up_past_the_t_family_cap():
-    # J(T(H)) of a line union on 21 vertices is small, but T(H) is not listed
+def test_goes_up_past_the_t_family_cap(monkeypatch):
+    # T(H) of a line union on 21 vertices has 27 members. Past a limit below
+    # that it is not listed, and goes_up is refused first by J(T(H)), which
+    # has at least as many faces
     C = jijn(2, 3, 21)
-    with pytest.raises(CapacityError):
+    assert len(t_family(C)) == goes_up(C).t_family_size == 27
+    monkeypatch.setattr(core, "SET_LIMIT", 26)
+    with pytest.raises(CapacityError, match="T-family with more than 26 sets"):
         t_family(C)
-    assert goes_up(C).t_family_size == -1
+    with pytest.raises(CapacityError, match="J-complex with more than"):
+        goes_up(C)
 
 
 @given(pavings())
@@ -615,7 +618,7 @@ def test_goes_up_past_the_t_family_cap():
 def test_longest_t_family_chain_is_dim_jt_plus_two(C):
     fam = t_family(C)
     rep = goes_up(C)
-    assert rep.t_family_size == len(fam)
+    assert rep.t_family_size == len(fam) <= len(jt_complex(C).faces)
     assert longest_chain_members(fam) == jt_complex(C).dim + 2 == rep.max_chain_length
 
 
@@ -718,6 +721,12 @@ def test_dim1_facts():
 
     with pytest.raises(DomainError):
         dim1_gu_facts(Complex(4, set(k_submasks(0b1111, 3))))
+
+
+def test_dim1_gu_facts_components():
+    # n=5, defect edges 12 and 23 form one component; 4 and 5 are isolated
+    C = Complex(5, set(k_submasks(0b11111, 2)) - {0b00011, 0b00110})
+    assert sorted(dim1_gu_facts(C)["components"]) == [0b00111, 0b01000, 0b10000]
 
 
 def test_dim1_facts_match_the_generic_machinery():
