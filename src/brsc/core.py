@@ -168,6 +168,22 @@ class Complex:
         self.labels = labels
         self._faces = None
 
+    @classmethod
+    def _of_antichain(cls, n, facets, labels):
+        """The complex on 0..n-1 whose facets are exactly the masks in the set
+        facets, built with none of the constructor's checks.
+
+        The caller guarantees what the constructor would establish: facets
+        is a nonempty antichain of masks inside 0..n-1 whose union is every
+        vertex, and labels is a tuple already validated for n (the labels of
+        a built complex on n vertices)."""
+        C = object.__new__(cls)
+        C.n = n
+        C.facets = frozenset(facets)
+        C.labels = labels
+        C._faces = None
+        return C
+
     @property
     def full_mask(self):
         return (1 << self.n) - 1

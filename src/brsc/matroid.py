@@ -209,13 +209,17 @@ def search_matroid_extensions(C, budget=10**8):
     assignment costs one node of budget, and exhausting the budget is
     reported on the result, never silently.
 
-    Each extension is the complex whose facets are its chosen sets.  C is a
-    matroid, hence pure, so its facets are its top faces; at a complete
-    assignment the cover clauses put each of them, and so each vertex, inside
-    a chosen (d+2)-set, and the chosen sets, all of one size, are the facets
-    of the union of C with them.  The extensions are not re-verified here:
-    `brsc reproduce extensions` and the tests check that each is a matroid
-    whose truncation is C.
+    Each extension is the complex whose facets are its chosen sets, built by
+    `Complex._of_antichain` with no constructor checks; its precondition
+    holds at every complete assignment.  The chosen sets are distinct
+    (d+2)-subsets of range(n), so they form an antichain inside 0..n-1.  C
+    is a matroid, hence pure, so its facets are its top faces, and the cover
+    clauses put each of them, and so each vertex, inside a chosen set; the
+    chosen sets are thus the facets of the union of C with them.  The labels
+    are C's, validated when C was built.  The extensions are not re-verified
+    here: `brsc reproduce extensions` and the tests check that each is a
+    matroid whose truncation is C, and the tests that each equals the
+    public constructor's complex.
     """
     if budget < 0:
         raise DomainError("the search budget must be >= 0")
@@ -331,6 +335,11 @@ def search_matroid_extensions(C, budget=10**8):
                         queue.append((free, True))
         return IN, OUT
 
+    # a solution's chosen masks are read off IN a byte at a time: table k
+    # maps byte k of IN to the candidates of its bits, each entry made on
+    # first use, so a search with few solutions builds few entries
+    tables = [{} for _ in range(0, M, 8)]
+
     # depth first on an explicit stack of branches (IN, OUT, bit, value), IN
     # before OUT; a recursive nested function would hold these tables in a
     # reference cycle until the cyclic collector runs
@@ -348,12 +357,15 @@ def search_matroid_extensions(C, budget=10**8):
                 branches.append((IN, OUT, bit, False))
                 branches.append((IN, OUT, bit, True))
             else:
-                chosen = []
-                while IN:
-                    bit = IN & -IN
-                    chosen.append(cands[bit.bit_length() - 1])
-                    IN ^= bit
-                solutions.append(Complex(n, chosen, C.labels))
+                chosen = set()
+                for k, table in enumerate(tables):
+                    byte = IN >> 8 * k & 255
+                    if byte:
+                        masks = table.get(byte)
+                        if masks is None:
+                            masks = table[byte] = [cands[8 * k + i] for i in bits(byte)]
+                        chosen.update(masks)
+                solutions.append(Complex._of_antichain(n, chosen, C.labels))
         if not branches:
             return ExtensionSearch(solutions, True, nodes)
         state = assign(*branches.pop())

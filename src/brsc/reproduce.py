@@ -68,6 +68,7 @@ from .matroid import (
     matroid_extension_candidate,
     rho,
     search_matroid_extensions,
+    shelling_certificates,
 )
 from .iso import all_complexes, canonical_complex, graphs_up_to_iso, paving_complexes
 from .catalog import desargues, named, non_desargues
@@ -634,15 +635,23 @@ def crit_rhodes_dowling(check):
 
 def crit_shellability(check):
     rng = random.Random(110)
+    found = []
+
+    def shelling(C):
+        sh = is_shellable(C)
+        if sh is not None:
+            found.append((C, sh))
+        return sh
+
     E = named("exs")
-    check("the two-triangle complex is unshellable", is_shellable(E) is None)
-    check("its up complex is shellable", is_shellable(up(E)) is not None)
+    check("the two-triangle complex is unshellable", shelling(E) is None)
+    check("its up complex is shellable", shelling(up(E)) is not None)
     B = named("boom")
-    check("the consecutive-runs complex is unshellable", is_shellable(B) is None)
-    check("its line complex is shellable", is_shellable(h_star(B)) is not None)
+    check("the consecutive-runs complex is unshellable", shelling(B) is None)
+    check("its line complex is shellable", shelling(h_star(B)) is not None)
     T = named("tracks")
-    check("the five-line complex is shellable", is_shellable(T) is not None)
-    check("its line complex is unshellable", is_shellable(h_star(T)) is None)
+    check("the five-line complex is shellable", shelling(T) is not None)
+    check("its line complex is unshellable", shelling(h_star(T)) is None)
     done = 0
     bad = 0
     pavings = [B, T]
@@ -653,7 +662,9 @@ def crit_shellability(check):
             continue
         done += 1
         pavings.append(C)
-        if is_shellable(h_star(C)) is not None and is_shellable(C) is None:
+        # both searches run, so each shelling of either is replayed below
+        star, own = shelling(h_star(C)), shelling(C)
+        if star is not None and own is None:
             bad += 1
     check(
         "a shellable line complex forces shellability on 200 random representable paving complexes",
@@ -669,6 +680,12 @@ def crit_shellability(check):
     bad = sum(1 for C in pavings if not _top_facets_through_lines(C))
     check(
         "on the same complexes, the top facets are the faces I + p with I a d-subset of a line and p off it",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = sum(1 for C, sh in found if shelling_certificates(C, sh.order) != sh.certificates)
+    check(
+        f"each of the {len(found)} shellings found above, of a complex or its line complex, replays through shelling_certificates",
         bad == 0,
         f"{bad} failures",
     )

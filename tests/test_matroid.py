@@ -587,6 +587,8 @@ def _search_inputs():
     for n in range(1, 7):
         for k in range(1, n + 1):
             out[f"U({k},{n})"] = lambda k=k, n=n: Complex(n, set(k_submasks((1 << n) - 1, k)))
+    # 8389 extensions over 35 candidates, so five bytes of IN to read them from
+    out["U(2,7)"] = lambda: Complex(7, set(k_submasks((1 << 7) - 1, 2)))
     for name, (nv, edges) in FOREST_GRAPHS.items():
         out[f"forest {name}"] = lambda nv=nv, edges=edges: _forest_complex(nv, list(edges))
         for rank in (2, 3):
@@ -601,10 +603,12 @@ SEARCH_INPUTS = _search_inputs()
 
 
 def _same_search(got, want):
+    # want's extensions come from the public constructor, the oracle of the
+    # unchecked one the search builds them with
     assert got.complete == want.complete
     assert got.nodes == want.nodes
-    assert [(E.facets, E.labels) for E in got.extensions] == [
-        (E.facets, E.labels) for E in want.extensions
+    assert [(E.n, E.facets, E.labels) for E in got.extensions] == [
+        (E.n, E.facets, E.labels) for E in want.extensions
     ]
 
 
