@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
 
@@ -320,33 +319,19 @@ def cmd_reproduce(args):
             raise DomainError("--n applies to a single tag")
         params["n"] = args.n
     reports = [rp.run_criterion(t, **params) for t in tags]
-    failed = sum(1 for rep in reports if not rep.ok)
-    over = sum(1 for rep in reports if rep.elapsed > rep.budget)
-    if args.json:
-        emit(
-            {
-                "passed": len(reports) - failed,
-                "criteria": [
-                    {
-                        "tag": rep.tag,
-                        "title": rep.title,
-                        "ok": rep.ok,
-                        "elapsed": rep.elapsed,
-                        "budget": rep.budget,
-                        "checks": [asdict(c) for c in rep.checks],
-                    }
-                    for rep in reports
-                ],
-            }
-        )
-    else:
-        for rep in reports:
-            status = "PASS" if rep.ok else "FAIL"
-            note = "" if rep.elapsed <= rep.budget else f"  OVER BUDGET ({rep.budget:.0f}s)"
-            print(f"{status}  {rep.tag}  {rep.elapsed:.1f}s{note}  {rep.title}")
-            for line in rep.lines():
-                print(line)
-        print(f"{len(reports) - failed}/{len(reports)} criteria passed")
+    failed = over = 0
+    for rep in reports:
+        status = "PASS" if rep.ok else "FAIL"
+        within = rep.elapsed <= rep.budget
+        if not rep.ok:
+            failed += 1
+        if not within:
+            over += 1
+        note = "" if within else f"  OVER BUDGET ({rep.budget:.0f}s)"
+        print(f"{status}  {rep.tag}  {rep.elapsed:.1f}s{note}  {rep.title}")
+        for line in rep.lines():
+            print(line)
+    print(f"{len(reports) - failed}/{len(reports)} criteria passed")
     if failed:
         return 1
     return 3 if over else 0
@@ -420,7 +405,6 @@ def build_parser():
     p.add_argument("tags", nargs="*")
     p.add_argument("--list", action="store_true")
     p.add_argument("--n", type=int, help="vertex count for parameterized tags")
-    p.add_argument("--json", action="store_true", help="print the reports as one JSON document")
     return ap
 
 

@@ -279,40 +279,6 @@ def test_reproduce_parameter_outside_the_domain(capsys):
     assert code == 3 and err.startswith("capacity:")
 
 
-def test_reproduce_json(capsys):
-    code, out, _ = run(capsys, "reproduce", "up", "--json")
-    doc = json.loads(out)
-    assert code == 0 and doc["passed"] == 1
-    (crit,) = doc["criteria"]
-    assert crit["tag"] == "up" and crit["ok"] is True and crit["budget"] == 10
-    assert 0 < crit["elapsed"] <= crit["budget"]
-    assert crit["checks"] and all(
-        set(c) == {"label", "ok", "detail"} and c["ok"] is True for c in crit["checks"]
-    )
-
-
-def test_reproduce_json_keeps_the_exit_codes(capsys):
-    import brsc.reproduce as rp
-
-    def failing(check):
-        check("holds", True)
-        check("fails", False, "1 failure")
-
-    rows = tuple(
-        rp.Row(r.tag, r.title, r.budget, failing) if r.tag == "up" else r for r in rp.REPRODUCE_TABLE
-    )
-    with mock.patch.object(rp, "REPRODUCE_TABLE", rows):
-        code, out, _ = run(capsys, "reproduce", "up", "--json")
-    doc = json.loads(out)
-    assert code == 1 and doc["passed"] == 0 and doc["criteria"][0]["ok"] is False
-    assert doc["criteria"][0]["checks"] == [
-        {"label": "holds", "ok": True, "detail": ""},
-        {"label": "fails", "ok": False, "detail": "1 failure"},
-    ]
-    with mock.patch.object(rp, "REPRODUCE_TABLE", rows):
-        assert run(capsys, "reproduce", "up")[0] == 1
-
-
 def test_op_up_refuses_negative_m(capsys):
     code, out, err = run(capsys, "op", "up", "cfup", "--m", "-2")
     assert code == 2 and out == "" and "m must be >= 0" in err
