@@ -7,8 +7,10 @@ naming so reports stay readable.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
+from . import core
 from .core import (
     CapacityError,
     Complex,
@@ -27,7 +29,7 @@ class GroupTable:
 
     __slots__ = ("order", "table", "identity", "inverse", "names")
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         m = len(table)
         if m == 0 or any(len(row) != m for row in table):
             raise DomainError("multiplication table must be square and nonempty")
@@ -54,19 +56,11 @@ class GroupTable:
                 for c in range(m):
                     if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
                         raise DomainError("multiplication table is not associative")
-        if names is None:
-            names = tuple(
-                "1" if i == identity else f"g{i}" if m > 2 else "g" for i in range(m)
-            )
-        else:
-            names = tuple(str(x) for x in names)
-            if len(names) != m or len(set(names)) != m:
-                raise DomainError("element names must be distinct, one per element")
         self.order = m
         self.table = tab
         self.identity = identity
         self.inverse = tuple(inv)
-        self.names = names
+        self.names = tuple("1" if i == identity else f"g{i}" if m > 2 else "g" for i in range(m))
 
     @classmethod
     def cyclic(cls, m):
@@ -237,21 +231,16 @@ def rhodes_reduced(G, n):
     )
 
 
-def dowling(G, n, loop_label=None):
+def dowling(G, n):
     """Faces: atom sets whose components are trees or unicyclic (loops count
     as cycle edges), every cycle label-nontrivial.
 
-    loop_label picks the non-identity element shown in loop names; it never
-    affects the face family.
+    Loop names show the first non-identity element, as notation only.
     """
     if G.order < 2:
         raise DomainError("the group must be nontrivial")
     if n < 2:
         raise DomainError("need n >= 2")
-    if loop_label is None:
-        loop_label = next(x for x in range(G.order) if x != G.identity)
-    elif loop_label == G.identity or not 0 <= loop_label < G.order:
-        raise DomainError("loop_label must be a non-identity element index")
     loops = [SPCAtom.loop(i) for i in range(1, n + 1)]
     edges = [
         SPCAtom.edge(G, i, g, j)
@@ -259,7 +248,7 @@ def dowling(G, n, loop_label=None):
         for g in range(G.order)
     ]
     atoms = loops + edges
-    y = G.name(loop_label)
+    y = G.name(next(x for x in range(G.order) if x != G.identity))
     labels = [a.display(G, y) for a in atoms]
     return _group_complex(
         G, n, atoms, lambda sel: _forest_like(G, sel, True, None), labels
@@ -294,12 +283,16 @@ def non_desargues():
 def _uniform(k, n):
     if not 1 <= k <= n:
         raise DomainError("uniform needs 1 <= k <= n")
+    if comb(n, k) > core.SET_LIMIT:
+        raise CapacityError(f"uniform complex with more than {core.SET_LIMIT} facets is out of range")
     return Complex(n, set(k_submasks((1 << n) - 1, k)))
 
 
 def _jnmk(n, m, k):
     if not n >= m >= k >= 1:
         raise DomainError("jnmk needs n >= m >= k >= 1")
+    if comb(m, k) > core.SET_LIMIT:
+        raise CapacityError(f"jnmk complex with more than {core.SET_LIMIT} facets is out of range")
     gens = {mask_of(c) for c in combinations(range(m), k)}
     return Complex(n, gens)
 

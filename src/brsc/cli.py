@@ -22,6 +22,7 @@ from .core import (
     Complex,
     DomainError,
     complex_from_json,
+    complex_to_dict,
     complex_to_json,
     contraction,
     is_paving,
@@ -241,7 +242,7 @@ def cmd_matroid(args):
         cand, verdict = matroid_extension_candidate(C)
         out = {"id": args.input, "verdict": verdict}
         if verdict != "no_extension":
-            out["candidate"] = json.loads(complex_to_json(cand))
+            out["candidate"] = complex_to_dict(cand)
         emit(out)
     elif args.sub == "search":
         res = search_matroid_extensions(C, budget=args.budget)
@@ -250,7 +251,7 @@ def cmd_matroid(args):
                 "id": args.input,
                 "complete": res.complete,
                 "nodes": res.nodes,
-                "extensions": [json.loads(complex_to_json(E)) for E in res.extensions],
+                "extensions": [complex_to_dict(E) for E in res.extensions],
             }
         )
     elif args.sub == "shelling":
@@ -313,12 +314,7 @@ def cmd_reproduce(args):
         print(f"unknown tags: {', '.join(unknown)}", file=sys.stderr)
         print("available: " + ", ".join(rp.available_tags()), file=sys.stderr)
         return 2
-    params = {}
-    if args.n is not None:
-        if len(tags) != 1:
-            raise DomainError("--n applies to a single tag")
-        params["n"] = args.n
-    reports = [rp.run_criterion(t, **params) for t in tags]
+    reports = [rp.run_criterion(t) for t in tags]
     failed = over = 0
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
@@ -404,7 +400,6 @@ def build_parser():
     p = add("reproduce", cmd_reproduce, help="rerun the tagged result reproductions")
     p.add_argument("tags", nargs="*")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--n", type=int, help="vertex count for parameterized tags")
     return ap
 
 

@@ -72,20 +72,6 @@ def compress(mask, universe):
     return out
 
 
-def decompress(mask, universe):
-    """Inverse of compress: spread low bits of mask onto universe's bit positions."""
-    out = 0
-    pos = 0
-    u = universe
-    while u:
-        b = u & -u
-        if mask & (1 << pos):
-            out |= b
-        pos += 1
-        u ^= b
-    return out
-
-
 class SetFamily:
     """A family of subsets of 0..n-1, stored as a frozenset of masks."""
 
@@ -215,15 +201,6 @@ class Complex:
 
     def faces_of_size(self, k):
         return [x for x in self.faces if x.bit_count() == k]
-
-    def label_of(self, index):
-        return self.labels[index]
-
-    def index_of(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DomainError(f"unknown vertex label {label!r}") from None
 
     def face_labels(self, mask):
         return [self.labels[i] for i in bits(mask)]
@@ -374,11 +351,6 @@ def defect(C):
     d = is_paving(C)
     if d is None:
         raise DomainError("defect is defined for paving complexes")
-    return _defect(C, d)
-
-
-def _defect(C, d):
-    """Non-faces of size d + 1 of C, paving of dimension d (unchecked)."""
     faces = C.faces
     return SetFamily(C.n, [X for X in k_submasks(C.full_mask, d + 1) if X not in faces])
 
@@ -420,14 +392,18 @@ def components(W, adj):
 
 # JSON interchange: {"vertices": <int n or label list>, "facets": [[labels...], ...]}
 
-def complex_to_json(C, indent=None):
-    import json
-
+def complex_to_dict(C):
+    """The JSON interchange object of C, facets sorted by size then mask."""
     default_labels = tuple(range(1, C.n + 1))
     vertices = C.n if C.labels == default_labels else list(C.labels)
     fct = sorted(C.facets, key=lambda m: (m.bit_count(), m))
-    facets = [C.face_labels(f) for f in fct]
-    return json.dumps({"vertices": vertices, "facets": facets}, indent=indent)
+    return {"vertices": vertices, "facets": [C.face_labels(f) for f in fct]}
+
+
+def complex_to_json(C, indent=None):
+    import json
+
+    return json.dumps(complex_to_dict(C), indent=indent)
 
 
 # JSON scalars usable as vertex labels (bool is an int subclass)

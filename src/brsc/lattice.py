@@ -172,29 +172,6 @@ def _meet_closure(sets, full, X):
     return out
 
 
-def _independent(cl, X):
-    """An order of X's elements in which each leaves the closure cl of the
-    earlier ones, or None when there is none (memoised search over prefixes)."""
-    return _independent_from(cl, X, {}, 0)
-
-
-def _independent_from(cl, X, memo, placed):
-    """An order of X - placed extending the prefix placed, or None; memo maps
-    the prefixes already searched to their answers."""
-    if placed == X:
-        return []
-    if placed in memo:
-        return memo[placed]
-    res = None
-    for x in bits(X & ~placed & ~cl(placed)):
-        rest = _independent_from(cl, X, memo, placed | (1 << x))
-        if rest is not None:
-            res = [x] + rest
-            break
-    memo[placed] = res
-    return res
-
-
 def _level_walk(level, grow, what, limit=None):
     """The maximal members of a subset-closed family, listed level by level.
 
@@ -301,11 +278,6 @@ def _paving_dimension(C, what):
     return d
 
 
-def long_hyperplanes(C):
-    """Maximal sets of size > dim containing no facet (paving, dim >= 2 only)."""
-    return _long_hyperplanes(C, _paving_dimension(C, "long_hyperplanes"))
-
-
 def _long_hyperplanes(C, d):
     """The long hyperplanes of C, paving of dimension d >= 2.
 
@@ -391,9 +363,6 @@ class BooleanMatrix:
         full = (1 << self.n) - 1
         return tuple(full & ~r for r in self.rows)
 
-    def entry(self, i, j):
-        return self.rows[i] >> j & 1
-
     def __eq__(self, other):
         return (
             isinstance(other, BooleanMatrix)
@@ -426,27 +395,6 @@ def _column_closure(M):
     return partial(_meet_closure, M.zero_sets, (1 << M.n) - 1)
 
 
-def is_independent(M, X):
-    """X is independent: its columns can be ordered so each leaves the closure
-    of the previous ones (equivalently, some row witnesses each step)."""
-    return _independent(_column_closure(M), X) is not None
-
-
-def independence_witness(M, X):
-    """Column order plus row indices forming a lower unitriangular submatrix,
-    or None when X is dependent."""
-    order = _independent(_column_closure(M), X)
-    if order is None:
-        return None
-    zs = M.zero_sets
-    rows = []
-    placed = 0
-    for x in order:
-        rows.append(next(i for i, z in enumerate(zs) if placed & ~z == 0 and not z >> x & 1))
-        placed |= 1 << x
-    return order, rows
-
-
 def complex_of_matrix(M, labels=None):
     """Complex of all independent column sets of M."""
     cl = _column_closure(M)
@@ -460,7 +408,7 @@ def j_complex(family, labels=None):
     return complex_of_matrix(matrix_of(family), labels)
 
 
-def transversal_complex(family, labels=None):
+def transversal_complex(family):
     """Complex of partial transversals, walking chains of the family directly.
 
     A set belongs iff some chain of members picks up its elements one per
@@ -493,7 +441,7 @@ def transversal_complex(family, labels=None):
                     nxt.add(X)
         faces |= nxt
         level = list(nxt)
-    return Complex(n, faces, labels)
+    return Complex(n, faces)
 
 
 def _chain_from(members, memo, F, rem):
@@ -525,19 +473,3 @@ def is_boolean_representable(C):
     """
     gap = _first_gap(C, flats(C).closure)
     return gap is None, gap
-
-
-def tess_core(C):
-    """Low flats of a paving complex and their transversal complex.
-
-    The family keeps the flats of size <= dim plus V; the returned complex is
-    its complex of partial transversals, a subcomplex of C.
-    """
-    d = is_paving(C)
-    if d is None:
-        raise DomainError("tess_core requires a paving complex")
-    fl = flats(C)
-    keep = {F for F in fl.members if F.bit_count() <= d}
-    keep.add(C.full_mask)
-    fam = MooreFamily(C.n, keep, validate=False)
-    return fam, j_complex(fam, C.labels)

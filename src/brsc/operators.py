@@ -1,6 +1,10 @@
 """Up operator, one-point constructions, and graph-derived complexes."""
 
+from math import comb
+
+from . import core
 from .core import (
+    CapacityError,
     Complex,
     DomainError,
     SetFamily,
@@ -53,27 +57,28 @@ def up_iter_paving(C, m):
     return Complex(C.n, gens, C.labels)
 
 
-def _fresh_label(C, label):
-    if label is None:
-        ints = [l for l in C.labels if isinstance(l, int)]
-        label = (max(ints) + 1) if len(ints) == C.n else f"p{C.n}"
+def _fresh_label(C):
+    """The new point's label: one past the largest when every label is an
+    int, else "p<n>"."""
+    ints = [l for l in C.labels if isinstance(l, int)]
+    label = (max(ints) + 1) if len(ints) == C.n else f"p{C.n}"
     if label in C.labels:
         raise DomainError(f"label {label!r} already used")
     return label
 
 
-def plus_point(C, label=None):
-    """Add an isolated point: faces unchanged."""
-    label = _fresh_label(C, label)
-    return Complex(C.n + 1, C.facets, C.labels + (label,))
+def plus_point(C):
+    """Add an isolated point: faces unchanged. Taking up and contracting the
+    point gives C back; `brsc reproduce up` and the tests check that."""
+    return Complex(C.n + 1, C.facets, C.labels + (_fresh_label(C),))
 
 
-def oplus_point(C, label=None):
-    """Cone: every face may pick up the new point."""
-    label = _fresh_label(C, label)
+def oplus_point(C):
+    """Cone: every face may pick up the new point. Its flats are C's, with
+    and without the point; `brsc reproduce up` and the tests check that."""
     p = 1 << C.n
     gens = {f | p for f in C.facets}
-    return Complex(C.n + 1, gens, C.labels + (label,))
+    return Complex(C.n + 1, gens, C.labels + (_fresh_label(C),))
 
 
 def family_boxplus(fam):
@@ -86,32 +91,38 @@ def family_boxplus(fam):
     return MooreFamily(fam.n + 1, members, validate=False)
 
 
-def boxplus_point(C, label=None):
+def boxplus_point(C):
     """Transversal complex of the flats with V inflated by a new point.
 
     Its faces are the old faces, the new point alone or with one old vertex,
-    and I plus the new point whenever the closure of I is proper; the tests
-    compare the two descriptions.
+    and I plus the new point whenever the closure of I is proper; `brsc
+    reproduce up` and the tests compare the two descriptions.
     """
-    label = _fresh_label(C, label)
+    label = _fresh_label(C)
     ok, _ = is_boolean_representable(C)
     if not ok:
         raise DomainError("boxplus_point requires a boolean representable complex")
     return j_complex(family_boxplus(flats(C)), C.labels + (label,))
 
 
-def b_d(n, L, d, labels=None):
-    """Everything of size <= d, plus the (d+1)-sets meeting L in d points."""
+def b_d(n, L, d):
+    """Everything of size <= d, plus the (d+1)-sets meeting L in d points.
+
+    Those (d+1)-sets are a d-subset of L plus one point outside it, so the
+    C(n, d) + C(|L|, d) * (n - |L|) generating sets are counted, and refused
+    past core.SET_LIMIT, before any is listed."""
     full = (1 << n) - 1
     if L & ~full:
         raise DomainError("L uses vertices outside 0..n-1")
     if not 2 <= d <= L.bit_count() or L == full:
         raise DomainError("b_d requires 2 <= d <= |L| < |V|")
+    outside = full & ~L
+    if comb(n, d) + comb(L.bit_count(), d) * outside.bit_count() > core.SET_LIMIT:
+        raise CapacityError(f"b_d family with more than {core.SET_LIMIT} sets is out of range")
     gens = set(k_submasks(full, d))
-    for X in k_submasks(full, d + 1):
-        if (X & L).bit_count() == d:
-            gens.add(X)
-    return Complex(n, gens, labels)
+    for I in k_submasks(L, d):
+        gens.update(I | 1 << p for p in bits(outside))
+    return Complex(n, gens)
 
 
 def graph_complex(n, edges, labels=None):
@@ -126,7 +137,9 @@ def is_graphic_boolean(C):
     """Whether H is the up of a graph; returns (ok, edge family).
 
     The only candidate edge set is the pairs all of whose one-point
-    extensions are faces.
+    extensions are faces. The up of a graph is recognised, with an edge set
+    whose up is the same complex; `brsc reproduce up` and the tests check
+    that.
     """
     full = C.full_mask
     edges = {e for e, g in _extension_map(C, 3).items() if e.bit_count() == 2 and g == full & ~e}
@@ -187,7 +200,7 @@ def _has_short_cycle(W, adj, bound):
     return False
 
 
-def class_complex(n, edges, graph_class, labels=None):
+def class_complex(n, edges, graph_class):
     """Faces are the vertex sets whose induced subgraph lies in the class.
 
     The class is hereditary, so these sets form a subset-closed family: the
@@ -204,10 +217,4 @@ def class_complex(n, edges, graph_class, labels=None):
                 m |= 1 << v
         return m
 
-    return Complex(n, _level_walk([0], grow, "class complex"), labels)
-
-
-def anticliques_of_size(n, edges, k):
-    """All k-subsets inducing no edge."""
-    adj = adjacency(n, edges)
-    return [X for X in k_submasks((1 << n) - 1, k) if all(adj[v] & X == 0 for v in bits(X))]
+    return Complex(n, _level_walk([0], grow, "class complex"))

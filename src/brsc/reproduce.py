@@ -16,6 +16,7 @@ from .core import (
     Complex,
     DomainError,
     alpha_vector,
+    contraction,
     counting_function,
     is_paving,
     is_unimodal,
@@ -38,7 +39,17 @@ from .lattice import (
     moore_close,
     transversal_complex,
 )
-from .operators import b_d, up, up_iter, up_iter_paving
+from .operators import (
+    b_d,
+    boxplus_point,
+    graph_complex,
+    is_graphic_boolean,
+    oplus_point,
+    plus_point,
+    up,
+    up_iter,
+    up_iter_paving,
+)
 from .t_operator import (
     _is_gu,
     classify_minimality,
@@ -69,6 +80,7 @@ from .matroid import (
     rho,
     search_matroid_extensions,
     shelling_certificates,
+    truncation_is_brsc_for_near_matroid,
 )
 from .iso import all_complexes, canonical_complex, graphs_up_to_iso, paving_complexes
 from .catalog import desargues, named, non_desargues
@@ -253,9 +265,9 @@ def crit_up(check):
         "flats of the up complex of the four-point example are the low sets plus V",
         set(flats(up(C)).members) == want,
     )
+    drawn = [random_complex(rng, 7) for _ in range(1000)]
     bad = 0
-    for _ in range(1000):
-        D = random_complex(rng, 7)
+    for D in drawn:
         fam = SetFamily(D.n, set(D.faces) | {D.full_mask})
         if up(D) != j_complex(fam):
             bad += 1
@@ -279,6 +291,53 @@ def crit_up(check):
     check(
         "iterated up closed form matches the iterated definition on random paving complexes",
         bad == 0,
+    )
+    bad = sum(1 for D in drawn if contraction(up(plus_point(D)), 1 << D.n) != D)
+    check(
+        "adding an isolated point p, taking up and contracting p gives each of the 1000 complexes back",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = 0
+    for D in drawn:
+        old = flats(D).members
+        if set(flats(oplus_point(D)).members) != old | {F | 1 << D.n for F in old}:
+            bad += 1
+    check(
+        "the flats of the cone over each of them are its flats, with and without the apex",
+        bad == 0,
+        f"{bad} failures",
+    )
+    bad = done = 0
+    for D in drawn:
+        if not is_boolean_representable(D)[0]:
+            continue
+        done += 1
+        cl = flats(D).closure
+        p = 1 << D.n
+        want = set(D.faces) | {p} | {1 << v | p for v in range(D.n)}
+        want |= {I | p for I in D.faces if cl(I) != D.full_mask}
+        if boxplus_point(D).faces != want:
+            bad += 1
+    check(
+        f"on the {done} representable ones, the faces of the boxplus are the old faces, p alone, "
+        "p with one old vertex, and I + p whenever cl(I) is not V",
+        bad == 0,
+        f"{bad} failures",
+    )
+    graphs = random.Random(113)
+    bad = 0
+    for _ in range(300):
+        n = graphs.randint(2, 7)
+        edges = {e for e in k_submasks((1 << n) - 1, 2) if graphs.random() < 0.5}
+        U = up(graph_complex(n, edges))
+        ok, found = is_graphic_boolean(U)
+        if not ok or up(graph_complex(n, found.members)) != U:
+            bad += 1
+    check(
+        "the up of each of 300 random graphs on 2-7 vertices is recognised as graphic, with an edge set whose up is the same complex",
+        bad == 0,
+        f"{bad} failures",
     )
 
 
@@ -476,6 +535,13 @@ def crit_pure_conjecture(check):
     bad = sum(1 for D in near if not _rho_is_graded(D))
     check(
         f"rho is total on the proper flats and strictly increasing along flat chains on the {len(near)} near-matroids among them",
+        bad == 0,
+        f"{bad} failures",
+    )
+    pairs = [(D, k) for D in near for k in range(1, D.dim + 2)]
+    bad = sum(1 for D, k in pairs if not truncation_is_brsc_for_near_matroid(D, k))
+    check(
+        f"on the same near-matroids, the rho-calibrated flat families represent H_k and pure(H_k) at all {len(pairs)} pairs with k <= dim + 1",
         bad == 0,
         f"{bad} failures",
     )
@@ -930,7 +996,6 @@ class Row:
     budget: float
     fn: object
     acceptance: bool = True
-    params: tuple = ()
 
 
 REPRODUCE_TABLE = (
@@ -948,7 +1013,7 @@ REPRODUCE_TABLE = (
     Row("oracles", "Cross-module oracle agreement", 120, crit_oracles),
     Row("rota-cex", "The two non-unimodal examples alone", 30, crit_rota_cex, acceptance=False),
     Row("mngu6", "The ten six-point minimal-non-going-up classes alone", 120, crit_mngu6, acceptance=False),
-    Row("computemgu", "Count of minimal going-up classes for one n", 120, crit_computemgu, acceptance=False, params=("n",)),
+    Row("computemgu", "Count of minimal going-up classes on 7 vertices", 120, crit_computemgu, acceptance=False),
 )
 
 
@@ -960,14 +1025,11 @@ def available_tags():
     return tuple(r.tag for r in REPRODUCE_TABLE)
 
 
-def run_criterion(tag, **params):
+def run_criterion(tag):
     """Run one tagged criterion; returns its CriterionReport."""
     row = next((r for r in REPRODUCE_TABLE if r.tag == tag), None)
     if row is None:
         raise DomainError(f"unknown criterion {tag!r}")
-    for name in params:
-        if name not in row.params:
-            raise DomainError(f"criterion {tag!r} takes no parameter {name!r}")
     rep = CriterionReport(tag=row.tag, title=row.title, budget=row.budget)
 
     def check(label, ok, detail=""):
@@ -975,6 +1037,6 @@ def run_criterion(tag, **params):
         return bool(ok)
 
     t0 = perf_counter()
-    row.fn(check, **params)
+    row.fn(check)
     rep.elapsed = perf_counter() - t0
     return rep

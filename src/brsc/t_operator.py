@@ -28,10 +28,10 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
-    _defect,
     adjacency,
     bits,
     components,
+    defect,
     is_paving,
     k_submasks,
     union,
@@ -248,9 +248,9 @@ def dim1_gu_facts(C):
     three components, each a clique. `brsc reproduce going-up` and the tests
     compare these answers with _is_gu and classify_minimality.
     """
-    if is_paving(C) != 1:
+    if C.dim != 1:
         raise DomainError("dim1_gu_facts requires a paving complex of dimension 1")
-    edges = _defect(C, 1).members
+    edges = defect(C).members
     adj = adjacency(C.n, edges)
     comps = components(C.full_mask, adj)
     acyclic = len(edges) == C.n - len(comps)
@@ -281,13 +281,11 @@ def paving2_reps(n):
             yield C
 
 
-def enumerate_mngu(n, d=2):
+def enumerate_mngu(n):
     """Canonical MNGU(2) representatives on n vertices, by exhaustive scan
     over triple-pattern orbits."""
     from .iso import canonical_complex
 
-    if d != 2:
-        raise DomainError("only d = 2 is classified")
     out = []
     for C in paving2_reps(n):
         if classify_minimality(C) == "MNGU":
@@ -295,7 +293,7 @@ def enumerate_mngu(n, d=2):
     return out
 
 
-def enumerate_mgu(n, d=2):
+def enumerate_mgu(n):
     """mGU(2) representatives on n vertices: the two-line complexes J(i,j,n),
     one per valid line-size pair from `mgu_pairs`.
 
@@ -305,8 +303,6 @@ def enumerate_mgu(n, d=2):
     (n^2-9n+22)/2 of them, and, for small n, that an exhaustive scan of the
     paving classes finds no others.
     """
-    if d != 2:
-        raise DomainError("only d = 2 is classified")
     if n < 4:
         raise DomainError("mGU(2) needs n >= 4")
     if n > 9:

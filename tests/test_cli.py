@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from brsc.catalog import catalog_names, named
 from brsc.cli import main
 from brsc.core import complex_from_json, complex_to_json
+from brsc.matroid import search_matroid_extensions
+from brsc.t_operator import jt_complex
 
 # one valid parameter set per parameterized entry
 PARAMS = {
@@ -263,20 +265,40 @@ def test_reproduce_single_tag(capsys):
     assert "PASS  rota-cex" in out and "1/1 criteria passed" in out
 
 
-def test_reproduce_parameterized(capsys):
-    code, out, _ = run(capsys, "reproduce", "computemgu", "--n", "5")
-    assert code == 0 and "count 1" in out
+def test_reproduce_computemgu_at_seven_vertices(capsys):
+    code, out, _ = run(capsys, "reproduce", "computemgu")
+    assert code == 0 and "count 4" in out and "1/1 criteria passed" in out
 
 
-def test_reproduce_parameter_outside_the_domain(capsys):
-    # a tag without parameters, and mGU(2) below four vertices, are usage
-    # errors; past nine vertices the enumeration is a capacity limit
-    code, out, err = run(capsys, "reproduce", "up", "--n", "5")
-    assert code == 2 and "takes no parameter 'n'" in err and out == ""
-    code, _, err = run(capsys, "reproduce", "computemgu", "--n", "3")
-    assert code == 2 and err.startswith("error:")
-    code, _, err = run(capsys, "reproduce", "computemgu", "--n", "10")
-    assert code == 3 and err.startswith("capacity:")
+def test_matroid_search_and_extend_print_the_library_complexes(capsys):
+    code, out, _ = run(capsys, "matroid", "search", "sme")
+    got = json.loads(out)
+    want = search_matroid_extensions(named("sme")).extensions
+    assert code == 0 and got["complete"] and len(got["extensions"]) == 7
+    assert got["extensions"] == [json.loads(complex_to_json(E)) for E in want]
+    code, out, _ = run(capsys, "matroid", "extend", "desargues")
+    got = json.loads(out)
+    JT = jt_complex(named("desargues"))
+    assert code == 0 and got["verdict"] == "unique_extension" and len(JT.facets) == 125
+    assert got["candidate"] == json.loads(complex_to_json(JT))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "get", "uniform:k=8,n=26"),
+        ("catalog", "get", "uniform:k=10,n=30"),
+        ("catalog", "get", "jnmk:n=40,m=30,k=10"),
+        ("op", "bd", "--n", "40", "--line", ",".join(map(str, range(1, 21))), "--d", "20"),
+    ],
+    ids=["uniform:k=8,n=26", "uniform:k=10,n=30", "jnmk:n=40,m=30,k=10", "bd:n=40,d=20"],
+)
+def test_oversized_facet_families_are_refused_before_listing(capsys, argv):
+    # each has more than SET_LIMIT facets; listing them took 27 s and more
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    assert time.perf_counter() - t0 < 1
 
 
 def test_op_up_refuses_negative_m(capsys):

@@ -35,23 +35,20 @@ from brsc.lattice import (
     flats_paving,
     _closed_sets,
     _horn_closure,
-    _independent,
     _independent_complex,
     _level_closure,
-    independence_witness,
+    _long_hyperplanes,
     is_boolean_representable,
-    is_independent,
     j_complex,
     long_hyperplane_partition,
-    long_hyperplanes,
     matrix_of,
     moore_close,
-    tess_core,
     transversal_complex,
 )
 from brsc.iso import all_complexes
 from brsc.operators import b_d
 from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
+from independence_oracle import independent_order
 
 
 def scan_closed_sets(n, cons):
@@ -199,11 +196,11 @@ def per_face_boolean_representable(C):
     """(ok, witness) by a memoised independence search over the flat closure,
     first on every facet, then on each face by size and mask until one fails."""
     cl = flats(C).closure
-    if all(_independent(cl, f) is not None for f in C.facets):
+    if all(independent_order(cl, f) is not None for f in C.facets):
         return True, None
     for k in range(2, C.dim + 2):
         for X in sorted(C.faces_of_size(k)):
-            if _independent(cl, X) is None:
+            if independent_order(cl, X) is None:
                 return False, X
     raise AssertionError("a facet failed but no face did")
 
@@ -515,7 +512,7 @@ def test_long_hyperplanes_match_scan_on_every_small_complex():
             d = is_paving(C)
             if d is None or d < 2:
                 continue
-            assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+            assert _long_hyperplanes(C, d) == scan_long_hyperplanes(C)
             assert flats_paving(C) == flats(C)
             seen += 1
     # the paving complexes of dimension >= 2 among the 7020
@@ -535,7 +532,7 @@ def paving_complexes(draw, max_n=9):
 @given(paving_complexes())
 @settings(max_examples=120, deadline=None)
 def test_long_hyperplanes_match_scan(C):
-    assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+    assert _long_hyperplanes(C, C.dim) == scan_long_hyperplanes(C)
     assert flats_paving(C) == flats(C)
 
 
@@ -545,7 +542,7 @@ def test_long_hyperplanes_match_scan(C):
     ids=["nfb:n=9", "paving:n=20"],
 )
 def test_long_hyperplanes_match_scan_on_wide_complexes(C):
-    assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+    assert _long_hyperplanes(C, C.dim) == scan_long_hyperplanes(C)
     assert flats_paving(C) == flats(C)
 
 
@@ -555,7 +552,7 @@ def test_long_hyperplanes_past_twenty_vertices():
     # facet-free exactly when it lies in L
     L = (1 << 12) - 1
     C = b_d(24, L, 2)
-    assert long_hyperplanes(C) == [L]
+    assert _long_hyperplanes(C, 2) == [L]
     assert long_hyperplane_partition(C)[0].members == {L}
 
 
@@ -577,9 +574,9 @@ def test_long_hyperplanes_refuse_exactly_past_the_set_limit(C, log_limit):
         mp.setattr(core, "SET_LIMIT", limit)
         if comb(C.n, C.dim + 1) > limit or facet_free_count(C) > limit:
             with pytest.raises(CapacityError):
-                long_hyperplanes(C)
+                _long_hyperplanes(C, C.dim)
         else:
-            assert long_hyperplanes(C) == scan_long_hyperplanes(C)
+            assert _long_hyperplanes(C, C.dim) == scan_long_hyperplanes(C)
 
 
 def test_long_hyperplane_partition_example():
@@ -594,13 +591,12 @@ def test_long_hyperplane_partition_example():
     assert set(l1.members) == {mask_of((1, 2, 3))}
     assert set(l2.members) == {mask_of((3, 4, 5))}
     assert set(l3.members) == {mask_of((7, 8, 9)), mask_of((8, 9, 0))}
-    assert set(long_hyperplanes(C)) == set(l1.members) | set(l2.members) | set(l3.members)
+    assert set(_long_hyperplanes(C, 2)) == set(l1.members) | set(l2.members) | set(l3.members)
     assert set(flats_paving(C).members) == set(flats(C).members)
 
 
 def test_matrix_basics():
     M = BooleanMatrix(3, [0b110, 0b001])
-    assert M.entry(0, 1) == 1 and M.entry(0, 0) == 0
     assert M.zero_sets == (0b001, 0b110)
     fam = MooreFamily(3, [0b000, 0b011, 0b111])
     Mf = matrix_of(fam)
@@ -611,18 +607,19 @@ def test_independence_and_witness():
     # rows 0: zeros {0,1}; row 1: zeros {2}
     fam = moore_close(3, [0b011, 0b100, 0])
     M = matrix_of(fam)
-    assert is_independent(M, 0b101)
-    order, rows = independence_witness(M, 0b101)
+    assert complex_of_matrix(M).has(0b101)
+    order = independent_order(_column_closure(M), 0b101)
     assert len(order) == 2
-    # check the lower unitriangular shape directly
-    for i, (x, r) in enumerate(zip(order, rows)):
-        assert M.entry(r, x) == 1
-        for j in range(i):
-            assert M.entry(r, order[j]) == 0
-    # a singleton on an all-zero column is dependent
+    # a lower unitriangular witness: each column of the order has a row
+    # that is 1 on it and 0 on the columns before it
+    for i, x in enumerate(order):
+        assert any(r >> x & 1 and not any(r >> y & 1 for y in order[:i]) for r in M.rows)
+    # a singleton on an all-zero column is dependent, so no complex of the
+    # matrix holds every vertex
     M2 = BooleanMatrix(2, [0b10, 0b10])
-    assert not is_independent(M2, 0b01)
-    assert independence_witness(M2, 0b01) is None
+    assert independent_order(_column_closure(M2), 0b01) is None
+    with pytest.raises(DomainError):
+        complex_of_matrix(M2)
 
 
 @given(moore_families())
@@ -637,7 +634,7 @@ def test_membership_iff_independent(fam, seed):
     X = seed & ((1 << fam.n) - 1)
     M = matrix_of(fam)
     C = j_complex(fam)
-    assert is_independent(M, X) == C.has(X)
+    assert (independent_order(_column_closure(M), X) is not None) == C.has(X)
 
 
 @given(complexes(max_n=8))
@@ -725,26 +722,6 @@ def test_br_mixed_medium():
     assert set(fl.members) == {0, tri(1), tri(2), tri(3), tri(4), tri(5), tri(6), tri(1, 2), full}
     ok, witness = is_boolean_representable(C)
     assert not ok
-
-
-def test_tess_core_subcomplex():
-    def tri(*t):
-        return mask_of(tuple(x - 1 for x in t))
-
-    full = (1 << 6) - 1
-    fivesix = tri(5, 6)
-    gens = set(k_submasks(full, 2))
-    for X in k_submasks(full, 3):
-        if (X & fivesix).bit_count() == 1:
-            gens.add(X)
-    gens |= {tri(1, 2, 3), tri(1, 2, 4)}
-    C = Complex(6, gens)
-    fam, T = tess_core(C)
-    assert set(fam.members) == {0, tri(1), tri(2), tri(3), tri(4), tri(5), tri(6), tri(1, 2), full}
-    assert all(C.has(f) for f in T.faces)
-    expect = set(k_submasks(full, 2)) | {0} | {1 << i for i in range(6)}
-    expect |= {tri(1, 2) | (1 << p) for p in range(2, 6)}
-    assert T.faces == expect
 
 
 def test_transversal_small_shapes():

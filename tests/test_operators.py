@@ -12,6 +12,7 @@ from brsc.core import (
     Complex,
     DomainError,
     SetFamily,
+    adjacency,
     bits,
     contraction,
     is_paving,
@@ -24,7 +25,6 @@ from brsc.iso import all_complexes
 from brsc.lattice import MooreFamily, flats, j_complex, matrix_of
 from brsc.operators import (
     GraphClass,
-    anticliques_of_size,
     b_d,
     boxplus_point,
     class_complex,
@@ -240,12 +240,35 @@ def test_boxplus_dual_route_consistency(C):
     assert all(B.has(f) for f in C.facets)
 
 
+def scan_b_d(n, L, d):
+    """b_d by a scan of every (d+1)-set for the ones meeting L in d points."""
+    full = (1 << n) - 1
+    gens = set(k_submasks(full, d)) | {X for X in k_submasks(full, d + 1) if (X & L).bit_count() == d}
+    return Complex(n, gens)
+
+
 def test_b_d_faces_and_flats():
     n, d = 6, 2
     L = tri(1, 2, 3, 4)
     C = b_d(n, L, d)
     for X in k_submasks((1 << n) - 1, 3):
         assert C.has(X) == ((X & L).bit_count() == 2)
+    for shape in [
+        (6, tri(1, 2, 3, 4), 2),
+        (5, tri(2, 4), 2),
+        (7, tri(1, 3, 5), 3),
+        (8, tri(1, 2, 3, 4, 5, 6), 3),
+        (9, tri(2, 3, 5, 7, 8), 4),
+        (10, tri(1, 10), 2),
+    ]:
+        assert b_d(*shape) == scan_b_d(*shape)
+    # C(6, 2) + C(4, 2) * 2 = 27 generating sets, counted before any is listed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "SET_LIMIT", 26)
+        with pytest.raises(CapacityError):
+            b_d(6, tri(1, 2, 3, 4), 2)
+        mp.setattr(core, "SET_LIMIT", 27)
+        assert b_d(6, tri(1, 2, 3, 4), 2) == C
     fl = set(flats(C).members)
     expect = {X for X in range(1 << n) if X.bit_count() <= 1} | {L, (1 << n) - 1}
     assert fl == expect
@@ -348,11 +371,11 @@ def scan_class_sets(n, edges, graph_class):
     return {W for W in range(1 << n) if graph_class.allows(W, adj)}
 
 
-def scan_class_complex(n, edges, graph_class, labels=None):
+def scan_class_complex(n, edges, graph_class):
     """The class complex generated by the maximal allowed sets of the 2^n scan."""
     allowed = scan_class_sets(n, edges, graph_class)
     gens = [W for W in allowed if all(W >> v & 1 or (W | (1 << v)) not in allowed for v in range(n))]
-    return Complex(n, gens, labels)
+    return Complex(n, gens)
 
 
 GRAPH_CLASSES = [
@@ -400,6 +423,12 @@ def test_class_complex_refuses_exactly_past_the_set_limit(graph, graph_class, lo
                 class_complex(n, edges, graph_class)
         else:
             assert class_complex(n, edges, graph_class) == scan_class_complex(n, edges, graph_class)
+
+
+def anticliques_of_size(n, edges, k):
+    """All k-subsets inducing no edge."""
+    adj = adjacency(n, edges)
+    return [X for X in k_submasks((1 << n) - 1, k) if all(adj[v] & X == 0 for v in bits(X))]
 
 
 @pytest.mark.parametrize("edge", [0b111, 0b1, 0, 0b100001, -3], ids=["three-points", "one-point", "empty", "outside", "negative"])

@@ -26,7 +26,7 @@ from brsc.core import (
     truncate,
     union,
 )
-from brsc.lattice import MooreFamily, _horn_closure, _independent, flats, j_complex, is_boolean_representable
+from brsc.lattice import MooreFamily, _horn_closure, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
 from brsc.reproduce import random_line_union
@@ -52,6 +52,7 @@ from brsc.t_operator import (
     t_family,
     two_line_complex,
 )
+from independence_oracle import independent_order
 
 
 def tri(*t):
@@ -61,11 +62,11 @@ def tri(*t):
 def dfs_is_tbrsc(C):
     """TBRSC test by an independence search per facet and per non-face k-subset."""
     cl = partial(cl_T, C)
-    if any(_independent(cl, f) is None for f in C.facets):
+    if any(independent_order(cl, f) is None for f in C.facets):
         return False
     for k in range(2, C.dim + 2):
         for X in k_submasks(C.full_mask, k):
-            if X not in C.faces and _independent(cl, X) is not None:
+            if X not in C.faces and independent_order(cl, X) is not None:
                 return False
     return True
 
