@@ -125,7 +125,8 @@ def truncation_is_brsc_for_near_matroid(C, k):
 
     F_k keeps the flats of rank below k (plus V); F'_k keeps those lying on
     maximal chains of F_k.  The verdict is the conjunction of J(F_k) == H_k
-    and J(F'_k) == pure(H_k).
+    and J(F'_k) == pure(H_k); `brsc reproduce pure-conjecture` and the tests
+    check that it holds at every k <= dim + 1.
     """
     okbr, _ = is_boolean_representable(C)
     if not okbr:

@@ -59,12 +59,14 @@ def up_iter_paving(C, m):
 
 def _fresh_label(C):
     """The new point's label: one past the largest when every label is an
-    int, else "p<n>"."""
+    int, else the first of "p<n>", "p<n+1>", ... that C does not use."""
     ints = [l for l in C.labels if isinstance(l, int)]
-    label = (max(ints) + 1) if len(ints) == C.n else f"p{C.n}"
-    if label in C.labels:
-        raise DomainError(f"label {label!r} already used")
-    return label
+    if len(ints) == C.n:
+        return max(ints) + 1
+    k = C.n
+    while f"p{k}" in C.labels:
+        k += 1
+    return f"p{k}"
 
 
 def plus_point(C):

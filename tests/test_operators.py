@@ -158,6 +158,9 @@ def test_plus_point_and_oplus_point():
     C = Complex(4, [tri(1, 2, 3)])
     P = plus_point(C)
     assert P.n == 5 and P.labels[-1] == 5
+    # a new point's label is never one the complex already uses
+    assert plus_point(Complex(2, labels=("a", "p2"))).labels == ("a", "p2", "p3")
+    assert oplus_point(Complex(3, labels=("p3", 1, "p4"))).labels[-1] == "p5"
     assert P.dim == C.dim
     K = oplus_point(C)
     assert K.dim == C.dim + 1
