@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.cli import load_complex
-from brsc.core import Complex, DomainError, bits, k_submasks, mask_of
+from brsc.core import SET_LIMIT, Complex, DomainError, bits, k_submasks, mask_of
 from brsc.iso import (
+    TABLE_MAX_N,
+    _search_key,
     all_complexes,
     are_isomorphic,
     canonical_complex,
@@ -21,6 +23,7 @@ from brsc.iso import (
     orbit_min_table,
     orbit_reps,
 )
+from brsc.t_operator import paving2_reps
 
 
 def permute_complex(C, perm):
@@ -47,7 +50,8 @@ def test_canonical_key_is_orbit_invariant(C, rng):
     perm = list(range(C.n))
     rng.shuffle(perm)
     D = permute_complex(C, perm)
-    assert canonical_key(C) == canonical_key(D)
+    # the search on its own: at n <= TABLE_MAX_N canonical_key does not reach it
+    assert _search_key(C) == _search_key(D) == canonical_key(D)
 
 
 def brute_canonical_key(C):
@@ -114,7 +118,30 @@ def twin_rich_complexes(max_n=8):
 @given(twin_rich_complexes())
 @settings(max_examples=100, deadline=None)
 def test_canonical_key_matches_brute_search(C):
-    assert canonical_key(C) == brute_canonical_key(C)
+    # the search's twin rule and tie cuts, also on the inputs that
+    # canonical_key hands to the table
+    assert _search_key(C) == canonical_key(C) == brute_canonical_key(C)
+
+
+def test_table_key_matches_search_on_small_complexes():
+    # every complex on at most 5 vertices and the 2135 paving classes on 6
+    small = [C for n in range(1, 6) for C in all_complexes(n)]
+    paving = list(paving2_reps(6))
+    assert (len(small), len(paving)) == (7020, 2135)
+    for C in small + paving:
+        assert canonical_key(C) == _search_key(C), C
+
+
+def test_canonical_key_at_the_cut_over():
+    # twin-rich inputs on each side of TABLE_MAX_N: two disjoint paths
+    # 0-1-2, relabeled, then a cone over them
+    path2 = {0b011, 0b110, 0b011 << 3, 0b110 << 3}
+    perm = (4, 0, 5, 2, 1, 3)
+    six = Complex(6, [mask_of(perm[v] for v in bits(f)) for f in path2])
+    seven = Complex(7, [f | 1 << 7 - 1 for f in six.facets])
+    assert six.n == TABLE_MAX_N < seven.n
+    for C in (six, seven):
+        assert canonical_key(C) == brute_canonical_key(C)
 
 
 # catalog names, and whether the brute search runs on them in a few seconds;
@@ -153,20 +180,23 @@ def test_canonical_key_is_orbit_minimum(C):
         keys.append(tuple(sorted(
             mask_of(perm[v] for v in bits(f)) for f in C.facets
         )))
-    assert canonical_key(C) == min(keys)
+    assert _search_key(C) == canonical_key(C) == min(keys)
 
 
 def test_canonical_key_leaves_no_reference_cycle():
-    # a self-referencing nested search would leave a cycle on every call
-    C = load_complex("tracks")
-    want = brute_canonical_key(C)
-    gc.collect()
-    gc.disable()
-    try:
-        assert canonical_key(C) == want
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # a self-referencing nested search would leave a cycle on every call;
+    # tracks takes the search, sme (5 vertices) the table
+    for spec in ("tracks", "sme"):
+        C = load_complex(spec)
+        assert (C.n > TABLE_MAX_N) == (spec == "tracks")
+        want = brute_canonical_key(C)
+        gc.collect()
+        gc.disable()
+        try:
+            assert canonical_key(C) == want
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_canonical_idempotent():
@@ -197,6 +227,31 @@ def test_embeds():
         embeds(Complex(3, [0b111]), Complex(4, [0b1111]))
 
 
+def unfiltered_embeds(C, D):
+    """The embedding search with no candidate filter: images in index order,
+    each node testing the facets whose highest vertex it places."""
+    top = [[] for _ in range(C.n)]
+    for f in sorted(C.facets, key=lambda f: -f.bit_count()):
+        top[f.bit_length() - 1].append(f)
+
+    def rec(partial, used):
+        v = len(partial)
+        if v == C.n:
+            return tuple(partial)
+        for w in range(D.n):
+            if used >> w & 1:
+                continue
+            partial.append(w)
+            if all(D.has(mask_of(partial[u] for u in bits(f))) for f in top[v]):
+                got = rec(partial, used | (1 << w))
+                if got is not None:
+                    return got
+            partial.pop()
+        return None
+
+    return rec([], 0)
+
+
 @given(complexes(7), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_embeds_into_a_relabeling(C, rng):
@@ -206,6 +261,30 @@ def test_embeds_into_a_relabeling(C, rng):
     m = embeds(C, D)
     assert m is not None and sorted(m) == list(range(C.n))
     assert all(D.has(mask_of(m[v] for v in bits(f))) for f in C.facets)
+    # the face-profile filter drops only images that lie in no embedding
+    assert m == unfiltered_embeds(C, permute_complex(C, perm))
+
+
+@st.composite
+def complex_pairs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    full = (1 << n) - 1
+    return tuple(Complex(n, draw(st.lists(st.integers(0, full), max_size=8))) for _ in range(2))
+
+
+@given(complex_pairs())
+@settings(max_examples=150, deadline=None)
+def test_embeds_matches_unfiltered_search(pair):
+    C, D = pair
+    assert embeds(C, D) == unfiltered_embeds(C, D)
+
+
+def test_embeds_past_the_face_limit():
+    # a simplex with more than SET_LIMIT faces lists no profile, and every
+    # image stays allowed
+    n = SET_LIMIT.bit_length()
+    S = Complex(n, [(1 << n) - 1])
+    assert embeds(S, S) == tuple(range(n))
 
 
 def brute_orbit_min(n, k):
