@@ -2,257 +2,110 @@
 and the one-off fixtures exercised throughout the test suite.
 
 Every generator is pure and deterministic; vertex labels follow the source
-naming so reports stay readable.
+naming so reports stay readable. The Rhodes-reduced and Dowling complexes are
+built over the cyclic group Z_m: a membership test on potentials mod m,
+listed by the lattice level walk. Every parametric family counts its
+vertices, and its facets or faces where they can pass core.SET_LIMIT, and
+refuses before it lists any set.
 """
 
-from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 from . import core
 from .core import (
     CapacityError,
     Complex,
     DomainError,
+    SetFamily,
+    bits,
     k_submasks,
     mask_of,
     union,
 )
-from .lattice import BooleanMatrix, MooreFamily, complex_of_matrix, j_complex
+from .lattice import MooreFamily, _hereditary_complex, j_complex
 from .operators import b_d
 from .t_operator import jijn
 
 
-class GroupTable:
-    """Finite group given by its multiplication table over indices 0..m-1."""
-
-    __slots__ = ("order", "table", "identity", "inverse", "names")
-
-    def __init__(self, table):
-        m = len(table)
-        if m == 0 or any(len(row) != m for row in table):
-            raise DomainError("multiplication table must be square and nonempty")
-        tab = tuple(tuple(row) for row in table)
-        if any(not 0 <= x < m for row in tab for x in row):
-            raise DomainError("table entries must be element indices")
-        ids = [
-            e
-            for e in range(m)
-            if all(tab[e][x] == x == tab[x][e] for x in range(m))
-        ]
-        if len(ids) != 1:
-            raise DomainError("table has no two-sided identity")
-        identity = ids[0]
-        inv = [None] * m
-        for a in range(m):
-            for b in range(m):
-                if tab[a][b] == identity and tab[b][a] == identity:
-                    inv[a] = b
-        if any(x is None for x in inv):
-            raise DomainError("some element has no inverse")
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                        raise DomainError("multiplication table is not associative")
-        self.order = m
-        self.table = tab
-        self.identity = identity
-        self.inverse = tuple(inv)
-        self.names = tuple("1" if i == identity else f"g{i}" if m > 2 else "g" for i in range(m))
-
-    @classmethod
-    def cyclic(cls, m):
-        if m < 1:
-            raise DomainError("cyclic group order must be positive")
-        return cls([[(a + b) % m for b in range(m)] for a in range(m)])
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
-
-    def name(self, a):
-        return self.names[a]
-
-    def __repr__(self):
-        return f"GroupTable(order={self.order})"
-
-
-@dataclass(frozen=True, order=True)
-class SPCAtom:
-    """Labeled-graph atom: an edge (i, g, j) with i < j, or a loop at i.
-
-    The reversed edge (j, g^-1, i) denotes the same atom, so edges are
-    canonicalized during construction.  Loops carry no group element; the
-    display label they get is pure notation.
-    """
-
-    i: int
-    j: int
-    g: Optional[int]
-
-    @property
-    def kind(self):
-        return "loop" if self.i == self.j else "edge"
-
-    @classmethod
-    def edge(cls, G, i, g, j):
-        if i == j:
-            raise DomainError("edge atoms need distinct endpoints")
-        if i > j:
-            i, j, g = j, i, G.inv(g)
-        return cls(i, j, g)
-
-    @classmethod
-    def loop(cls, i):
-        return cls(i, i, None)
-
-    def display(self, G, loop_name="y"):
-        if self.kind == "loop":
-            return f"({self.i},{loop_name},{self.i})"
-        return f"({self.i},{G.name(self.g)},{self.j})"
-
-
-class LabeledDigraph:
-    """Multigraph form of an atom set: one undirected labeled edge per edge
-    atom and one loop per loop atom, on the nodes the atoms mention."""
-
-    __slots__ = ("atoms", "nodes")
-
-    def __init__(self, atoms):
-        self.atoms = tuple(atoms)
-        self.nodes = sorted({v for a in self.atoms for v in (a.i, a.j)})
-
-    def components(self):
-        """Triples (node set, edge atoms, loop count), one per component."""
-        parent = {v: v for v in self.nodes}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a in self.atoms:
-            if a.kind == "edge":
-                parent[find(a.i)] = find(a.j)
-        groups = {}
-        for v in self.nodes:
-            groups.setdefault(find(v), []).append(v)
-        out = []
-        for root, nodes in sorted(groups.items()):
-            edges = [a for a in self.atoms if a.kind == "edge" and find(a.i) == root]
-            loops = sum(1 for a in self.atoms if a.kind == "loop" and find(a.i) == root)
-            out.append((frozenset(nodes), edges, loops))
-        return out
-
-    @staticmethod
-    def edge_cycles_trivial(G, nodes, edges):
-        """Potential test: assign group values along a spanning tree and check
-        that every non-tree edge closes a cycle with identity label product."""
-        adj = {v: [] for v in nodes}
-        for t, a in enumerate(edges):
-            adj[a.i].append((a.j, t, a.g))
-            adj[a.j].append((a.i, t, G.inv(a.g)))
-        root = min(nodes)
-        h = {root: G.identity}
-        used = set()
+def _member(atoms, m, most_cyclic, X):
+    """Whether the atoms of X form a face of a group-labeled graph matroid
+    over Z_m. One DFS per component assigns potentials mod m: the edge
+    (i, j, g) asks for h[j] = h[i] + g. A component is a tree, or a tree plus
+    one edge or loop; that extra edge must break the potentials (a nonzero
+    label sum around its cycle), which a loop always does. At most
+    most_cyclic components carry an extra edge."""
+    adj = {}
+    for t in bits(X):
+        i, j, g = atoms[t]
+        adj.setdefault(i, []).append((j, g))
+        adj.setdefault(j, []).append((i, None if g is None else -g))
+    h = {}
+    cyclic = 0
+    for root in adj:
+        if root in h:
+            continue
+        h[root] = 0
         stack = [root]
+        nodes = ends = 0
+        broken = False
         while stack:
             v = stack.pop()
-            for w, t, g in adj[v]:
-                if w not in h:
-                    h[w] = G.mul(h[v], g)
-                    used.add(t)
+            nodes += 1
+            for w, g in adj[v]:
+                ends += 1
+                if g is None:
+                    broken = True
+                elif w not in h:
+                    h[w] = (h[v] + g) % m
                     stack.append(w)
-        for t, a in enumerate(edges):
-            if t not in used and h[a.j] != G.mul(h[a.i], a.g):
-                return False
-        return True
-
-
-def _forest_like(G, atoms, allow_loops, max_unicyclic):
-    """Shared membership test for the group-labeled matroids.
-
-    Every component must be a tree or carry exactly one surplus edge (loops
-    count when allowed); surplus components are capped and must close a
-    label-nontrivial cycle.  A loop is nontrivial by itself.
-    """
-    unicyclic = 0
-    graph = LabeledDigraph(atoms)
-    for nodes, edges, loops in graph.components():
-        if loops and not allow_loops:
+                elif h[w] != (h[v] + g) % m:
+                    broken = True
+        # each edge and each loop leaves two ends
+        surplus = ends // 2 - nodes + 1
+        if surplus > 1 or surplus and not broken:
             return False
-        e = len(edges) + loops
-        v = len(nodes)
-        if e == v - 1:
-            continue
-        if e != v:
-            return False
-        unicyclic += 1
-        if max_unicyclic is not None and unicyclic > max_unicyclic:
-            return False
-        if loops == 0 and LabeledDigraph.edge_cycles_trivial(G, nodes, edges):
-            return False
-    return True
+        cyclic += surplus
+    return cyclic <= most_cyclic
 
 
-def _group_complex(G, n, atoms, member, labels):
-    if len(atoms) > 24:
-        raise CapacityError(f"{len(atoms)} atoms exceed the scan capacity")
-    gens = set()
-    # faces never exceed n atoms: each component spends at most one edge
-    # per covered node
-    for size in range(1, n + 1):
-        for combo in combinations(range(len(atoms)), size):
-            if member([atoms[t] for t in combo]):
-                gens.add(mask_of(combo))
-    return Complex(len(atoms), gens, labels)
+def _gain_graph(m, n, loops, most_cyclic):
+    """The group-labeled graph complex over Z_m on nodes 1..n.
 
-
-def rhodes_reduced(G, n):
-    """Faces: atom sets whose components are trees, except at most one that
-    closes a single label-nontrivial cycle."""
-    if G.order < 2:
+    The atoms are the loops (i, i, None), when asked for, then the edges
+    (i, j, g) for i < j and g in Z_m; the identity shows as "1", any other g
+    as "g" for m = 2 and "g<g>" otherwise, and a loop shows the element 1.
+    The rank is n, so no face holds more than n atoms: the atoms and the sets
+    of at most n of them are counted, and refused past 64 atoms or
+    core.SET_LIMIT sets, before any atom is built."""
+    if m < 2:
         raise DomainError("the group must be nontrivial")
     if n < 2:
         raise DomainError("need n >= 2")
-    atoms = [
-        SPCAtom.edge(G, i, g, j)
-        for i, j in combinations(range(1, n + 1), 2)
-        for g in range(G.order)
-    ]
-    labels = [a.display(G) for a in atoms]
-    return _group_complex(
-        G, n, atoms, lambda sel: _forest_like(G, sel, False, 1), labels
-    )
+    count = m * comb(n, 2) + (n if loops else 0)
+    core.check_capacity(count)
+    bound = sum(comb(count, k) for k in range(n + 1))
+    if bound > core.SET_LIMIT:
+        raise CapacityError(f"{count} atoms allow {bound} faces of at most {n} atoms, more than {core.SET_LIMIT}")
+    nodes = range(1, n + 1)
+    atoms = [(i, i, None) for i in nodes] if loops else []
+    atoms += [(i, j, g) for i, j in combinations(nodes, 2) for g in range(m)]
+    names = ["1"] + ["g" if m == 2 else f"g{g}" for g in range(1, m)]
+    labels = [f"({i},{names[1 if g is None else g]},{j})" for i, j, g in atoms]
+    return _hereditary_complex(count, partial(_member, atoms, m, most_cyclic), "group complex", labels)
 
 
-def dowling(G, n):
-    """Faces: atom sets whose components are trees or unicyclic (loops count
-    as cycle edges), every cycle label-nontrivial.
+def rhodes_reduced(m, n):
+    """Faces over Z_m: atom sets whose components are trees, except at most
+    one that closes a single label-nontrivial cycle."""
+    return _gain_graph(m, n, False, 1)
 
-    Loop names show the first non-identity element, as notation only.
-    """
-    if G.order < 2:
-        raise DomainError("the group must be nontrivial")
-    if n < 2:
-        raise DomainError("need n >= 2")
-    loops = [SPCAtom.loop(i) for i in range(1, n + 1)]
-    edges = [
-        SPCAtom.edge(G, i, g, j)
-        for i, j in combinations(range(1, n + 1), 2)
-        for g in range(G.order)
-    ]
-    atoms = loops + edges
-    y = G.name(next(x for x in range(G.order) if x != G.identity))
-    labels = [a.display(G, y) for a in atoms]
-    return _group_complex(
-        G, n, atoms, lambda sel: _forest_like(G, sel, True, None), labels
-    )
+
+def dowling(m, n):
+    """Faces over Z_m: atom sets whose components are trees or unicyclic
+    (loops count as cycle edges), every cycle label-nontrivial."""
+    return _gain_graph(m, n, True, n)
 
 
 # K_5 edge order used by the forest complexes below
@@ -283,6 +136,7 @@ def non_desargues():
 def _uniform(k, n):
     if not 1 <= k <= n:
         raise DomainError("uniform needs 1 <= k <= n")
+    core.check_capacity(n)
     if comb(n, k) > core.SET_LIMIT:
         raise CapacityError(f"uniform complex with more than {core.SET_LIMIT} facets is out of range")
     return Complex(n, set(k_submasks((1 << n) - 1, k)))
@@ -291,6 +145,7 @@ def _uniform(k, n):
 def _jnmk(n, m, k):
     if not n >= m >= k >= 1:
         raise DomainError("jnmk needs n >= m >= k >= 1")
+    core.check_capacity(n)
     if comb(m, k) > core.SET_LIMIT:
         raise CapacityError(f"jnmk complex with more than {core.SET_LIMIT} facets is out of range")
     gens = {mask_of(c) for c in combinations(range(m), k)}
@@ -347,6 +202,7 @@ def _nfb(n):
     if n < 6:
         raise DomainError("nfb needs n >= 6")
     total = n + 9
+    core.check_capacity(total)
     x = list(range(n + 1))
     y = [x[0], x[n], n + 1, n + 2, n + 3, n + 4, x[1]]
     z = [x[1], x[n], n + 5, n + 6, n + 7, n + 8, x[0]]
@@ -473,8 +329,8 @@ def _bfour():
     """All 15 distinct nonzero 0/1 columns of height 4; labels read the column
     top row first."""
     strings = [f"{v:04b}" for v in range(1, 16)]
-    rows = [mask_of(c for c, s in enumerate(strings) if s[r] == "1") for r in range(4)]
-    return complex_of_matrix(BooleanMatrix(15, rows), labels=strings)
+    zeros = [mask_of(c for c, s in enumerate(strings) if s[r] == "0") for r in range(4)]
+    return j_complex(SetFamily(15, zeros), labels=strings)
 
 
 _REGISTRY = {
@@ -486,8 +342,8 @@ _REGISTRY = {
     "nfb": (_nfb, "n >= 6"),
     "desargues": (desargues, ""),
     "non_desargues": (non_desargues, ""),
-    "rhodes": (lambda m, n: rhodes_reduced(GroupTable.cyclic(m), n), "m >= 2, n >= 2"),
-    "dowling": (lambda m, n: dowling(GroupTable.cyclic(m), n), "m >= 2, n >= 2"),
+    "rhodes": (rhodes_reduced, "m >= 2, n >= 2"),
+    "dowling": (dowling, "m >= 2, n >= 2"),
     "cfup": (_cfup, ""),
     "exs": (_exs, ""),
     "btbtwo": (_btbtwo, ""),

@@ -71,18 +71,24 @@ def load_complex(arg):
         k, sep, v = item.partition("=")
         if not sep:
             raise DomainError(f"bad parameter {item!r}, expected key=value")
-        params[k] = int(v) if v.lstrip("-").isdigit() else v
+        try:
+            params[k] = int(v)
+        except ValueError:
+            params[k] = v  # not an integer: the builder refuses it as a bad parameter
     return named(name, **params)
 
 
 def parse_labels(C, text):
-    """Comma-separated labels to a vertex mask."""
-    pos = {str(l): i for i, l in enumerate(C.labels)}
+    """Comma-separated labels to a vertex mask. A label is read as text, so
+    a text that names two vertices (the JSON labels 1 and "1") is refused."""
     m = 0
     for part in filter(None, (s.strip() for s in text.split(","))):
-        if part not in pos:
+        hits = [i for i, l in enumerate(C.labels) if str(l) == part]
+        if not hits:
             raise DomainError(f"unknown vertex label {part!r}")
-        m |= 1 << pos[part]
+        if len(hits) > 1:
+            raise DomainError(f"vertex label {part!r} names {len(hits)} vertices")
+        m |= 1 << hits[0]
     return m
 
 

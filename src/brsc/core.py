@@ -27,6 +27,13 @@ class CapacityError(RuntimeError):
 SET_LIMIT = 1 << 20
 
 
+def check_capacity(n):
+    """Refuse a vertex count past the 64-vertex capacity. Builders call it
+    before they list any set, so an oversized input costs nothing."""
+    if n > 64:
+        raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
+
+
 def bits(mask):
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -134,8 +141,7 @@ class Complex:
     def __init__(self, n, generators=(), labels=None):
         if n < 1:
             raise DomainError("vertex set must be nonempty")
-        if n > 64:
-            raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
+        check_capacity(n)
         full = (1 << n) - 1
         gens = set(generators)
         cover = reduce(or_, gens, 0)
@@ -425,8 +431,7 @@ def complex_from_json(text):
     if isinstance(vertices, int):
         if vertices < 1:
             raise DomainError("vertex count must be positive")
-        if vertices > 64:
-            raise CapacityError(f"n={vertices} exceeds the 64-vertex capacity")
+        check_capacity(vertices)
         labels = tuple(range(1, vertices + 1))
     elif isinstance(vertices, list):
         if not all(isinstance(l, _JSON_LABEL) for l in vertices):
@@ -437,8 +442,7 @@ def complex_from_json(text):
     else:
         raise DomainError('"vertices" must be an int or a list of labels')
     n = len(labels)
-    if n > 64:
-        raise CapacityError(f"n={n} exceeds the 64-vertex capacity")
+    check_capacity(n)
     # keyed by (is a boolean, label): true equals 1 in Python, not in JSON
     pos = {(isinstance(l, bool), l): i for i, l in enumerate(labels)}
     facets = data["facets"]

@@ -22,16 +22,19 @@ all 2^n subsets. Both refuse past core.SET_LIMIT sets, as Complex.faces does,
 and cap no vertex count. The level walk builds the complex J of
 either closure cl, the sets whose elements can be ordered so that each leaves
 the closure of the earlier ones (_independent_complex, as a cone over the
-coloops of cl, which it never walks), the long hyperplanes of a paving
-complex, and the graph-class complexes of operators.class_complex.
+coloops of cl, which it never walks), and the long hyperplanes of a paving
+complex. _hereditary_complex walks it over a membership test, growing each
+set only by points above its highest: operators.class_complex and the
+group-labeled graph complexes of the catalog are built by it.
 _first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
 with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
 closure). The public functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
-j_complex goes through the boolean matrix M(R) and successive closures.
-Tests compare them; library code uses j_complex (faster).
+j_complex takes J of the intersection closure of R's members (the column
+closure of the boolean matrix of R). Tests compare them; library code uses
+j_complex (faster).
 """
 
 from collections import Counter
@@ -208,6 +211,24 @@ def _level_walk(level, grow, what, limit=None):
     return out
 
 
+def _hereditary_complex(n, member, what, labels=None):
+    """Complex of the subset-closed family on 0..n-1 whose sets pass the
+    membership test member. The level walk starts from the empty set and
+    grows each set only by the points above its highest, so each set is
+    built once, from itself minus its highest point; it refuses past
+    core.SET_LIMIT sets, and the vertex count is checked before any."""
+    core.check_capacity(n)
+
+    def grow(Y, level):
+        m = 0
+        for p in range(Y.bit_length(), n):
+            if member(Y | 1 << p):
+                m |= 1 << p
+        return m
+
+    return Complex(n, _level_walk([0], grow, what), labels)
+
+
 def _independent_complex(cl, n, labels=None):
     """Complex of all sets independent for the closure cl.
 
@@ -343,76 +364,22 @@ def flats_paving(C):
     return MooreFamily(C.n, out, validate=False)
 
 
-class BooleanMatrix:
-    """0/1 matrix; each row is the mask of its 1-entries over columns 0..n-1."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n, rows):
-        if n < 1 or n > 64:
-            raise DomainError("column count must be between 1 and 64")
-        full = (1 << n) - 1
-        self.n = n
-        self.rows = tuple(rows)
-        for r in self.rows:
-            if r & ~full:
-                raise DomainError("row uses columns outside 0..n-1")
-
-    @property
-    def zero_sets(self):
-        full = (1 << self.n) - 1
-        return tuple(full & ~r for r in self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BooleanMatrix)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        body = "; ".join(
-            "".join(str(r >> j & 1) for j in range(self.n)) for r in self.rows[:6]
-        )
-        more = "" if len(self.rows) <= 6 else f" ... ({len(self.rows)} rows)"
-        return f"BooleanMatrix({len(self.rows)}x{self.n}: {body}{more})"
-
-
-def matrix_of(family):
-    """Matrix with one row per member, entry 0 exactly on the member's elements.
-
-    Rows are sorted by member mask, so the output is deterministic.
-    """
-    full = (1 << family.n) - 1
-    return BooleanMatrix(family.n, tuple(full & ~m for m in sorted(family.members)))
-
-
-def _column_closure(M):
-    """Closure of a column set: the columns zero on every row zero on the set."""
-    return partial(_meet_closure, M.zero_sets, (1 << M.n) - 1)
-
-
-def complex_of_matrix(M, labels=None):
-    """Complex of all independent column sets of M."""
-    cl = _column_closure(M)
-    if cl(0):
-        raise DomainError("matrix has an all-zero column; no complex on all vertices")
-    return _independent_complex(cl, M.n, labels)
-
-
 def j_complex(family, labels=None):
-    """Complex of partial transversals of the family, via its boolean matrix."""
-    return complex_of_matrix(matrix_of(family), labels)
+    """Complex of partial transversals of the family R: the sets independent
+    for the intersection closure of R's members (the columns of the boolean
+    matrix with one row per member, zero on its points). A point in every
+    member is in the closure of the empty set, so no complex holds it."""
+    cl = partial(_meet_closure, tuple(family.members), (1 << family.n) - 1)
+    if cl(0):
+        raise DomainError("some point lies in every member; no complex on all vertices")
+    return _independent_complex(cl, family.n, labels)
 
 
 def transversal_complex(family):
     """Complex of partial transversals, walking chains of the family directly.
 
     A set belongs iff some chain of members picks up its elements one per
-    successive difference. Independent of the matrix route; meant for small n.
+    successive difference. Independent of the closure route; meant for small n.
     """
     n = family.n
     if n > 16:

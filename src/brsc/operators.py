@@ -14,7 +14,7 @@ from .core import (
     is_paving,
     k_submasks,
 )
-from .lattice import MooreFamily, _extension_map, _level_walk, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_map, _hereditary_complex, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -113,6 +113,7 @@ def b_d(n, L, d):
     Those (d+1)-sets are a d-subset of L plus one point outside it, so the
     C(n, d) + C(|L|, d) * (n - |L|) generating sets are counted, and refused
     past core.SET_LIMIT, before any is listed."""
+    core.check_capacity(n)
     full = (1 << n) - 1
     if L & ~full:
         raise DomainError("L uses vertices outside 0..n-1")
@@ -205,18 +206,10 @@ def _has_short_cycle(W, adj, bound):
 def class_complex(n, edges, graph_class):
     """Faces are the vertex sets whose induced subgraph lies in the class.
 
-    The class is hereditary, so these sets form a subset-closed family: the
-    lattice level walk lists its maximal members from the empty set, building
-    each set once from itself minus its highest vertex. It refuses once the
-    family passes core.SET_LIMIT sets, as Complex.faces does; with no count
-    first, that happens only after SET_LIMIT sets are listed."""
+    The class is hereditary, so these sets form a subset-closed family, which
+    the lattice level walk lists from the empty set by the membership test.
+    It refuses once the family passes core.SET_LIMIT sets, as Complex.faces
+    does; with no count first, that happens only after SET_LIMIT sets are
+    listed."""
     adj = adjacency(n, edges)
-
-    def grow(Y, level):
-        m = 0
-        for v in range(Y.bit_length(), n):
-            if graph_class.allows(Y | 1 << v, adj):
-                m |= 1 << v
-        return m
-
-    return Complex(n, _level_walk([0], grow, "class complex"))
+    return _hereditary_complex(n, lambda W: graph_class.allows(W, adj), "class complex")

@@ -21,9 +21,6 @@ from brsc.core import (
     truncate,
 )
 from brsc.catalog import (
-    GroupTable,
-    LabeledDigraph,
-    SPCAtom,
     catalog_names,
     desargues,
     dowling,
@@ -66,35 +63,123 @@ def test_registry_listing_and_errors():
     assert named("uniform", k=2, n=4).dim == 1
 
 
-# ---------------------------------------------------------------- groups
-
-
-def test_group_table_validation():
-    Z4 = GroupTable.cyclic(4)
-    assert Z4.identity == 0 and Z4.inv(1) == 3
-    assert Z4.mul(2, 3) == 1
-    with pytest.raises(DomainError):
-        GroupTable([[0, 1], [1]])
-    with pytest.raises(DomainError):
-        GroupTable([[0, 1], [1, 1]])  # 1 has no inverse
-    with pytest.raises(DomainError):
-        GroupTable([[0, 1, 2], [1, 0, 0], [2, 0, 1]])  # not associative
-    with pytest.raises(DomainError):
-        GroupTable([[1, 0], [0, 0]])  # no identity
-
-
-def test_atom_canonicalization():
-    Z3 = GroupTable.cyclic(3)
-    a = SPCAtom.edge(Z3, 2, 1, 1)
-    assert (a.i, a.j, a.g) == (1, 2, 2)
-    assert a.kind == "edge"
-    assert SPCAtom.loop(2).kind == "loop"
-    with pytest.raises(DomainError):
-        SPCAtom.edge(Z3, 1, 0, 1)
-    assert a.display(Z3) == "(1,g2,2)"
-
-
 # ------------------------------------------------------- group complexes
+
+
+def _components(pairs):
+    """Union-find components of the graph with the given (i, j) pairs (a
+    pair (i, i) is a loop): (node set, indices of its pairs) per component."""
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups = {}
+    for t, (i, _) in enumerate(pairs):
+        groups.setdefault(find(i), []).append(t)
+    return [({v for t in ts for v in pairs[t]}, ts) for ts in groups.values()]
+
+
+def _potentials_agree(edges, m):
+    """Whether potentials mod m, set along a BFS spanning tree of the connected
+    edges (i, j, g), give h[j] = h[i] + g on every edge: a zero label sum
+    around every cycle."""
+    adj = {}
+    for i, j, g in edges:
+        adj.setdefault(i, []).append((j, g))
+        adj.setdefault(j, []).append((i, -g))
+    root = min(adj)
+    h = {root: 0}
+    queue = [root]
+    for v in queue:
+        for w, g in adj[v]:
+            if w not in h:
+                h[w] = (h[v] + g) % m
+                queue.append(w)
+    return all((h[i] + g - h[j]) % m == 0 for i, j, g in edges)
+
+
+def _scan_member(chosen, m, rhodes):
+    """Each component a tree, or a tree plus one loop, or a tree plus one
+    edge closing a cycle of nonzero label sum; rhodes allows one such."""
+    cyclic = 0
+    for nodes, ts in _components([(i, j) for i, j, _ in chosen]):
+        if len(ts) == len(nodes) - 1:
+            continue
+        if len(ts) != len(nodes):
+            return False
+        cyclic += 1
+        if rhodes and cyclic > 1:
+            return False
+        comp = [chosen[t] for t in ts]
+        if all(g is not None for _, _, g in comp) and _potentials_agree(comp, m):
+            return False
+    return True
+
+
+def _scan_group_complex(name, m, n):
+    """The group complex by a scan of every atom set of at most n atoms."""
+    def show(g):
+        return "1" if g == 0 else "g" if m == 2 else f"g{g}"
+
+    loops = [(i, i, None) for i in range(1, n + 1)] if name == "dowling" else []
+    atoms = loops + [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
+    labels = [f"({i},{show(1)},{i})" if g is None else f"({i},{show(g)},{j})" for i, j, g in atoms]
+    gens = {
+        mask_of(combo)
+        for size in range(1, n + 1)
+        for combo in combinations(range(len(atoms)), size)
+        if _scan_member([atoms[t] for t in combo], m, name == "rhodes")
+    }
+    return Complex(len(atoms), gens, labels)
+
+
+@pytest.mark.parametrize(
+    "name, m, n",
+    [
+        ("rhodes", 2, 2),
+        ("rhodes", 2, 3),
+        ("rhodes", 3, 3),
+        ("rhodes", 2, 4),
+        ("rhodes", 4, 3),
+        ("rhodes", 3, 4),
+        ("dowling", 2, 2),
+        ("dowling", 2, 3),
+        ("dowling", 3, 3),
+        ("dowling", 2, 4),
+        ("dowling", 4, 3),
+        ("dowling", 5, 3),
+    ],
+)
+def test_group_complex_matches_subset_scan(name, m, n):
+    C = named(name, m=m, n=n)
+    S = _scan_group_complex(name, m, n)
+    assert (C.n, C.facets, C.labels) == (S.n, S.facets, S.labels)
+
+
+@pytest.mark.parametrize(
+    "name, m, n, count",
+    [
+        ("rhodes", 2, 4, 312),
+        ("rhodes", 3, 4, 2106),
+        ("rhodes", 2, 5, 7552),
+        ("dowling", 2, 4, 1138),
+        ("dowling", 5, 3, 686),
+        # 25 atoms: past the subset scan's old 24-atom cap
+        ("dowling", 2, 5, 25218),
+    ],
+)
+def test_group_complex_facet_counts(name, m, n, count):
+    # both matroids have rank n, so every facet holds n atoms
+    C = named(name, m=m, n=n)
+    assert len(C.facets) == count
+    assert {f.bit_count() for f in C.facets} == {n}
 
 
 def _partitions(items):
@@ -109,39 +194,34 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def _rhodes_atoms(G, n):
-    return [
-        SPCAtom.edge(G, i, g, j)
-        for i, j in combinations(range(1, n + 1), 2)
-        for g in range(G.order)
-    ]
+def _rhodes_atoms(m, n):
+    return [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
 
 
 def test_rhodes_small_shapes():
-    Z2 = GroupTable.cyclic(2)
-    R = rhodes_reduced(Z2, 2)
+    R = rhodes_reduced(2, 2)
     assert R.n == 2 and R.dim == 1
     assert R.labels == ("(1,1,2)", "(1,g,2)")
     assert is_matroid(R)[0]
+    assert rhodes_reduced(3, 2).labels == ("(1,1,2)", "(1,g1,2)", "(1,g2,2)")
 
-    R3 = rhodes_reduced(Z2, 3)
+    R3 = rhodes_reduced(2, 3)
     assert R3.n == 6 and R3.dim == 2
     assert alpha_vector(R3) == (1, 6, 15, 16)
     assert is_matroid(R3)[0]
 
     with pytest.raises(DomainError):
-        rhodes_reduced(GroupTable.cyclic(1), 3)
+        rhodes_reduced(1, 3)
     with pytest.raises(DomainError):
-        rhodes_reduced(Z2, 1)
+        rhodes_reduced(2, 1)
 
 
 def test_rhodes_flats_match_both_descriptions():
     # flats are the full-partition sets C(pi), plus the label-trivial
     # clique unions without parallel edges
-    Z2 = GroupTable.cyclic(2)
-    atoms = _rhodes_atoms(Z2, 3)
+    atoms = _rhodes_atoms(2, 3)
     index = {a: t for t, a in enumerate(atoms)}
-    R = rhodes_reduced(Z2, 3)
+    R = rhodes_reduced(2, 3)
 
     described = set()
     for I in (
@@ -152,38 +232,30 @@ def test_rhodes_flats_match_both_descriptions():
             for block in part:
                 for i, j in combinations(sorted(block), 2):
                     for g in range(2):
-                        F |= 1 << index[SPCAtom.edge(Z2, i, g, j)]
+                        F |= 1 << index[(i, j, g)]
             described.add(F)
     for Z in range(1 << 6):
         sel = [atoms[t] for t in bits(Z)]
-        pairs = [(a.i, a.j) for a in sel]
+        pairs = [(i, j) for i, j, _ in sel]
         if len(pairs) != len(set(pairs)):
             continue
-        graph = LabeledDigraph(sel)
-        comps = graph.components()
-        if any(
-            len(edges) != len(nodes) * (len(nodes) - 1) // 2 for nodes, edges, _ in comps
-        ):
+        comps = _components(pairs)
+        if any(len(ts) != len(nodes) * (len(nodes) - 1) // 2 for nodes, ts in comps):
             continue
-        if all(
-            LabeledDigraph.edge_cycles_trivial(Z2, nodes, edges)
-            for nodes, edges, _ in comps
-        ):
+        if all(_potentials_agree([sel[t] for t in ts], 2) for _, ts in comps):
             described.add(Z)
     assert set(flats(R).members) == described
 
 
 def test_rhodes_flats_equal_strong_truncation_t_family():
-    Z2 = GroupTable.cyclic(2)
-    Z3 = GroupTable.cyclic(3)
-    for G, n in ((Z2, 3), (Z3, 3), (Z2, 4)):
-        R = rhodes_reduced(G, n)
+    for m, n in ((2, 3), (3, 3), (2, 4)):
+        R = rhodes_reduced(m, n)
         fl = set(flats(R).members)
         T4 = truncation_t_family(R, 4)
         assert set(T4.members) == fl
         assert j_complex(MooreFamily(R.n, T4.members, validate=False)) == R
     # past dim + 2 the family is stable
-    R = rhodes_reduced(Z2, 3)
+    R = rhodes_reduced(2, 3)
     assert set(truncation_t_family(R, 5).members) == set(
         truncation_t_family(R, 4).members
     )
@@ -193,23 +265,21 @@ def test_rhodes_level_three_family_is_larger_once_disjoint_pairs_exist():
     # on three nodes every pair of node pairs meets, so the level-3 family
     # collapses onto the flats; from four nodes on, a full parallel class
     # plus one disjoint edge joins the family and lifts dim J(T(H_3))
-    Z2 = GroupTable.cyclic(2)
-    for G in (Z2, GroupTable.cyclic(3)):
-        R = rhodes_reduced(G, 3)
+    for m in (2, 3):
+        R = rhodes_reduced(m, 3)
         assert set(truncation_t_family(R, 3).members) == set(flats(R).members)
         assert j_complex(truncation_t_family(R, 3)) == R
 
-    R4 = rhodes_reduced(Z2, 4)
+    R4 = rhodes_reduced(2, 4)
     T3 = truncation_t_family(R4, 3)
     fl = set(flats(R4).members)
     assert fl < set(T3.members)
-    atoms = _rhodes_atoms(Z2, 4)
-    index = {(a.i, a.g, a.j): t for t, a in enumerate(atoms)}
+    index = {a: t for t, a in enumerate(_rhodes_atoms(2, 4))}
     chain = [
         0,
-        1 << index[(1, 0, 2)],
-        (1 << index[(1, 0, 2)]) | (1 << index[(1, 1, 2)]),
-        (1 << index[(1, 0, 2)]) | (1 << index[(1, 1, 2)]) | (1 << index[(3, 0, 4)]),
+        1 << index[(1, 2, 0)],
+        (1 << index[(1, 2, 0)]) | (1 << index[(1, 2, 1)]),
+        (1 << index[(1, 2, 0)]) | (1 << index[(1, 2, 1)]) | (1 << index[(3, 4, 0)]),
         (1 << 12) - 1,
     ]
     members = set(T3.members)
@@ -219,49 +289,43 @@ def test_rhodes_level_three_family_is_larger_once_disjoint_pairs_exist():
 
 
 def test_dowling_small_shapes():
-    Z2 = GroupTable.cyclic(2)
-    D = dowling(Z2, 2)
+    D = dowling(2, 2)
     assert D.n == 4 and D.dim == 1
     assert alpha_vector(D) == (1, 4, 6)
     assert is_matroid(D)[0]
 
-    D3 = dowling(Z2, 3)
+    D3 = dowling(2, 3)
     assert D3.n == 9 and D3.dim == 2
     assert alpha_vector(D3) == (1, 9, 36, 68)
     assert is_matroid(D3)[0]
     assert D3.labels[:3] == ("(1,g,1)", "(2,g,2)", "(3,g,3)")
 
-    D33 = dowling(GroupTable.cyclic(3), 3)
+    D33 = dowling(3, 3)
     assert D33.n == 12 and D33.dim == 2
     assert is_matroid(D33)[0]
+    assert D33.labels[:4] == ("(1,g1,1)", "(2,g1,2)", "(3,g1,3)", "(1,1,2)")
 
     with pytest.raises(DomainError):
-        dowling(GroupTable.cyclic(1), 3)
+        dowling(1, 3)
 
 
 def test_dowling_flats_match_description():
     # one flat per (I, pi, f): all loops and edges outside I, plus the
     # f-calibrated cliques on the pi-blocks; f normalized per block
-    Z2 = GroupTable.cyclic(2)
     n = 3
-    D = dowling(Z2, n)
-    loops = [SPCAtom.loop(i) for i in range(1, n + 1)]
-    edges = [
-        SPCAtom.edge(Z2, i, g, j)
-        for i, j in combinations(range(1, n + 1), 2)
-        for g in range(2)
-    ]
-    index = {a: t for t, a in enumerate(loops + edges)}
+    D = dowling(2, n)
+    loops = [(i, i, None) for i in range(1, n + 1)]
+    index = {a: t for t, a in enumerate(loops + _rhodes_atoms(2, n))}
 
     described = set()
     for I in (sub for r in range(4) for sub in combinations((1, 2, 3), r)):
         out = [i for i in (1, 2, 3) if i not in I]
         base = 0
         for i in out:
-            base |= 1 << index[SPCAtom.loop(i)]
+            base |= 1 << index[(i, i, None)]
         for i, j in combinations(out, 2):
             for g in range(2):
-                base |= 1 << index[SPCAtom.edge(Z2, i, g, j)]
+                base |= 1 << index[(i, j, g)]
         for part in _partitions(I):
             blocks = [sorted(b) for b in part]
             choices = [
@@ -274,18 +338,15 @@ def test_dowling_flats_match_description():
                     for x, v in zip(b[1:], vals):
                         f[x] = v
                     for i, j in combinations(b, 2):
-                        g = Z2.mul(Z2.inv(f[i]), f[j])
-                        F |= 1 << index[SPCAtom.edge(Z2, i, g, j)]
+                        F |= 1 << index[(i, j, (f[j] - f[i]) % 2)]
                 described.add(F)
     assert set(flats(D).members) == described
     assert len(described) == 24
 
 
 def test_dowling_flats_equal_t_family():
-    Z2 = GroupTable.cyclic(2)
-    Z3 = GroupTable.cyclic(3)
-    for G in (Z2, Z3):
-        D = dowling(G, 3)
+    for m in (2, 3):
+        D = dowling(m, 3)
         assert set(t_family(D).members) == set(flats(D).members)
 
 
@@ -347,12 +408,8 @@ def test_desargues_t_family_is_the_partition_lattice():
     for T in fam:
         # every T is a disjoint union of cliques: present vertices split
         # into groups with all inner pairs present
-        sel = [edges[t] for t in bits(T)]
-        graph = LabeledDigraph(
-            [SPCAtom.edge(GroupTable.cyclic(2), a, 0, b) for a, b in sel]
-        )
-        for nodes, comp_edges, _ in graph.components():
-            assert len(comp_edges) == len(nodes) * (len(nodes) - 1) // 2
+        for nodes, ts in _components([edges[t] for t in bits(T)]):
+            assert len(ts) == len(nodes) * (len(nodes) - 1) // 2
 
 
 def test_desargues_candidate_is_the_forest_matroid():
@@ -372,17 +429,12 @@ def test_non_desargues_flats_and_t_family():
 
     predicted = set()
     edges = list(combinations(range(1, 6), 2))
-    Z2 = GroupTable.cyclic(2)
     for T in range(1 << 10):
         sel = [edges[t] for t in bits(T)]
-        graph = LabeledDigraph([SPCAtom.edge(Z2, a, 0, b) for a, b in sel])
         ok = True
-        for nodes, comp_edges, _ in graph.components():
-            full = len(comp_edges) == len(nodes) * (len(nodes) - 1) // 2
-            two_of_l0 = (
-                len(comp_edges) == 2
-                and mask_of(edges.index((a.i, a.j)) for a in comp_edges) & ~L0 == 0
-            )
+        for nodes, ts in _components(sel):
+            full = len(ts) == len(nodes) * (len(nodes) - 1) // 2
+            two_of_l0 = len(ts) == 2 and mask_of(edges.index(sel[t]) for t in ts) & ~L0 == 0
             if not (full or two_of_l0):
                 ok = False
                 break
@@ -551,8 +603,8 @@ def test_remaining_fixture_shapes():
     assert named("cepc").dim == 3
     assert alpha_vector(named("jnmk", n=16, m=6, k=3)) == (1, 16, 15, 20)
     assert named("jijn", i=2, j=3, n=5).dim == 2
-    assert named("rhodes", m=2, n=3) == rhodes_reduced(GroupTable.cyclic(2), 3)
-    assert named("dowling", m=3, n=3) == dowling(GroupTable.cyclic(3), 3)
+    assert named("rhodes", m=2, n=3) == rhodes_reduced(2, 3)
+    assert named("dowling", m=3, n=3) == dowling(3, 3)
 
 
 # --------------------------------------------------- truncation T-family

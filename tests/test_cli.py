@@ -290,15 +290,51 @@ def test_matroid_search_and_extend_print_the_library_complexes(capsys):
         ("catalog", "get", "uniform:k=10,n=30"),
         ("catalog", "get", "jnmk:n=40,m=30,k=10"),
         ("op", "bd", "--n", "40", "--line", ",".join(map(str, range(1, 21))), "--d", "20"),
+        ("catalog", "get", "nfb:n=400"),
+        ("catalog", "get", "uniform:k=2,n=1400"),
+        ("catalog", "get", "jijn:i=2,j=3,n=1400"),
+        ("catalog", "get", "rhodes:m=2,n=7"),
+        ("catalog", "get", "rhodes:m=100000,n=2"),
     ],
-    ids=["uniform:k=8,n=26", "uniform:k=10,n=30", "jnmk:n=40,m=30,k=10", "bd:n=40,d=20"],
+    ids=[
+        "uniform:k=8,n=26",
+        "uniform:k=10,n=30",
+        "jnmk:n=40,m=30,k=10",
+        "bd:n=40,d=20",
+        "nfb:n=400",
+        "uniform:k=2,n=1400",
+        "jijn:i=2,j=3,n=1400",
+        "rhodes:m=2,n=7",
+        "rhodes:m=100000,n=2",
+    ],
 )
 def test_oversized_facet_families_are_refused_before_listing(capsys, argv):
-    # each has more than SET_LIMIT facets; listing them took 27 s and more
+    # the first four have more than SET_LIMIT facets, the next three more
+    # than 64 vertices, and rhodes:m=2,n=7 up to 33.2M faces on 42 atoms, so
+    # each is refused on a count; listing them took from 6 s to minutes
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err.startswith("capacity:")
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("name", ["uniform:k=--2,n=4", "uniform:k=\u00b2,n=4"], ids=["double-minus", "superscript-two"])
+def test_non_integer_catalog_parameters_are_usage_errors(capsys, name):
+    # "--2" and the superscript two pass a digit test but are not ints
+    code, out, err = run(capsys, "catalog", "get", name)
+    assert code == 2 and out == "" and err.startswith("error: bad parameters for 'uniform'")
+
+
+@pytest.mark.parametrize("argv", [("closure", "--set", "1"), ("op", "restrict", "--set", "1")], ids=["closure", "restrict"])
+def test_ambiguous_set_label_is_a_usage_error(capsys, tmp_path, argv):
+    # the JSON labels 1 and "1" read the same as text
+    p = tmp_path / "mixed.json"
+    p.write_text('{"vertices": [1, "1", 2], "facets": [[1, "1"], [2]]}')
+    cmd = (*argv[:-2], str(p), *argv[-2:])
+    code, out, err = run(capsys, *cmd)
+    assert code == 2 and out == "" and "'1' names 2 vertices" in err
+    code, out, _ = run(capsys, *cmd[:-1], "2")
+    assert code == 0 and out
 
 
 def test_op_up_refuses_negative_m(capsys):

@@ -3,7 +3,7 @@
 import random
 import time
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from brsc.core import (
     CapacityError,
     Complex,
     DomainError,
+    SetFamily,
     _antichain,
     bits,
     is_paving,
@@ -25,11 +26,8 @@ from brsc.core import (
     submasks,
 )
 from brsc.lattice import (
-    BooleanMatrix,
     MooreFamily,
     closure,
-    complex_of_matrix,
-    _column_closure,
     _extension_constraints,
     flats,
     flats_paving,
@@ -41,7 +39,6 @@ from brsc.lattice import (
     is_boolean_representable,
     j_complex,
     long_hyperplane_partition,
-    matrix_of,
     moore_close,
     transversal_complex,
 )
@@ -78,6 +75,29 @@ def frontier_moore_close(n, sets):
                     new.add(c)
         frontier = new
     return frozenset(members)
+
+
+def matrix_rows(fam):
+    """The boolean matrix of a set family, one row per member (sorted), each
+    row the mask of its 1-entries: zero exactly on the member's points."""
+    full = (1 << fam.n) - 1
+    return [full & ~m for m in sorted(fam.members)]
+
+
+def column_closure(fam):
+    """Closure of a column set X of the matrix of fam: the columns zero on
+    every row that is zero on X."""
+    full = (1 << fam.n) - 1
+    rows = matrix_rows(fam)
+
+    def cl(X):
+        out = full
+        for r in rows:
+            if r & X == 0:
+                out &= ~r
+        return out
+
+    return cl
 
 
 def all_faces_complex(cl, n):
@@ -296,8 +316,7 @@ def test_spanning_sets_generate_the_j_complex(C):
 @given(moore_families(max_n=7))
 @settings(max_examples=100, deadline=None)
 def test_spanning_sets_generate_the_matrix_complex(fam):
-    M = matrix_of(fam)
-    assert complex_of_matrix(M) == all_faces_complex(_column_closure(M), M.n)
+    assert j_complex(fam) == all_faces_complex(column_closure(fam), fam.n)
 
 
 def test_j_walk_fits_the_full_18_simplex():
@@ -319,9 +338,8 @@ def test_cone_split_matches_level_walk_on_t_closures(C):
 @given(moore_families(max_n=8))
 @settings(max_examples=150, deadline=None)
 def test_cone_split_matches_level_walk_on_matrix_closures(fam):
-    M = matrix_of(fam)
-    labels = tuple(range(10, 10 + M.n))
-    assert_same_complex(complex_of_matrix(M, labels), level_walk_complex(_column_closure(M), M.n, labels))
+    labels = tuple(range(10, 10 + fam.n))
+    assert_same_complex(j_complex(fam, labels), level_walk_complex(column_closure(fam), fam.n, labels))
 
 
 @given(complexes(max_n=6), st.integers(1, 3))
@@ -595,31 +613,49 @@ def test_long_hyperplane_partition_example():
     assert set(flats_paving(C).members) == set(flats(C).members)
 
 
+def has_unitriangular_order(rows, X):
+    """Whether the columns of X can be ordered so that each has a row that is
+    1 on it and 0 on the columns before it (a lower unitriangular minor)."""
+    return any(
+        all(any(r >> x & 1 and not r & mask_of(order[:i]) for r in rows) for i, x in enumerate(order))
+        for order in permutations(bits(X))
+    )
+
+
 def test_matrix_basics():
-    M = BooleanMatrix(3, [0b110, 0b001])
-    assert M.zero_sets == (0b001, 0b110)
     fam = MooreFamily(3, [0b000, 0b011, 0b111])
-    Mf = matrix_of(fam)
-    assert Mf.rows == (0b111, 0b100, 0b000)
+    assert matrix_rows(fam) == [0b111, 0b100, 0b000]
+    # columns 0 and 1 are 1 on the same row only, so no face holds both;
+    # column 2 is 1 on the other nonzero row and pairs with either
+    assert j_complex(fam).facets == {0b101, 0b110}
+
+
+@given(moore_families(max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_j_complex_is_the_unitriangular_column_complex(fam):
+    # the families hold the empty set, so every column has a 1 somewhere
+    rows = matrix_rows(fam)
+    assert j_complex(fam).faces == {X for X in range(1 << fam.n) if has_unitriangular_order(rows, X)}
 
 
 def test_independence_and_witness():
     # rows 0: zeros {0,1}; row 1: zeros {2}
     fam = moore_close(3, [0b011, 0b100, 0])
-    M = matrix_of(fam)
-    assert complex_of_matrix(M).has(0b101)
-    order = independent_order(_column_closure(M), 0b101)
+    rows = matrix_rows(fam)
+    assert j_complex(fam).has(0b101)
+    order = independent_order(column_closure(fam), 0b101)
     assert len(order) == 2
     # a lower unitriangular witness: each column of the order has a row
     # that is 1 on it and 0 on the columns before it
     for i, x in enumerate(order):
-        assert any(r >> x & 1 and not any(r >> y & 1 for y in order[:i]) for r in M.rows)
+        assert any(r >> x & 1 and not any(r >> y & 1 for y in order[:i]) for r in rows)
     # a singleton on an all-zero column is dependent, so no complex of the
-    # matrix holds every vertex
-    M2 = BooleanMatrix(2, [0b10, 0b10])
-    assert independent_order(_column_closure(M2), 0b01) is None
+    # matrix holds every vertex: both rows 0b10 are zero on column 0
+    fam2 = SetFamily(2, [0b01])
+    assert matrix_rows(fam2) == [0b10]
+    assert independent_order(column_closure(fam2), 0b01) is None
     with pytest.raises(DomainError):
-        complex_of_matrix(M2)
+        j_complex(fam2)
 
 
 @given(moore_families())
@@ -632,9 +668,8 @@ def test_transversal_equals_matrix_route(fam):
 @settings(max_examples=150, deadline=None)
 def test_membership_iff_independent(fam, seed):
     X = seed & ((1 << fam.n) - 1)
-    M = matrix_of(fam)
     C = j_complex(fam)
-    assert (independent_order(_column_closure(M), X) is not None) == C.has(X)
+    assert (independent_order(column_closure(fam), X) is not None) == C.has(X)
 
 
 @given(complexes(max_n=8))

@@ -22,7 +22,7 @@ from brsc.core import (
     truncate,
 )
 from brsc.iso import all_complexes
-from brsc.lattice import MooreFamily, flats, j_complex, matrix_of
+from brsc.lattice import MooreFamily, flats, j_complex
 from brsc.operators import (
     GraphClass,
     b_d,
