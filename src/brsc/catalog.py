@@ -3,10 +3,12 @@ and the one-off fixtures exercised throughout the test suite.
 
 Every generator is pure and deterministic; vertex labels follow the source
 naming so reports stay readable. The Rhodes-reduced and Dowling complexes are
-built over the cyclic group Z_m: a membership test on potentials mod m,
-listed by the lattice level walk. Every parametric family counts its
-vertices, and its facets or faces where they can pass core.SET_LIMIT, and
-refuses before it lists any set.
+built over the cyclic group Z_m by the lattice level walk, which grows each
+face only by atoms above its highest: one DFS over the face gives each node
+its component, its potential mod m and whether its component has a cycle,
+and from those every such atom is decided at once. Every parametric family
+counts its vertices, and its facets or faces where they can pass
+core.SET_LIMIT, and refuses before it lists any set.
 """
 
 from functools import partial
@@ -24,50 +26,66 @@ from .core import (
     mask_of,
     union,
 )
-from .lattice import MooreFamily, _hereditary_complex, j_complex
+from .lattice import MooreFamily, _level_walk, j_complex
 from .operators import b_d
 from .t_operator import jijn
 
 
-def _member(atoms, m, most_cyclic, X):
-    """Whether the atoms of X form a face of a group-labeled graph matroid
-    over Z_m. One DFS per component assigns potentials mod m: the edge
-    (i, j, g) asks for h[j] = h[i] + g. A component is a tree, or a tree plus
-    one edge or loop; that extra edge must break the potentials (a nonzero
-    label sum around its cycle), which a loop always does. At most
-    most_cyclic components carry an extra edge."""
+def _grow(atoms, m, most_cyclic, Y, level):
+    """The atoms p above the highest of Y, as a mask, with Y + p a face of a
+    group-labeled graph matroid over Z_m, for the level walk.
+
+    A face is a set of atoms (i, j, g) each of whose components is a tree, or
+    a tree plus one edge or loop that breaks the potentials, with at most
+    most_cyclic components of the second kind. One DFS over the face Y gives
+    each node its component, its potential h mod m (the edge (i, j, g) asks
+    for h[j] = h[i] + g) and whether its component has a cycle. A loop then
+    needs a tree and a cycle to spare; an edge between two components needs
+    one of them to be a tree; an edge inside a component needs a tree, a
+    cycle to spare and h[j] != h[i] + g, a nonzero label sum around the
+    cycle it closes."""
     adj = {}
-    for t in bits(X):
+    for t in bits(Y):
         i, j, g = atoms[t]
         adj.setdefault(i, []).append((j, g))
         adj.setdefault(j, []).append((i, None if g is None else -g))
+    comp = {}
     h = {}
-    cyclic = 0
+    cyclic = set()
     for root in adj:
-        if root in h:
+        if root in comp:
             continue
+        comp[root] = root
         h[root] = 0
         stack = [root]
         nodes = ends = 0
-        broken = False
         while stack:
             v = stack.pop()
             nodes += 1
             for w, g in adj[v]:
                 ends += 1
-                if g is None:
-                    broken = True
-                elif w not in h:
+                if w not in comp:
+                    comp[w] = root
                     h[w] = (h[v] + g) % m
                     stack.append(w)
-                elif h[w] != (h[v] + g) % m:
-                    broken = True
         # each edge and each loop leaves two ends
-        surplus = ends // 2 - nodes + 1
-        if surplus > 1 or surplus and not broken:
-            return False
-        cyclic += surplus
-    return cyclic <= most_cyclic
+        if ends // 2 == nodes:
+            cyclic.add(root)
+    spare = len(cyclic) < most_cyclic
+    out = 0
+    for p in range(Y.bit_length(), len(atoms)):
+        i, j, g = atoms[p]
+        a = comp.get(i, i)
+        b = comp.get(j, j)
+        if g is None:
+            ok = spare and a not in cyclic
+        elif a != b:
+            ok = a not in cyclic or b not in cyclic
+        else:
+            ok = spare and a not in cyclic and h[j] != (h[i] + g) % m
+        if ok:
+            out |= 1 << p
+    return out
 
 
 def _gain_graph(m, n, loops, most_cyclic):
@@ -93,7 +111,7 @@ def _gain_graph(m, n, loops, most_cyclic):
     atoms += [(i, j, g) for i, j in combinations(nodes, 2) for g in range(m)]
     names = ["1"] + ["g" if m == 2 else f"g{g}" for g in range(1, m)]
     labels = [f"({i},{names[1 if g is None else g]},{j})" for i, j, g in atoms]
-    return _hereditary_complex(count, partial(_member, atoms, m, most_cyclic), "group complex", labels)
+    return Complex(count, _level_walk([0], partial(_grow, atoms, m, most_cyclic), "group complex"), labels)
 
 
 def rhodes_reduced(m, n):

@@ -21,6 +21,8 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
+    _label_finder,
+    _read_json,
     complex_from_json,
     complex_to_dict,
     complex_to_json,
@@ -79,11 +81,23 @@ def load_complex(arg):
 
 
 def parse_labels(C, text):
-    """Comma-separated labels to a vertex mask. A label is read as text, so
-    a text that names two vertices (the JSON labels 1 and "1") is refused."""
+    """A vertex set to its mask. A text starting with "[" is a JSON array of
+    labels, read as the labels of a JSON complex are. Otherwise the text
+    lists labels by commas, each matching a string label equal to it or any
+    other label whose JSON text it is (true, null, 2), and a part that names
+    two vertices (the JSON labels 1 and "1") is refused."""
     m = 0
+    if text.lstrip().startswith("["):
+        find = _label_finder(C.labels)
+        for l in _read_json(text):
+            i = find(l)
+            if i is None:
+                raise DomainError(f"unknown vertex label {l!r}")
+            m |= 1 << i
+        return m
+    texts = [l if isinstance(l, str) else json.dumps(l) for l in C.labels]
     for part in filter(None, (s.strip() for s in text.split(","))):
-        hits = [i for i, l in enumerate(C.labels) if str(l) == part]
+        hits = [i for i, t in enumerate(texts) if t == part]
         if not hits:
             raise DomainError(f"unknown vertex label {part!r}")
         if len(hits) > 1:
@@ -357,7 +371,7 @@ def build_parser():
     p.add_argument("input")
     p = add("closure", cmd_closure, help="closure of a vertex set")
     p.add_argument("input")
-    p.add_argument("--set", required=True, help="comma-separated labels")
+    p.add_argument("--set", required=True, help="comma-separated labels, or a JSON array of labels")
     p = add("brcheck", cmd_brcheck, help="boolean representability with witness")
     p.add_argument("input")
     p = add("tfam", cmd_tfam, help="T-family, or rank-k truncation family with --k")

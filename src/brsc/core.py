@@ -416,13 +416,27 @@ def complex_to_json(C, indent=None):
 _JSON_LABEL = (str, int, float, type(None))
 
 
-def complex_from_json(text):
+def _read_json(text):
+    """The value of a JSON text; a malformed or too deeply nested one is a
+    DomainError."""
     import json
 
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"invalid JSON: {exc}") from None
+
+
+def _label_finder(labels):
+    """The function from a JSON value to the position of the label equal to
+    it, None if there is none. Labels are keyed by (is a boolean, label):
+    true equals 1 in Python, not in JSON."""
+    pos = {(isinstance(l, bool), l): i for i, l in enumerate(labels)}
+    return lambda l: pos.get((isinstance(l, bool), l)) if isinstance(l, _JSON_LABEL) else None
+
+
+def complex_from_json(text):
+    data = _read_json(text)
     if not isinstance(data, dict) or "vertices" not in data or "facets" not in data:
         raise DomainError('expected an object with "vertices" and "facets"')
     vertices = data["vertices"]
@@ -443,8 +457,7 @@ def complex_from_json(text):
         raise DomainError('"vertices" must be an int or a list of labels')
     n = len(labels)
     check_capacity(n)
-    # keyed by (is a boolean, label): true equals 1 in Python, not in JSON
-    pos = {(isinstance(l, bool), l): i for i, l in enumerate(labels)}
+    find = _label_finder(labels)
     facets = data["facets"]
     if not isinstance(facets, list):
         raise DomainError('"facets" must be a list of facets')
@@ -454,7 +467,7 @@ def complex_from_json(text):
             raise DomainError("each facet must be a list of labels")
         m = 0
         for l in facet:
-            i = pos.get((isinstance(l, bool), l)) if isinstance(l, _JSON_LABEL) else None
+            i = find(l)
             if i is None:
                 raise DomainError(f"facet uses unknown vertex label {l!r}")
             if m >> i & 1:

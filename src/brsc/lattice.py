@@ -19,13 +19,11 @@ per candidate, so its cost follows the size of the family rather than 2^n.
 _level_walk lists the maximal members of a subset-closed family level by
 level, each set grown from a set one point smaller, so no function here scans
 all 2^n subsets. Both refuse past core.SET_LIMIT sets, as Complex.faces does,
-and cap no vertex count. The level walk builds the complex J of
-either closure cl, the sets whose elements can be ordered so that each leaves
-the closure of the earlier ones (_independent_complex, as a cone over the
-coloops of cl, which it never walks), and the long hyperplanes of a paving
-complex. _hereditary_complex walks it over a membership test, growing each
-set only by points above its highest: operators.class_complex and the
-group-labeled graph complexes of the catalog are built by it.
+and cap no vertex count. The level walk builds the complex J of either
+closure cl, the sets whose elements can be ordered so that each leaves the
+closure of the earlier ones (_independent_complex, as a cone over the coloops
+of cl, which it never walks), the long hyperplanes of a paving complex and
+the group-labeled graph complexes of the catalog.
 _first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
 with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
 closure). The public functions below are short calls into these helpers.
@@ -209,24 +207,6 @@ def _level_walk(level, grow, what, limit=None):
     if room < 0:
         raise CapacityError(f"{what} with more than {core.SET_LIMIT} sets is out of range")
     return out
-
-
-def _hereditary_complex(n, member, what, labels=None):
-    """Complex of the subset-closed family on 0..n-1 whose sets pass the
-    membership test member. The level walk starts from the empty set and
-    grows each set only by the points above its highest, so each set is
-    built once, from itself minus its highest point; it refuses past
-    core.SET_LIMIT sets, and the vertex count is checked before any."""
-    core.check_capacity(n)
-
-    def grow(Y, level):
-        m = 0
-        for p in range(Y.bit_length(), n):
-            if member(Y | 1 << p):
-                m |= 1 << p
-        return m
-
-    return Complex(n, _level_walk([0], grow, what), labels)
 
 
 def _independent_complex(cl, n, labels=None):

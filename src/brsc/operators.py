@@ -8,13 +8,11 @@ from .core import (
     Complex,
     DomainError,
     SetFamily,
-    adjacency,
     bits,
-    components,
     is_paving,
     k_submasks,
 )
-from .lattice import MooreFamily, _extension_map, _hereditary_complex, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -149,67 +147,3 @@ def is_graphic_boolean(C):
     G = graph_complex(C.n, edges, C.labels)
     ok = up(G) == C
     return ok, (SetFamily(C.n, edges) if ok else None)
-
-
-class GraphClass:
-    """A hereditary graph property used to carve complexes out of a graph."""
-
-    __slots__ = ("kind", "bound")
-
-    def __init__(self, kind, bound=None):
-        if kind not in ("edgeless", "forests", "triangle_free", "no_cycle_upto"):
-            raise DomainError(f"unknown graph class {kind!r}")
-        if kind == "no_cycle_upto":
-            if bound is None or bound < 3:
-                raise DomainError("cycle bound must be >= 3")
-        elif bound is not None:
-            raise DomainError(f"{kind} takes no bound")
-        self.kind = kind
-        self.bound = bound
-
-    def allows(self, W, adj):
-        """Does the induced subgraph on W belong to the class?"""
-        verts = list(bits(W))
-        deg_edges = sum((adj[v] & W).bit_count() for v in verts) // 2
-        if self.kind == "edgeless":
-            return deg_edges == 0
-        if self.kind == "forests":
-            return deg_edges == len(verts) - len(components(W, adj))
-        if self.kind == "triangle_free":
-            return not _has_short_cycle(W, adj, 3)
-        return not _has_short_cycle(W, adj, self.bound)
-
-
-def _has_short_cycle(W, adj, bound):
-    """Any cycle of length <= bound in the induced subgraph on W."""
-    for s in bits(W):
-        # BFS from s; a cross or back edge at depth sums <= bound closes one
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        while queue:
-            nxt_queue = []
-            for v in queue:
-                for w in bits(adj[v] & W):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        parent[w] = v
-                        nxt_queue.append(w)
-                    elif w != parent[v]:
-                        cyc = dist[v] + dist[w] + 1
-                        if cyc <= bound:
-                            return True
-            queue = nxt_queue
-    return False
-
-
-def class_complex(n, edges, graph_class):
-    """Faces are the vertex sets whose induced subgraph lies in the class.
-
-    The class is hereditary, so these sets form a subset-closed family, which
-    the lattice level walk lists from the empty set by the membership test.
-    It refuses once the family passes core.SET_LIMIT sets, as Complex.faces
-    does; with no count first, that happens only after SET_LIMIT sets are
-    listed."""
-    adj = adjacency(n, edges)
-    return _hereditary_complex(n, lambda W: graph_class.allows(W, adj), "class complex")

@@ -5,7 +5,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brsc.core import (
@@ -21,6 +21,7 @@ from brsc.core import (
     truncate,
 )
 from brsc.catalog import (
+    _grow,
     catalog_names,
     desargues,
     dowling,
@@ -123,13 +124,60 @@ def _scan_member(chosen, m, rhodes):
     return True
 
 
+def _member(atoms, m, most_cyclic, X):
+    """Whether the atoms of X form a face of a group-labeled graph matroid
+    over Z_m. One DFS per component assigns potentials mod m: the edge
+    (i, j, g) asks for h[j] = h[i] + g. A component is a tree, or a tree plus
+    one edge or loop; that extra edge must break the potentials (a nonzero
+    label sum around its cycle), which a loop always does. At most
+    most_cyclic components carry an extra edge."""
+    adj = {}
+    for t in bits(X):
+        i, j, g = atoms[t]
+        adj.setdefault(i, []).append((j, g))
+        adj.setdefault(j, []).append((i, None if g is None else -g))
+    h = {}
+    cyclic = 0
+    for root in adj:
+        if root in h:
+            continue
+        h[root] = 0
+        stack = [root]
+        nodes = ends = 0
+        broken = False
+        while stack:
+            v = stack.pop()
+            nodes += 1
+            for w, g in adj[v]:
+                ends += 1
+                if g is None:
+                    broken = True
+                elif w not in h:
+                    h[w] = (h[v] + g) % m
+                    stack.append(w)
+                elif h[w] != (h[v] + g) % m:
+                    broken = True
+        # each edge and each loop leaves two ends
+        surplus = ends // 2 - nodes + 1
+        if surplus > 1 or surplus and not broken:
+            return False
+        cyclic += surplus
+    return cyclic <= most_cyclic
+
+
+def _group_atoms(name, m, n):
+    """The atoms of the group complex in the catalog's order: the loops
+    (i, i, None) of dowling, then the edges (i, j, g) for i < j, g in Z_m."""
+    loops = [(i, i, None) for i in range(1, n + 1)] if name == "dowling" else []
+    return loops + [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
+
+
 def _scan_group_complex(name, m, n):
     """The group complex by a scan of every atom set of at most n atoms."""
     def show(g):
         return "1" if g == 0 else "g" if m == 2 else f"g{g}"
 
-    loops = [(i, i, None) for i in range(1, n + 1)] if name == "dowling" else []
-    atoms = loops + [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
+    atoms = _group_atoms(name, m, n)
     labels = [f"({i},{show(1)},{i})" if g is None else f"({i},{show(g)},{j})" for i, j, g in atoms]
     gens = {
         mask_of(combo)
@@ -169,6 +217,7 @@ def test_group_complex_matches_subset_scan(name, m, n):
         ("rhodes", 2, 4, 312),
         ("rhodes", 3, 4, 2106),
         ("rhodes", 2, 5, 7552),
+        ("rhodes", 3, 5, 76464),
         ("dowling", 2, 4, 1138),
         ("dowling", 5, 3, 686),
         # 25 atoms: past the subset scan's old 24-atom cap
@@ -180,6 +229,47 @@ def test_group_complex_facet_counts(name, m, n, count):
     C = named(name, m=m, n=n)
     assert len(C.facets) == count
     assert {f.bit_count() for f in C.facets} == {n}
+
+
+@st.composite
+def group_faces(draw):
+    """Atoms of a group complex, m, a budget of cyclic components and one
+    face, grown from drawn atoms by keeping each that leaves a face. The
+    catalog's budgets are 1 (rhodes) and n (dowling); drawing any budget in
+    1..n also spends it on loops."""
+    name = draw(st.sampled_from(["rhodes", "dowling"]))
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 4))
+    most_cyclic = draw(st.integers(1, n))
+    atoms = _group_atoms(name, m, n)
+    Y = 0
+    for t in draw(st.lists(st.integers(0, len(atoms) - 1), max_size=n + 1)):
+        if _member(atoms, m, most_cyclic, Y | 1 << t):
+            Y |= 1 << t
+    return name, m, n, most_cyclic, Y
+
+
+# a parallel edge whose labels differ closes a cycle
+@example(("rhodes", 2, 3, 1, 0b1))
+# (2,3,g) closes a cycle of zero label sum exactly when g = 1
+@example(("rhodes", 3, 3, 1, 0b10001))
+# the one cyclic component of rhodes is spent on (1,2): a parallel (3,4) is refused
+@example(("rhodes", 2, 4, 1, 0b11 | 1 << 10))
+@example(("dowling", 2, 4, 4, 1 << 4 | 1 << 5 | 1 << 14))
+# loops on nodes 1 and 2: no edge may join them, a loop on 3 may follow
+@example(("dowling", 2, 3, 3, 0b11))
+# with a budget of 2 spent, no loop may follow
+@example(("dowling", 2, 3, 2, 0b11))
+# a loop on 1 and the edge (1,2): no second cycle through either node
+@example(("dowling", 3, 3, 3, 1 << 0 | 1 << 3))
+@given(group_faces())
+@settings(max_examples=300, deadline=None)
+def test_grow_decides_each_atom_above_the_highest_as_the_member_test(face):
+    name, m, n, most_cyclic, Y = face
+    atoms = _group_atoms(name, m, n)
+    assert _member(atoms, m, most_cyclic, Y)
+    above = range(Y.bit_length(), len(atoms))
+    assert _grow(atoms, m, most_cyclic, Y, None) == mask_of(p for p in above if _member(atoms, m, most_cyclic, Y | 1 << p))
 
 
 def _partitions(items):

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import catalog_names, named
-from brsc.cli import main
+from brsc.cli import load_complex, main
 from brsc.core import complex_from_json, complex_to_json
+from brsc.lattice import closure
 from brsc.matroid import search_matroid_extensions
 from brsc.t_operator import jt_complex
 
@@ -69,7 +70,7 @@ def test_check_report_fields(capsys, tmp_path):
 LIMITED_CLI = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from brsc.cli import main
+from brsc.cli import load_complex, main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -184,6 +185,14 @@ def test_malformed_facet_labels_are_usage_errors(capsys, tmp_path, facets):
     p.write_text(f'{{"vertices": 3, "facets": {facets}}}')
     code, out, err = run(capsys, "check", str(p))
     assert code == 2 and out == "" and err.startswith("error: facet")
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    # the JSON reader recurses once per bracket
+    p = tmp_path / "deep.json"
+    p.write_text('{"vertices": 3, "facets": ' + "[" * 100000)
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == "" and err.startswith("error: invalid JSON")
 
 
 def test_closed_stdout_exits_without_a_traceback():
@@ -335,6 +344,47 @@ def test_ambiguous_set_label_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2 and out == "" and "'1' names 2 vertices" in err
     code, out, _ = run(capsys, *cmd[:-1], "2")
     assert code == 0 and out
+
+
+def test_every_vertex_can_be_named(capsys, tmp_path):
+    # the group complexes' labels hold commas, and the JSON labels true and
+    # null are named by their JSON text
+    p = tmp_path / "scalars.json"
+    p.write_text('{"vertices": [true, 2, null, "a,b"], "facets": [[true, 2], [null, "a,b"]]}')
+    for arg in ("rhodes:m=2,n=3", "dowling:m=2,n=3", str(p)):
+        C = load_complex(arg)
+        for v, label in enumerate(C.labels):
+            want = C.face_labels(closure(C, 1 << v))
+            code, out, _ = run(capsys, "closure", arg, "--set", json.dumps([label]))
+            assert code == 0 and json.loads(out)["closure"] == want
+        code, out, _ = run(capsys, "closure", arg, "--set", json.dumps(list(C.labels)))
+        assert code == 0 and json.loads(out)["closure"] == list(C.labels)
+    # C is the JSON file's complex; a comma list names labels without commas
+    for text, X in (("true", 0b1), ("2, null", 0b110)):
+        code, out, _ = run(capsys, "closure", str(p), "--set", text)
+        assert code == 0 and json.loads(out)["closure"] == C.face_labels(closure(C, X))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("True", "unknown vertex label 'True'"),
+        ("None", "unknown vertex label 'None'"),
+        ("a,b", "unknown vertex label 'a'"),
+        ('["a,b"', "invalid JSON"),
+        ('["a,b"] 2', "invalid JSON"),
+        ("[" * 100000, "invalid JSON"),
+        ("[1]", "unknown vertex label 1"),
+        ('[[true]]', "unknown vertex label [True]"),
+        ('[{"a": 1}]', "unknown vertex label {'a': 1}"),
+    ],
+    ids=["python-true", "python-none", "comma-inside", "unclosed", "trailing", "deep", "number-for-boolean", "nested", "object"],
+)
+def test_malformed_set_is_a_usage_error(capsys, tmp_path, text, message):
+    p = tmp_path / "scalars.json"
+    p.write_text('{"vertices": [true, 2, null, "a,b"], "facets": [[true, 2], [null, "a,b"]]}')
+    code, out, err = run(capsys, "closure", str(p), "--set", text)
+    assert code == 2 and out == "" and message in err
 
 
 def test_op_up_refuses_negative_m(capsys):

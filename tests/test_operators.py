@@ -24,10 +24,8 @@ from brsc.core import (
 from brsc.iso import all_complexes
 from brsc.lattice import MooreFamily, flats, j_complex
 from brsc.operators import (
-    GraphClass,
     b_d,
     boxplus_point,
-    class_complex,
     family_boxplus,
     graph_complex,
     is_graphic_boolean,
@@ -334,100 +332,6 @@ def test_graphic_boolean_matches_probe_loop(C):
     assert is_graphic_boolean(up(C)) == probe_graphic_boolean(up(C))
 
 
-def test_class_complexes():
-    # C4 cycle: forests complex = everything except the full vertex set
-    edges = [tri(1, 2), tri(2, 3), tri(3, 4), tri(1, 4)]
-    F = class_complex(4, edges, GraphClass("forests"))
-    assert F.faces == frozenset(X for X in range(16) if X != 0b1111)
-
-    # K4: triangle-free induced subgraphs have at most 2 vertices
-    k4 = list(k_submasks(0b1111, 2))
-    T = class_complex(4, k4, GraphClass("triangle_free"))
-    assert T.faces == frozenset(X for X in range(16) if X.bit_count() <= 2)
-    N3 = class_complex(4, k4, GraphClass("no_cycle_upto", 3))
-    assert T == N3
-
-    E = class_complex(4, k4, GraphClass("edgeless"))
-    assert E.faces == frozenset(X for X in range(16) if X.bit_count() <= 1)
-
-    # C5 has girth 5: banning cycles up to 4 changes nothing, up to 5 kills it
-    c5 = [tri(1, 2), tri(2, 3), tri(3, 4), tri(4, 5), tri(1, 5)]
-    A = class_complex(5, c5, GraphClass("no_cycle_upto", 4))
-    assert A.has(0b11111)
-    B = class_complex(5, c5, GraphClass("no_cycle_upto", 5))
-    assert not B.has(0b11111)
-
-    with pytest.raises(DomainError):
-        GraphClass("widgets")
-    with pytest.raises(DomainError):
-        GraphClass("no_cycle_upto", 2)
-
-
-def scan_class_sets(n, edges, graph_class):
-    """The vertex sets whose induced subgraph lies in the class, by testing
-    all 2^n subsets."""
-    adj = [0] * n
-    for e in edges:
-        u, v = tuple(bits(e))
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return {W for W in range(1 << n) if graph_class.allows(W, adj)}
-
-
-def scan_class_complex(n, edges, graph_class):
-    """The class complex generated by the maximal allowed sets of the 2^n scan."""
-    allowed = scan_class_sets(n, edges, graph_class)
-    gens = [W for W in allowed if all(W >> v & 1 or (W | (1 << v)) not in allowed for v in range(n))]
-    return Complex(n, gens)
-
-
-GRAPH_CLASSES = [
-    GraphClass("edgeless"),
-    GraphClass("forests"),
-    GraphClass("triangle_free"),
-    GraphClass("no_cycle_upto", 4),
-    GraphClass("no_cycle_upto", 5),
-]
-
-
-@st.composite
-def graphs(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    pairs = list(k_submasks((1 << n) - 1, 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    return n, edges
-
-
-@given(graphs(), st.sampled_from(GRAPH_CLASSES))
-@settings(max_examples=300, deadline=None)
-def test_class_complex_matches_scan(graph, graph_class):
-    n, edges = graph
-    assert class_complex(n, edges, graph_class) == scan_class_complex(n, edges, graph_class)
-
-
-def test_class_complex_past_twenty_vertices():
-    # the 2^n scan stopped at 20 vertices; the walk lists only the members
-    n = 24
-    k = list(k_submasks((1 << n) - 1, 2))
-    assert class_complex(n, k, GraphClass("edgeless")).facets == {1 << v for v in range(n)}
-    for graph_class in GRAPH_CLASSES[1:]:
-        # every three points of K_24 span a triangle
-        assert class_complex(n, k, graph_class).facets == set(k)
-
-
-@given(graphs(max_n=7), st.sampled_from(GRAPH_CLASSES), st.integers(0, 7))
-@settings(max_examples=150, deadline=None)
-def test_class_complex_refuses_exactly_past_the_set_limit(graph, graph_class, log_limit):
-    n, edges = graph
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "SET_LIMIT", 1 << log_limit)
-        if len(scan_class_sets(n, edges, graph_class)) > 1 << log_limit:
-            with pytest.raises(CapacityError):
-                class_complex(n, edges, graph_class)
-        else:
-            assert class_complex(n, edges, graph_class) == scan_class_complex(n, edges, graph_class)
-
-
 def anticliques_of_size(n, edges, k):
     """All k-subsets inducing no edge."""
     adj = adjacency(n, edges)
@@ -436,8 +340,6 @@ def anticliques_of_size(n, edges, k):
 
 @pytest.mark.parametrize("edge", [0b111, 0b1, 0, 0b100001, -3], ids=["three-points", "one-point", "empty", "outside", "negative"])
 def test_graph_edges_are_validated(edge):
-    with pytest.raises(DomainError):
-        class_complex(4, [0b11, edge], GraphClass("forests"))
     with pytest.raises(DomainError):
         anticliques_of_size(4, [0b11, edge], 2)
 

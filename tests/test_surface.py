@@ -16,13 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "brsc").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
 
-# the public names kept with no caller, each with its reason
-ALLOWED = {
-    "operators.class_complex": "the paper's graph-class complexes; no statement "
-    "of the paper about them is in the repository to check yet",
-    "operators.GraphClass": "the hereditary graph classes that class_complex takes",
-}
-
 
 def _top_level_definitions(tree):
     return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
@@ -56,4 +49,4 @@ def test_every_public_definition_has_a_caller():
                 continue
             if not any(n == name and (p, o) != (path, name) for p, n, o in uses):
                 unused.append(f"{path.stem}.{name}")
-    assert sorted(unused) == sorted(ALLOWED)
+    assert unused == []
