@@ -284,10 +284,6 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def _rhodes_atoms(m, n):
-    return [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
-
-
 def test_rhodes_small_shapes():
     R = rhodes_reduced(2, 2)
     assert R.n == 2 and R.dim == 1
@@ -309,7 +305,7 @@ def test_rhodes_small_shapes():
 def test_rhodes_flats_match_both_descriptions():
     # flats are the full-partition sets C(pi), plus the label-trivial
     # clique unions without parallel edges
-    atoms = _rhodes_atoms(2, 3)
+    atoms = _group_atoms("rhodes", 2, 3)
     index = {a: t for t, a in enumerate(atoms)}
     R = rhodes_reduced(2, 3)
 
@@ -364,7 +360,7 @@ def test_rhodes_level_three_family_is_larger_once_disjoint_pairs_exist():
     T3 = truncation_t_family(R4, 3)
     fl = set(flats(R4).members)
     assert fl < set(T3.members)
-    index = {a: t for t, a in enumerate(_rhodes_atoms(2, 4))}
+    index = {a: t for t, a in enumerate(_group_atoms("rhodes", 2, 4))}
     chain = [
         0,
         1 << index[(1, 2, 0)],
@@ -404,8 +400,7 @@ def test_dowling_flats_match_description():
     # f-calibrated cliques on the pi-blocks; f normalized per block
     n = 3
     D = dowling(2, n)
-    loops = [(i, i, None) for i in range(1, n + 1)]
-    index = {a: t for t, a in enumerate(loops + _rhodes_atoms(2, n))}
+    index = {a: t for t, a in enumerate(_group_atoms("dowling", 2, n))}
 
     described = set()
     for I in (sub for r in range(4) for sub in combinations((1, 2, 3), r)):
