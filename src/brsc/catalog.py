@@ -111,7 +111,9 @@ def _gain_graph(m, n, loops, most_cyclic):
     atoms += [(i, j, g) for i, j in combinations(nodes, 2) for g in range(m)]
     names = ["1"] + ["g" if m == 2 else f"g{g}" for g in range(1, m)]
     labels = [f"({i},{names[1 if g is None else g]},{j})" for i, j, g in atoms]
-    return Complex(count, _level_walk([0], partial(_grow, atoms, m, most_cyclic), "group complex"), labels)
+    # every atom alone is a face, so the walk's maximal sets are the facets
+    walk = _level_walk([0], partial(_grow, atoms, m, most_cyclic), "group complex")
+    return Complex._of_antichain(count, walk, core._labels(count, labels))
 
 
 def rhodes_reduced(m, n):

@@ -25,7 +25,6 @@ from .core import (
     _read_json,
     complex_from_json,
     complex_to_dict,
-    complex_to_json,
     contraction,
     is_paving,
     join,
@@ -35,6 +34,7 @@ from .core import (
     sum_complex,
     truncate,
     union,
+    write_complex_json,
 )
 from .lattice import closure, flats, is_boolean_representable
 from .operators import b_d, up, up_iter
@@ -108,7 +108,7 @@ def parse_labels(C, text):
 
 def emit(data):
     if isinstance(data, Complex):
-        print(complex_to_json(data, indent=2))
+        write_complex_json(data, sys.stdout)
     else:
         print(json.dumps(data, indent=2))
 

@@ -9,8 +9,10 @@ look at (n, facets).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import reduce
-from itertools import combinations, groupby
+from itertools import combinations
 from operator import or_
 
 
@@ -116,21 +118,66 @@ class SetFamily:
         return f"SetFamily(n={self.n}, {{{', '.join(sets)}}})"
 
 
-def _antichain(masks):
-    """The members not strictly inside another member.
+# _BIT_CHARS[j][x] is the digit "1" when bit j of the byte x is set, else "0"
+_BIT_CHARS = [bytes(b"01"[x >> j & 1] for x in range(256)) for j in range(8)]
 
-    Two distinct masks of one size never contain each other, so the masks are
-    taken in size classes, largest first, and each class is compared only with
-    the members already kept, all of them larger; the largest class is kept
-    whole.
+
+def _antichain(masks):
+    """The maximal members of masks (every mask below 2^64), whatever their
+    order or repeats, as a frozenset. Complex() relies on this being exactly
+    its facets: every member not strictly inside another, and no other.
+
+    The distinct masks are listed largest first, and column v is an int whose
+    bit t says that the t-th of them holds vertex v, read off the masks'
+    bytes a byte lane at a time. A mask lies strictly inside another member
+    exactly when a larger member holds all its vertices, that is when the
+    AND of its vertices' columns has a bit below its size class. A member
+    inside a dropped member lies inside a kept one, so the columns hold
+    every member and are built once. The largest class is never tested, and
+    a test takes one AND a vertex, of ints no longer than the count of larger
+    members: a subset query on a set family (Yellin & Jutla, IPL 1993).
     """
+    ms = sorted(set(masks), key=int.bit_count, reverse=True)
+    if not ms or ms[-1].bit_count() == ms[0].bit_count():
+        # one size: no member holds another
+        return frozenset(ms)
+    # one little-endian 8-byte word a mask: raw[j::8] is byte j of every
+    # mask, and reversed, a lane's digits put mask 0 lowest
+    words = array("Q", ms)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    cols = {
+        1 << v: int(raw[v >> 3 :: 8].translate(_BIT_CHARS[v & 7])[::-1], 2)
+        for v in bits(reduce(or_, ms))
+    }
     kept = []
-    by_size = sorted(set(masks), key=int.bit_count, reverse=True)
-    for _, group in groupby(by_size, key=int.bit_count):
-        if kept:
-            group = [m for m in group if not any(m & ~k == 0 for k in kept)]
-        kept.extend(group)
+    size = ms[0].bit_count()
+    larger = 0
+    for t, m in enumerate(ms):
+        if m.bit_count() < size:
+            size = m.bit_count()
+            larger = (1 << t) - 1
+        c = larger
+        x = m
+        while x and c:
+            b = x & -x
+            c &= cols[b]
+            x ^= b
+        if not c:
+            kept.append(m)
     return frozenset(kept)
+
+
+def _labels(n, labels=None):
+    """labels as a tuple checked to be distinct and one per vertex of n;
+    None gives the default labels 1..n."""
+    if labels is None:
+        return tuple(range(1, n + 1))
+    labels = tuple(labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise DomainError("labels must be distinct and one per vertex")
+    return labels
 
 
 class Complex:
@@ -151,24 +198,30 @@ class Complex:
         gens.update(1 << i for i in bits(full & ~cover))
         self.n = n
         self.facets = _antichain(gens)
-        if labels is None:
-            labels = tuple(range(1, n + 1))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n or len(set(labels)) != n:
-                raise DomainError("labels must be distinct and one per vertex")
-        self.labels = labels
+        self.labels = _labels(n, labels)
         self._faces = None
 
     @classmethod
     def _of_antichain(cls, n, facets, labels):
-        """The complex on 0..n-1 whose facets are exactly the masks in the set
-        facets, built with none of the constructor's checks.
+        """The complex on 0..n-1 whose facets are exactly the masks in facets,
+        built with none of the constructor's checks and no reduction.
 
         The caller guarantees what the constructor would establish: facets
         is a nonempty antichain of masks inside 0..n-1 whose union is every
-        vertex, and labels is a tuple already validated for n (the labels of
-        a built complex on n vertices)."""
+        vertex, and labels is a tuple valid for n (from `_labels`, or the
+        labels of a built complex on n vertices).
+        Each caller holds the facets already:
+        - `search_matroid_extensions`: distinct chosen sets of one size,
+          with every vertex in one of them;
+        - `iso.canonical_complex`: a relabeling of a complex's facets;
+        - `iso.paving_complexes`: the kept (d+1)-sets and the d-sets under
+          none of them, for 1 <= d <= n;
+        - `iso.all_complexes`: at each size, the chosen sets under no
+          chosen set one larger;
+        - `lattice._independent_complex` and `catalog._gain_graph`: the
+          maximal sets of a level walk that starts at the empty set and
+          holds every singleton (no loop of the closure; every atom alone a
+          face)."""
         C = object.__new__(cls)
         C.n = n
         C.facets = frozenset(facets)
@@ -398,18 +451,37 @@ def components(W, adj):
 
 # JSON interchange: {"vertices": <int n or label list>, "facets": [[labels...], ...]}
 
+def _json_vertices(C):
+    """The "vertices" value of C's JSON object: n for the default labels."""
+    return C.n if C.labels == tuple(range(1, C.n + 1)) else list(C.labels)
+
+
+def _sorted_facets(C):
+    """C's facets sorted by size, then mask."""
+    fct = sorted(C.facets)
+    fct.sort(key=int.bit_count)
+    return fct
+
+
 def complex_to_dict(C):
     """The JSON interchange object of C, facets sorted by size then mask."""
-    default_labels = tuple(range(1, C.n + 1))
-    vertices = C.n if C.labels == default_labels else list(C.labels)
-    fct = sorted(C.facets, key=lambda m: (m.bit_count(), m))
-    return {"vertices": vertices, "facets": [C.face_labels(f) for f in fct]}
+    return {"vertices": _json_vertices(C), "facets": [C.face_labels(f) for f in _sorted_facets(C)]}
 
 
-def complex_to_json(C, indent=None):
+def write_complex_json(C, out):
+    """Write the text json.dumps(complex_to_dict(C), indent=2) and a newline
+    to the text stream out, one facet at a time, so that neither the text nor
+    the facets' label lists are held whole. Each label is encoded once."""
     import json
 
-    return json.dumps(complex_to_dict(C), indent=indent)
+    vertices = json.dumps(_json_vertices(C), indent=2).replace("\n", "\n  ")
+    item = ["      " + json.dumps(l) for l in C.labels]
+    out.write('{\n  "vertices": ' + vertices + ',\n  "facets": [')
+    sep = "\n"
+    for f in _sorted_facets(C):
+        out.write(sep + "    [\n" + ",\n".join([item[v] for v in bits(f)]) + "\n    ]")
+        sep = ",\n"
+    out.write("\n  ]\n}\n")
 
 
 # JSON scalars usable as vertex labels (bool is an int subclass)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from operator import le
 
-from .core import CapacityError, Complex, DomainError, bits, mask_of
+from .core import CapacityError, Complex, DomainError, _labels, bits, mask_of
 
 
 def _twin_classes(n, through):
@@ -192,7 +192,7 @@ def _canonical_key_cached(C):
 
 def canonical_complex(C):
     """A relabeled copy realizing the canonical key, with default labels."""
-    return Complex(C.n, _canonical_key_cached(C))
+    return Complex._of_antichain(C.n, _canonical_key_cached(C), _labels(C.n))
 
 
 def are_isomorphic(C, D):
@@ -347,44 +347,65 @@ def paving_complexes(n, d):
     Relabelings act on the C(n,d+1)-bit top-face patterns directly, so orbit
     minima enumerate the classes without per-complex canonicalization.  The
     empty pattern (dimension d-1) is included; callers filter by dimension.
+    The facets of a pattern are its (d+1)-sets and the d-sets under none of
+    them, so no complex is reduced.
     """
     from math import comb
 
+    if not 1 <= d <= n:
+        raise DomainError("paving complexes need 1 <= d <= n")
     if comb(n, d + 1) > 21:
         raise CapacityError("paving scan needs C(n, d+1) <= 21")
     combs, reps = orbit_reps(n, d + 1)
     masks = [mask_of(c) for c in combs]
-    base = set()
-    for k in range(2, d + 1):
-        base.update(mask_of(c) for c in combinations(range(n), k))
+    ridges = list(map(mask_of, combinations(range(n), d)))
+    # under[t]: the ridges (by index) inside the t-th (d+1)-set
+    index = {r: i for i, r in enumerate(ridges)}
+    under = [sum(1 << index[m ^ 1 << v] for v in bits(m)) for m in masks]
+    every = (1 << len(ridges)) - 1
+    labels = _labels(n)
     for pattern in reps:
-        keep = {masks[t] for t in range(len(masks)) if pattern >> t & 1}
-        yield Complex(n, base | keep)
+        facets = []
+        covered = 0
+        for t in bits(pattern):
+            facets.append(masks[t])
+            covered |= under[t]
+        facets += [ridges[i] for i in bits(every & ~covered)]
+        yield Complex._of_antichain(n, facets, labels)
 
 
 def all_complexes(n):
     """Every simplicial complex on vertex set 0..n-1, exactly once.
 
     Walks sizes upward; at each size any subset of the masks whose boundary
-    lies in the previous level can join.
+    lies in the previous level can join. The facets are carried down the
+    walk, so no complex is reduced.
     """
+    if n < 1:
+        raise DomainError("vertex set must be nonempty")
     if n > 5:
         raise CapacityError("full complex enumeration supported for n <= 5")
     prev = {1 << v for v in range(n)}
-    yield from _complexes_from(n, 2, prev, set(prev))
+    yield from _complexes_from(n, 2, prev, frozenset(), _labels(n))
 
 
-def _complexes_from(n, k, chosen_prev, acc):
-    """Every complex whose nonempty faces of size < k are acc, chosen_prev
-    being those of size k - 1."""
+def _complexes_from(n, k, chosen_prev, below, labels):
+    """Every complex whose faces of size k - 1 are chosen_prev and whose
+    facets of size < k - 1 are below."""
     if k > n:
-        yield Complex(n, acc)
+        yield Complex._of_antichain(n, below | chosen_prev, labels)
         return
     elig = [
         m
         for m in map(mask_of, combinations(range(n), k))
         if all((m ^ (1 << v)) in chosen_prev for v in bits(m))
     ]
+    # the (k-1)-sets under each eligible k-set
+    under = [{m ^ (1 << v) for v in bits(m)} for m in elig]
     for pick in range(1 << len(elig)):
-        sel = {elig[t] for t in range(len(elig)) if pick >> t & 1}
-        yield from _complexes_from(n, k + 1, sel, acc | sel)
+        sel = set()
+        covered = set()
+        for t in bits(pick):
+            sel.add(elig[t])
+            covered |= under[t]
+        yield from _complexes_from(n, k + 1, sel, below | (chosen_prev - covered), labels)

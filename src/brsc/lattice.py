@@ -224,6 +224,10 @@ def _independent_complex(cl, n, labels=None):
     set from an independent order's prefix. It refuses once J has more than
     SET_LIMIT faces: at once when 2^|K| alone is more, else once the walk of
     J' passes SET_LIMIT >> |K| sets.
+
+    The walk's maximal sets plus K are the facets as they stand: cl(0) is
+    empty (no loops, which j_complex checks and the flat and T(H) closures
+    have since every singleton is a face), so every point lies in one.
     """
     full = (1 << n) - 1
     K = 0
@@ -232,7 +236,7 @@ def _independent_complex(cl, n, labels=None):
             K |= 1 << p
     rest = full & ~K
     spanning = _level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", core.SET_LIMIT >> K.bit_count())
-    return Complex(n, [Y | K for Y in spanning], labels)
+    return Complex._of_antichain(n, [Y | K for Y in spanning], core._labels(n, labels))
 
 
 def _first_gap(C, cl):

@@ -16,7 +16,13 @@ from .lattice import MooreFamily, _extension_map, flats, is_boolean_representabl
 
 
 def up(C):
-    """Faces I union {p} over all faces I and points p (plus H itself)."""
+    """Faces I union {p} over all faces I and points p (plus H itself).
+
+    Generated by the facets f and the sets f + p for p outside f: those are
+    counted, and refused past core.SET_LIMIT, before any is listed."""
+    count = sum(C.n + 1 - f.bit_count() for f in C.facets)
+    if count > core.SET_LIMIT:
+        raise CapacityError(f"up with more than {core.SET_LIMIT} generating sets is out of range")
     gens = set(C.facets)
     for f in C.facets:
         for p in range(C.n):

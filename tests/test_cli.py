@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import catalog_names, named
-from brsc.cli import load_complex, main
-from brsc.core import complex_from_json, complex_to_json
+from brsc.cli import emit, load_complex, main
+from brsc.core import Complex, complex_from_json, complex_to_dict
 from brsc.lattice import closure
 from brsc.matroid import search_matroid_extensions
 from brsc.t_operator import jt_complex
@@ -40,7 +40,31 @@ def run(capsys, *argv):
 def test_json_round_trip_over_whole_catalog():
     for name, _ in catalog_names():
         C = named(name, **PARAMS.get(name, {}))
-        assert complex_from_json(complex_to_json(C)) == C
+        assert complex_from_json(json.dumps(complex_to_dict(C))) == C
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        named("rhodes", m=2, n=3),
+        named("jnmk", n=7, m=5, k=3),
+        Complex(5, [0b00111, 0b11000], ('a"b', 1.5, True, None, "\u00e9\n")),
+    ],
+)
+def test_emit_writes_the_indented_json_of_a_complex(C, capsys):
+    # one facet at a time, the same text as the whole object's json.dumps
+    emit(C)
+    assert capsys.readouterr().out == json.dumps(complex_to_dict(C), indent=2) + "\n"
+
+
+def test_catalog_get_prints_the_indented_json_bytes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "brsc.cli", "catalog", "get", "dowling:m=2,n=3"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    want = json.dumps(complex_to_dict(named("dowling", m=2, n=3)), indent=2) + "\n"
+    assert proc.returncode == 0 and proc.stdout == want.encode()
 
 
 def test_check_report_fields(capsys, tmp_path):
@@ -284,12 +308,12 @@ def test_matroid_search_and_extend_print_the_library_complexes(capsys):
     got = json.loads(out)
     want = search_matroid_extensions(named("sme")).extensions
     assert code == 0 and got["complete"] and len(got["extensions"]) == 7
-    assert got["extensions"] == [json.loads(complex_to_json(E)) for E in want]
+    assert got["extensions"] == [complex_to_dict(E) for E in want]
     code, out, _ = run(capsys, "matroid", "extend", "desargues")
     got = json.loads(out)
     JT = jt_complex(named("desargues"))
     assert code == 0 and got["verdict"] == "unique_extension" and len(JT.facets) == 125
-    assert got["candidate"] == json.loads(complex_to_json(JT))
+    assert got["candidate"] == complex_to_dict(JT)
 
 
 @pytest.mark.parametrize(

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import brsc
 from brsc import core
+from brsc.catalog import named
 from brsc import (
     CapacityError,
     Complex,
     DomainError,
     complex_from_json,
-    complex_to_json,
     contraction,
     counting_function,
     defect,
@@ -32,6 +32,7 @@ from brsc import (
 )
 from brsc.core import (
     _antichain,
+    complex_to_dict,
     alpha_vector,
     bits,
     compress,
@@ -138,6 +139,13 @@ mask_lists = st.one_of(
     st.tuples(
         st.lists(st.integers(0, 63), max_size=8), st.lists(st.integers(0, 63), max_size=8)
     ).map(lambda p: list(accumulate(p[0], or_)) + p[1]),
+    # masks on up to 64 vertices, each byte lane in use: a chain, its members
+    # cut by a few masks, and free members
+    st.tuples(
+        st.lists(st.integers(0, (1 << 64) - 1), max_size=8),
+        st.lists(st.integers(0, (1 << 64) - 1), max_size=4),
+        st.lists(st.integers(0, (1 << 64) - 1), max_size=6),
+    ).map(lambda p: (chain := list(accumulate(p[0], or_))) + [a & c for a in chain for c in p[1]] + p[2]),
 )
 
 
@@ -145,6 +153,18 @@ mask_lists = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_antichain_matches_definition(masks):
     assert _antichain(masks) == brute_antichain(masks)
+
+
+@pytest.mark.parametrize(
+    "name, params", [("nfb", {"n": 9}), ("bfour", {}), ("jnmk", {"n": 12, "m": 8, "k": 4})]
+)
+def test_antichain_of_up_generators(name, params):
+    # the generators of up on 12-18 vertices, in four or more size classes:
+    # each facet, each facet plus a point, the singletons and the empty set
+    C = named(name, **params)
+    gens = {f | 1 << p for f in C.facets for p in range(C.n)} | set(C.facets)
+    gens |= {0} | {1 << p for p in range(C.n)}
+    assert _antichain(gens) == brute_antichain(gens)
 
 
 def test_antichain_edge_cases():
@@ -373,14 +393,14 @@ def test_faces_refuse_a_union_past_the_set_limit(monkeypatch):
 
 def test_json_round_trip():
     C = Complex(4, [0b0111, 0b1010])
-    text = complex_to_json(C)
+    text = json.dumps(complex_to_dict(C))
     data = json.loads(text)
     assert data["vertices"] == 4
     assert [1, 2, 3] in data["facets"]
     assert complex_from_json(text) == C
 
     L = Complex(3, [0b111], labels=("a", "b", "c"))
-    text2 = complex_to_json(L)
+    text2 = json.dumps(complex_to_dict(L))
     back = complex_from_json(text2)
     assert back.labels == ("a", "b", "c")
     assert back == L
@@ -389,7 +409,7 @@ def test_json_round_trip():
 @given(complexes())
 @settings(max_examples=100, deadline=None)
 def test_json_round_trip_random(C):
-    assert complex_from_json(complex_to_json(C)) == C
+    assert complex_from_json(json.dumps(complex_to_dict(C))) == C
 
 
 def test_json_errors():

@@ -22,6 +22,7 @@ from brsc.iso import (
     graphs_up_to_iso,
     orbit_min_table,
     orbit_reps,
+    paving_complexes,
 )
 from brsc.t_operator import paving2_reps
 
@@ -375,3 +376,41 @@ def test_all_complexes_small_content():
         frozenset({0b01, 0b10}),
         frozenset({0b11}),
     }
+
+
+def assert_reduced(C):
+    """C is the complex the constructor builds from its own facets and labels:
+    its facets form an antichain that covers every vertex."""
+    D = Complex(C.n, C.facets, C.labels)
+    assert (C.n, C.facets, C.labels) == (D.n, D.facets, D.labels)
+
+
+def test_enumerated_complexes_hold_reduced_facets():
+    # every complex on at most 5 vertices, each built from facets carried
+    # down the walk, against the constructor's reduction
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert_reduced(C)
+    with pytest.raises(DomainError):
+        next(all_complexes(0))
+
+
+def test_canonical_complex_holds_reduced_facets():
+    for C in all_complexes(4):
+        K = canonical_complex(C)
+        assert_reduced(K)
+        assert K.labels == (1, 2, 3, 4) and are_isomorphic(K, C)
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (6, 2), (4, 1), (3, 3)])
+def test_paving_complexes_hold_reduced_facets(n, d):
+    # the facets against the constructor's reduction of P_{<=d} plus the
+    # pattern's (d+1)-sets
+    full = (1 << n) - 1
+    base = {X for k in range(2, d + 1) for X in k_submasks(full, k)}
+    for C in paving_complexes(n, d):
+        assert_reduced(C)
+        top = {f for f in C.facets if f.bit_count() == d + 1}
+        assert C == Complex(n, base | top)
+    with pytest.raises(DomainError):
+        next(paving_complexes(4, 0))

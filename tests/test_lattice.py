@@ -147,6 +147,20 @@ def assert_same_complex(A, B):
     assert (A.n, A.facets, A.labels) == (B.n, B.facets, B.labels)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [("desargues", {}), ("bfour", {}), ("btbtwo", {}), ("nfb", {"n": 6}), ("rhodes", {"m": 2, "n": 3}), ("sme", {})],
+)
+def test_j_complexes_hold_reduced_facets(name, params):
+    # J is built from the level walk's maximal sets with no reduction: they
+    # are the facets the constructor would keep, and the labels are checked
+    C = named(name, **params)
+    for J in (jt_complex(C), j_complex(flats(C), C.labels)):
+        assert_same_complex(J, Complex(J.n, J.facets, J.labels))
+    with pytest.raises(DomainError, match="labels"):
+        j_complex(flats(C), (1,) * C.n)
+
+
 def counted(cl):
     """cl and a one-item list counting its calls."""
     calls = [0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsc import core
+from brsc import core, operators
 from brsc.core import (
     CapacityError,
     Complex,
@@ -83,6 +83,22 @@ def test_up_two_edges():
     U = up(C)
     assert U.faces == frozenset(X for X in range(16) if X.bit_count() <= 3)
     assert set(flats(U).members) == {X for X in range(16) if X.bit_count() <= 2} | {0b1111}
+
+
+def test_up_counts_its_generators_before_listing(monkeypatch):
+    # two triangles on 5 points: each facet and its sets f + p for the two
+    # points outside it, 6 generating sets, counted before any is listed
+    C = Complex(5, [tri(1, 2, 3), tri(3, 4, 5)])
+    want = up(C)
+    built = []
+    monkeypatch.setattr(operators, "Complex", lambda *args: built.append(args))
+    monkeypatch.setattr(core, "SET_LIMIT", 5)
+    with pytest.raises(CapacityError, match="up with more than 5 generating sets"):
+        up(C)
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(core, "SET_LIMIT", 6)
+    assert up(C) == want
 
 
 @given(complexes())
