@@ -32,9 +32,9 @@ from brsc import (
 )
 from brsc.core import (
     _antichain,
-    complex_to_dict,
     alpha_vector,
     bits,
+    complex_to_dict,
     compress,
     is_unimodal,
     k_submasks,
