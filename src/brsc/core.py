@@ -137,7 +137,8 @@ def _antichain(masks):
     a test takes one AND a vertex, of ints no longer than the count of larger
     members: a subset query on a set family (Yellin & Jutla, IPL 1993).
     """
-    ms = sorted(set(masks), key=int.bit_count, reverse=True)
+    distinct = masks if isinstance(masks, (set, frozenset)) else set(masks)
+    ms = sorted(distinct, key=int.bit_count, reverse=True)
     if not ms or ms[-1].bit_count() == ms[0].bit_count():
         # one size: no member holds another
         return frozenset(ms)
@@ -190,14 +191,18 @@ class Complex:
             raise DomainError("vertex set must be nonempty")
         check_capacity(n)
         full = (1 << n) - 1
-        gens = set(generators)
+        # a set is read twice as it is, not copied
+        gens = generators if isinstance(generators, (set, frozenset)) else set(generators)
         cover = reduce(or_, gens, 0)
         if cover & ~full:
             raise DomainError("generator uses vertices outside 0..n-1")
-        # a covered vertex lies in a generator, which would drop its singleton
-        gens.update(1 << i for i in bits(full & ~cover))
+        facets = _antichain(gens)
+        if cover != full:
+            # an uncovered vertex lies in no generator, so its singleton is a
+            # facet, and only the empty set can lie under it
+            facets = facets - {0} | {1 << i for i in bits(full & ~cover)}
         self.n = n
-        self.facets = _antichain(gens)
+        self.facets = facets
         self.labels = _labels(n, labels)
         self._faces = None
 

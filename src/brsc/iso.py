@@ -385,27 +385,36 @@ def all_complexes(n):
         raise DomainError("vertex set must be nonempty")
     if n > 5:
         raise CapacityError("full complex enumeration supported for n <= 5")
-    prev = {1 << v for v in range(n)}
+    prev = [1 << v for v in range(n)]
     yield from _complexes_from(n, 2, prev, frozenset(), _labels(n))
 
 
 def _complexes_from(n, k, chosen_prev, below, labels):
-    """Every complex whose faces of size k - 1 are chosen_prev and whose
-    facets of size < k - 1 are below."""
+    """Every complex whose faces of size k - 1 are chosen_prev, listed in
+    the order of combinations(range(n), k - 1), and whose facets of size
+    < k - 1 are below.
+
+    A k-set is eligible when all its (k-1)-subsets are chosen (the Apriori
+    rule), so it is grown once from a chosen (k-1)-set Y plus a point above
+    Y's highest, and kept when its other (k-1)-subsets are chosen too. The
+    sets Y in combinations order, each with its points in increasing order,
+    list the eligible k-sets in combinations order as well."""
     if k > n:
-        yield Complex._of_antichain(n, below | chosen_prev, labels)
+        yield Complex._of_antichain(n, below.union(chosen_prev), labels)
         return
-    elig = [
-        m
-        for m in map(mask_of, combinations(range(n), k))
-        if all((m ^ (1 << v)) in chosen_prev for v in bits(m))
-    ]
+    chosen = set(chosen_prev)
+    elig = []
+    for Y in chosen_prev:
+        for p in range(Y.bit_length(), n):
+            m = Y | 1 << p
+            if all(m ^ 1 << v in chosen for v in bits(Y)):
+                elig.append(m)
     # the (k-1)-sets under each eligible k-set
     under = [{m ^ (1 << v) for v in bits(m)} for m in elig]
     for pick in range(1 << len(elig)):
-        sel = set()
+        sel = []
         covered = set()
         for t in bits(pick):
-            sel.add(elig[t])
+            sel.append(elig[t])
             covered |= under[t]
-        yield from _complexes_from(n, k + 1, sel, below | (chosen_prev - covered), labels)
+        yield from _complexes_from(n, k + 1, sel, below | (chosen - covered), labels)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Tuple
 
+from . import core
 from .core import (
     CapacityError,
     Complex,
@@ -419,26 +420,110 @@ def shelling_certificates(C, order):
     return tuple(certs)
 
 
-def _shelling_from(placed, remaining, certs, failed):
-    """Extend the shelling order placed by the facets in remaining, trying the
-    largest ones in increasing mask order; failed holds the remainders known
-    to admit no extension."""
-    if not remaining:
-        return Shelling(tuple(placed), tuple(certs))
-    key = frozenset(remaining)
-    if key in failed:
-        return None
-    top = max(f.bit_count() for f in remaining)
-    for B in sorted(remaining):
-        if B.bit_count() != top:
+def _links_connected(facets):
+    """Whether, for every face F of size s - 2 (s the largest facet size),
+    the edges f - F over the s-facets f holding F form one connected graph.
+    facets lists the largest first.
+
+    Every link of a face of a shellable complex is shellable, and a
+    1-dimensional complex is shellable exactly when its edges are connected
+    (Björner & Wachs, Trans. AMS 1996), so a False settles "not shellable".
+    One pass over the s-facets files each edge {a, b} of f under F = f - a - b;
+    then each link grows a vertex mask from its first edge by the edges that
+    meet it, and is connected when no edge is left outside.
+    """
+    s = facets[0].bit_count()
+    if s < 2:
+        return True
+    links = defaultdict(list)
+    for f in facets:
+        if f.bit_count() != s:
+            break
+        x = f
+        while x:
+            a = x & -x
+            x ^= a
+            y = x
+            while y:
+                b = y & -y
+                y ^= b
+                links[f ^ a ^ b].append(a | b)
+    for edges in links.values():
+        reach = edges[0]
+        grown = True
+        while grown:
+            grown = False
+            for e in edges:
+                if e & reach and e & ~reach:
+                    reach |= e
+                    grown = True
+        for e in edges:
+            if not e & reach:
+                return False
+    return True
+
+
+def _shelling_from(facets):
+    """The first shelling of facets, listed largest first and in increasing
+    mask order within a size, that places at each step the first remaining
+    facet of the largest remaining size that passes the step test; None when
+    there is none.
+
+    Depth first on an explicit stack of cursors, one per placed facet plus
+    the root, so neither Python's recursion limit nor a reference cycle
+    limits or outlives the search. The placed facets are a bitmask P over
+    the indices, and P is all the state a remainder depends on, so the
+    remainders known to fail are kept as the ints P. Each step test compares
+    the candidate with every placed facet; past core.SET_LIMIT such
+    comparisons the search is refused with a CapacityError.
+    """
+    m = len(facets)
+    limit = core.SET_LIMIT
+    # one past the last index of each size class
+    ends = {}
+    for i, f in enumerate(facets):
+        ends[f.bit_count()] = i + 1
+    full = (1 << m) - 1
+    failed = set()
+    placed = []
+    certs = []
+    path = []
+    P = 0
+    work = 0
+    cursors = [[0, ends[facets[0].bit_count()]]]
+    while cursors:
+        cursor = cursors[-1]
+        j, end = cursor
+        while j < end:
+            if not P >> j & 1:
+                work += len(placed)
+                if work > limit:
+                    raise CapacityError(f"shelling search past {limit} step tests is out of range")
+                cert = _step_certificate(placed, facets[j])
+                if cert is not None:
+                    break
+            j += 1
+        if j == end:
+            failed.add(P)
+            cursors.pop()
+            if path:
+                P ^= 1 << path.pop()
+                placed.pop()
+                certs.pop()
             continue
-        cert = _step_certificate(placed, B)
-        if cert is None:
-            continue
-        out = _shelling_from(placed + [B], remaining - {B}, certs + [cert], failed)
-        if out is not None:
-            return out
-    failed.add(key)
+        cursor[0] = j + 1
+        P |= 1 << j
+        path.append(j)
+        placed.append(facets[j])
+        certs.append(cert)
+        if P == full:
+            return Shelling(tuple(placed), tuple(certs))
+        if P in failed:
+            # an empty cursor: the next round backtracks at once
+            cursors.append([0, 0])
+        else:
+            lo = (~P & (P + 1)).bit_length() - 1
+            cursors.append([lo, ends[facets[lo].bit_count()]])
     return None
 
 
@@ -446,12 +531,19 @@ def is_shellable(C):
     """Search for a shelling and return it, or None.
 
     Only facet orders of nonincreasing dimension are explored; a shellable
-    complex always has one of that shape.
+    complex always has one of that shape. A complex with m facets is refused
+    with a CapacityError at once when the m(m - 1)/2 step comparisons that
+    any complete shelling needs pass core.SET_LIMIT, and the search is
+    refused once its comparisons do. Before the search, a disconnected edge
+    link of a face of size dim - 1 (`_links_connected`) settles None.
     """
-    facets = sorted(C.facets)
-    if len(facets) > 35:
-        raise CapacityError("shelling search supported for <= 35 facets")
-    return _shelling_from([], set(facets), [], set())
+    facets = sorted(C.facets, key=lambda f: (-f.bit_count(), f))
+    m = len(facets)
+    if m * (m - 1) // 2 > core.SET_LIMIT:
+        raise CapacityError(f"shelling of {m} facets needs more than {core.SET_LIMIT} step tests")
+    if not _links_connected(facets):
+        return None
+    return _shelling_from(facets)
 
 
 def _bpav_dim(C):

@@ -733,6 +733,22 @@ def crit_shellability(check):
     T = named("tracks")
     check("the five-line complex is shellable", shelling(T) is not None)
     check("its line complex is unshellable", shelling(h_star(T)) is None)
+    bad = []
+    for name in ("desargues", "non_desargues"):
+        C = named(name)
+        sh = shelling(C)
+        if (
+            len(C.facets) <= 35
+            or sh is None
+            or sorted(sh.order) != sorted(C.facets)
+            or _intersection_certificates(sh.order) != sh.certificates
+        ):
+            bad.append(name)
+    check(
+        "the matroid complexes desargues and non_desargues, past the old 35-facet cap, are shellable",
+        bad == [],
+        str(bad),
+    )
     done = 0
     bad = 0
     pavings = [B, T]

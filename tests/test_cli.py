@@ -15,7 +15,7 @@ from brsc.catalog import catalog_names, named
 from brsc.cli import emit, load_complex, main
 from brsc.core import Complex, complex_from_json, complex_to_dict
 from brsc.lattice import closure
-from brsc.matroid import search_matroid_extensions
+from brsc.matroid import search_matroid_extensions, shelling_certificates
 from brsc.t_operator import jt_complex
 
 # one valid parameter set per parameterized entry
@@ -156,8 +156,8 @@ def test_check_desargues(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["matroid"] is True and d["codim"] == 1
-    # 110 facets put the shelling search out of reach; field degrades to null
-    assert d["shellable"] is None
+    # 110 facets; a matroid complex is shellable (Björner 1992)
+    assert d["shellable"] is True
 
 
 def test_malformed_file_is_usage_error(capsys, tmp_path):
@@ -314,6 +314,46 @@ def test_matroid_search_and_extend_print_the_library_complexes(capsys):
     JT = jt_complex(named("desargues"))
     assert code == 0 and got["verdict"] == "unique_extension" and len(JT.facets) == 125
     assert got["candidate"] == complex_to_dict(JT)
+
+
+@pytest.mark.parametrize("name", ["desargues", "non_desargues", "uniform:k=3,n=18"])
+def test_matroid_shelling_past_the_old_cap(capsys, name):
+    code, out, _ = run(capsys, "matroid", "shelling", name)
+    got = json.loads(out)
+    C = load_complex(name)
+    order = [sum(1 << C.labels.index(label) for label in f) for f in got["order"]]
+    assert code == 0 and got["shellable"] is True and len(order) > 35
+    assert shelling_certificates(C, order) is not None
+
+
+def test_matroid_shelling_settles_cepc_by_a_link(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "matroid", "shelling", "cepc")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and json.loads(out) == {"id": "cepc", "shellable": False, "order": None}
+
+
+# 22 facets on 8 vertices, every vertex link connected: the search passes
+# SET_LIMIT step comparisons (about 0.4 s) without an answer
+SHELLING_PAST_THE_BOUND = (
+    (1, 2, 4), (2, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5), (1, 2, 6), (2, 4, 6), (3, 4, 6),
+    (2, 5, 6), (4, 5, 6), (1, 2, 7), (1, 3, 7), (1, 4, 7), (5, 7), (4, 6, 7), (1, 8),
+    (2, 4, 8), (2, 5, 8), (3, 5, 8), (4, 5, 8), (3, 7, 8), (6, 7, 8),
+)
+
+
+def test_shelling_refusals_exit_three(capsys, tmp_path):
+    # 1540 facets need more than SET_LIMIT comparisons: refused before any test
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "matroid", "shelling", "uniform:k=3,n=22")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == "" and err.startswith("capacity:")
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"vertices": 8, "facets": [list(f) for f in SHELLING_PAST_THE_BOUND]}))
+    code, out, err = run(capsys, "matroid", "shelling", str(p))
+    assert code == 3 and out == "" and err.startswith("capacity: shelling search past")
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0 and json.loads(out)["shellable"] is None
 
 
 @pytest.mark.parametrize(

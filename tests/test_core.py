@@ -203,7 +203,12 @@ def generator_lists(max_n=6):
 def test_facets_match_antichain_of_generators_and_every_singleton(case):
     # every singleton added, covered or not, as a complex holds them all
     n, gens = case
-    assert Complex(n, gens).facets == _antichain(set(gens) | {1 << i for i in range(n)})
+    want = _antichain(set(gens) | {1 << i for i in range(n)})
+    assert Complex(n, gens).facets == want
+    # a set of generators is read as it is, and left as it was
+    distinct = set(gens)
+    assert Complex(n, distinct).facets == Complex(n, frozenset(gens)).facets == want
+    assert distinct == set(gens)
 
 
 @given(generator_lists(), st.integers(0, 3))

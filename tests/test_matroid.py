@@ -2,14 +2,16 @@
 
 import gc
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsc import matroid
+from brsc import core, matroid
 from brsc.core import (
+    CapacityError,
     Complex,
     DomainError,
     _antichain,
@@ -730,6 +732,171 @@ def test_mixed_dimension_shelling():
     assert sh is not None
     assert shelling_certificates(C, sh.order) == sh.certificates
     assert sh.order[0] == tri(1, 2, 3)
+
+
+def reference_shelling_from(placed, remaining, certs, failed):
+    """The recursive search is_shellable ran before its link test, int memo
+    and step bound: extend the shelling order placed by the facets in
+    remaining, trying the largest ones in increasing mask order; failed
+    holds, as frozensets, the remainders known to admit no extension."""
+    if not remaining:
+        return matroid.Shelling(tuple(placed), tuple(certs))
+    key = frozenset(remaining)
+    if key in failed:
+        return None
+    top = max(f.bit_count() for f in remaining)
+    for B in sorted(remaining):
+        if B.bit_count() != top:
+            continue
+        cert = matroid._step_certificate(placed, B)
+        if cert is None:
+            continue
+        out = reference_shelling_from(placed + [B], remaining - {B}, certs + [cert], failed)
+        if out is not None:
+            return out
+    failed.add(key)
+    return None
+
+
+def reference_is_shellable(C):
+    facets = sorted(C.facets)
+    if len(facets) > 35:
+        raise CapacityError("shelling search supported for <= 35 facets")
+    return reference_shelling_from([], set(facets), [], set())
+
+
+def _links_connected(C):
+    return matroid._links_connected(sorted(C.facets, key=lambda f: (-f.bit_count(), f)))
+
+
+@st.composite
+def shelling_complexes(draw):
+    """Complexes of dimension 1-3 on at most 7 vertices from at most 12
+    generators, one of them of the top size: pure draws take the rest at the
+    top size too (uncovered vertices still add singleton facets), nonpure
+    draws take them of any size up to it."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 7))
+    full = (1 << n) - 1
+    top = st.sampled_from(list(k_submasks(full, d + 1)))
+    if draw(st.booleans()):
+        member = top
+    else:
+        member = st.integers(1, d + 1).flatmap(lambda k: st.sampled_from(list(k_submasks(full, k))))
+    return Complex(n, [draw(top), *draw(st.lists(member, max_size=11))])
+
+
+@given(shelling_complexes())
+@settings(max_examples=400, deadline=None)
+def test_shelling_search_matches_the_recursive_search(C):
+    want = reference_is_shellable(C)
+    assert is_shellable(C) == want
+    if not _links_connected(C):
+        assert want is None
+
+
+def test_shelling_search_matches_the_recursive_search_on_every_small_complex():
+    rejected = searched_in_vain = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            want = reference_is_shellable(C)
+            assert is_shellable(C) == want
+            if not _links_connected(C):
+                assert want is None
+                rejected += 1
+            elif want is None:
+                searched_in_vain += 1
+    assert rejected and searched_in_vain
+
+
+@pytest.mark.parametrize("name, params", [("desargues", {}), ("non_desargues", {}), ("uniform", {"k": 3, "n": 18})])
+def test_matroid_complexes_past_the_old_cap_shell(name, params):
+    # a matroid complex is shellable (Björner 1992)
+    C = named(name, **params)
+    assert len(C.facets) > 35
+    sh = is_shellable(C)
+    assert sh is not None
+    assert shelling_certificates(C, sh.order) == sh.certificates
+
+
+def test_cepc_fails_a_link_in_milliseconds():
+    C = named("cepc")
+    assert len(C.facets) == 44 and not _links_connected(C)
+    t0 = time.perf_counter()
+    assert is_shellable(C) is None
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _step_tests(monkeypatch, C):
+    """is_shellable(C) and the step comparisons (placed facets tested against
+    a candidate) it made."""
+    count = 0
+    real = matroid._step_certificate
+
+    def counted(placed, B):
+        nonlocal count
+        count += len(placed)
+        return real(placed, B)
+
+    with monkeypatch.context() as m:
+        m.setattr(matroid, "_step_certificate", counted)
+        out = is_shellable(C)
+    return out, count
+
+
+# shelled only after backtracking: 127 step comparisons against 78 for a
+# first-try shelling of its 13 facets
+BACKTRACKS = Complex(
+    6,
+    [
+        tri(*t)
+        for t in (
+            (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5), (1, 2, 6), (1, 3, 6),
+            (2, 4, 6), (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6),
+        )
+    ],
+)
+# every vertex link connected, yet no shelling: 6028 step comparisons
+NO_SHELLING = Complex(
+    6,
+    [
+        tri(*t)
+        for t in (
+            (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 5), (1, 4, 5),
+            (2, 4, 5), (1, 3, 6), (2, 4, 6), (3, 4, 6), (4, 5, 6),
+        )
+    ],
+)
+
+
+def test_shelling_search_refuses_exactly_past_the_bound(monkeypatch):
+    D = named("desargues")
+    for C, tests in ((D, 5995), (BACKTRACKS, 127), (NO_SHELLING, 6028)):
+        want, made = _step_tests(monkeypatch, C)
+        assert made == tests
+        assert (want is None) == (C is NO_SHELLING)
+        assert _links_connected(C)
+        with monkeypatch.context() as m:
+            m.setattr(core, "SET_LIMIT", tests)
+            assert is_shellable(C) == want
+            m.setattr(core, "SET_LIMIT", tests - 1)
+            with pytest.raises(CapacityError):
+                is_shellable(C)
+
+
+def test_shelling_search_refuses_up_front(monkeypatch):
+    # m(m - 1)/2 comparisons past the bound: refused before any link or step test
+    C = named("desargues")
+    m = len(C.facets)
+
+    def fail(*args):
+        raise AssertionError("tested after the up-front refusal")
+
+    monkeypatch.setattr(matroid, "_links_connected", fail)
+    monkeypatch.setattr(matroid, "_step_certificate", fail)
+    monkeypatch.setattr(core, "SET_LIMIT", m * (m - 1) // 2 - 1)
+    with pytest.raises(CapacityError):
+        is_shellable(C)
 
 
 def test_lines_and_l_mu():
