@@ -870,6 +870,7 @@ NO_SHELLING = Complex(
 
 
 def test_shelling_search_refuses_exactly_past_the_bound(monkeypatch):
+    # desargues places each of its 110 facets at the first try: 110 * 109 / 2
     D = named("desargues")
     for C, tests in ((D, 5995), (BACKTRACKS, 127), (NO_SHELLING, 6028)):
         want, made = _step_tests(monkeypatch, C)

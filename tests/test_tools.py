@@ -1,4 +1,4 @@
-"""The pair driver's summary (tools/bench_pairs.py), on made-up runs."""
+"""The summary that tools/bench_pairs.py writes, on made-up runs."""
 
 import importlib.util
 from pathlib import Path

@@ -1,6 +1,6 @@
-"""Alternating parent/change benchmark pairs, written as BENCH_<pr>.json.
+"""Alternating parent/change benchmark pairs, written as BENCH_<N>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pr N --pairs search=10 classify=3 --seed S
+    python3 tools/bench_pairs.py PARENT CHANGE --number N --pairs search=10 classify=3 --seed S
 
 For each workload, each pair runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once on each side with the same seed; the side that
@@ -8,8 +8,8 @@ runs first alternates from pair to pair, and every run gets a fresh
 ``git archive`` export of its commit, removed after the run, so no build
 left over from an earlier run (such as ``__pycache__``) reaches it. Seeds
 count up from --seed, one per pair, workload after workload in the order
-given. The run length T is BENCHMARK.json's ``run_seconds`` unless
---seconds is given.
+given. The run length T is BENCHMARK.json's ``run_seconds``, the same on
+both sides.
 
 The output holds every run (its end-to-end metrics, failed and attempted
 operations, correctness and verdict digest) and, per workload, a summary:
@@ -19,8 +19,8 @@ quartiles (inclusive method), the pairs in which the change was better
 parent's, the parent's interquartile range as a share of its median, and
 whether the change's median is within the metric's bound; and whether
 every pair gave one verdict digest and every run was correct with no
-failures. The file is rewritten after every run, so an interrupted session
-keeps the runs it finished. Nothing under perfbench/ or BENCHMARK.json is
+failures. The file is rewritten after every run, so a stopped run of this
+tool keeps the runs it finished. Nothing under perfbench/ or BENCHMARK.json is
 written. Standard library only.
 """
 
@@ -152,15 +152,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="commit of the parent side")
     parser.add_argument("change", help="commit of the change side")
-    parser.add_argument("--pr", required=True, type=int, help="writes BENCH_<pr>.json at the repository root")
+    parser.add_argument("--number", required=True, type=int, help="writes BENCH_<number>.json at the repository root")
     parser.add_argument("--pairs", required=True, nargs="+", metavar="WORKLOAD=N")
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--workdir", help="where the exports go (default: the system's temporary directory)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
@@ -174,7 +173,7 @@ def main(argv=None):
             parser.error(f"unknown commit {rev!r}")
         revs[side] = proc.stdout.strip()
 
-    out_path = ROOT / f"BENCH_{args.pr}.json"
+    out_path = ROOT / f"BENCH_{args.number}.json"
     seeds = {}
     seed = args.seed
     for workload, count in plan:
