@@ -23,7 +23,9 @@ and cap no vertex count. The level walk builds the complex J of either
 closure cl, the sets whose elements can be ordered so that each leaves the
 closure of the earlier ones (_independent_complex, as a cone over the coloops
 of cl, which it never walks), the long hyperplanes of a paving complex and
-the group-labeled graph complexes of the catalog.
+the group-labeled graph complexes of the catalog. The J build makes one
+closure per distinct seed cl(Y - h) + h, h the highest point of the walked
+set Y, not one per set, and holds the closures of two levels at a time.
 _first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
 with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
 closure). The public functions below are short calls into these helpers.
@@ -225,6 +227,12 @@ def _independent_complex(cl, n, labels=None):
     SET_LIMIT faces: at once when 2^|K| alone is more, else once the walk of
     J' passes SET_LIMIT >> |K| sets.
 
+    cl(Y) is not computed from Y: for h the highest point of Y, any closure
+    has cl(Y) = cl(cl(Y - h) + h), and Y - h, a face of the complex J', was
+    walked on the level before. So each level closes each distinct seed
+    cl(Y - h) + h once, and many sets of a level share a seed. The closures
+    of two levels are held, the one before (for the seeds) and this one.
+
     The walk's maximal sets plus K are the facets as they stand: cl(0) is
     empty (no loops, which j_complex checks and the flat and T(H) closures
     have since every singleton is a face), so every point lies in one.
@@ -235,7 +243,25 @@ def _independent_complex(cl, n, labels=None):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
     rest = full & ~K
-    spanning = _level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", core.SET_LIMIT >> K.bit_count())
+    # the size of the sets on the level being grown, the closures of the
+    # level before and of this one, and this level's closure of each seed
+    size, before, now, seeds = -1, {}, {}, {}
+
+    def grow(Y, level):
+        nonlocal size, before, now, seeds
+        if Y.bit_count() > size:
+            size, before, now, seeds = size + 1, now, {}, {}
+        seed = 0
+        if Y:
+            h = 1 << Y.bit_length() - 1
+            seed = before[Y ^ h] | h
+        c = seeds.get(seed)
+        if c is None:
+            c = seeds[seed] = cl(seed)
+        now[Y] = c
+        return rest & ~c
+
+    spanning = _level_walk([0], grow, "J-complex", core.SET_LIMIT >> K.bit_count())
     return Complex._of_antichain(n, [Y | K for Y in spanning], core._labels(n, labels))
 
 

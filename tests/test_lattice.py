@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc import core, lattice
+from brsc import core, lattice, reproduce
 from brsc.core import (
     SET_LIMIT,
     CapacityError,
@@ -341,6 +341,85 @@ def test_j_walk_fits_the_full_18_simplex():
     assert _independent_complex(cl, 18).facets == {(1 << 18) - 1}
     assert calls[0] == 19
     assert jt_complex(named("uniform", k=3, n=18)).dim == 17
+
+
+def plain_independent_complex(cl, n, labels=None):
+    """The J build with no seeds: the same coloop cone and level walk as
+    _independent_complex, but one closure cl(Y) of every walked set Y."""
+    full = (1 << n) - 1
+    K = 0
+    for p in range(n):
+        if not cl(full ^ 1 << p) >> p & 1:
+            K |= 1 << p
+    rest = full & ~K
+    spanning = lattice._level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", SET_LIMIT >> K.bit_count())
+    return Complex(n, [Y | K for Y in spanning], labels)
+
+
+def meet_closure(fam):
+    return partial(lattice._meet_closure, tuple(fam.members), (1 << fam.n) - 1)
+
+
+def assert_j_builds_match_the_plain_walk(C):
+    # jt_complex closes through cl_T, j_complex through the flats' members
+    assert_same_complex(jt_complex(C), plain_independent_complex(partial(cl_T, C), C.n, C.labels))
+    fl = flats(C)
+    assert_same_complex(j_complex(fl, C.labels), plain_independent_complex(meet_closure(fl), C.n, C.labels))
+
+
+WIDE_CATALOG_INPUTS = [
+    ("nfb", {"n": 9}),
+    ("uniform", {"k": 3, "n": 18}),
+    ("bfour", {}),
+    ("rhodes", {"m": 2, "n": 4}),
+    ("dowling", {"m": 3, "n": 3}),
+    ("cepc", {}),
+    ("lhne", {}),
+    ("desargues", {}),
+    ("swirl", {"d": 3}),
+]
+
+
+@pytest.mark.parametrize("name, params", WIDE_CATALOG_INPUTS)
+def test_seeded_j_builds_match_the_plain_walk_on_the_catalog(name, params):
+    assert_j_builds_match_the_plain_walk(named(name, **params))
+
+
+def test_seeded_j_builds_match_the_plain_walk_on_sampled_complexes():
+    # random complexes, pavings, matroids and line unions, 75 of each, and
+    # the Moore families of their flats through j_complex
+    rng = random.Random(24)
+    samplers = [
+        lambda: reproduce.random_complex(rng, 8),
+        lambda: reproduce.random_paving(rng, rng.randint(4, 8), 2, rng.uniform(0.2, 0.9)),
+        lambda: reproduce.random_matroid(rng),
+        lambda: reproduce.random_line_union(rng, rng.randint(8, 11), rng.randint(2, 3)),
+    ]
+    for sample in samplers:
+        for _ in range(75):
+            assert_j_builds_match_the_plain_walk(sample())
+
+
+@pytest.mark.parametrize(
+    "name, params, plain, seeded",
+    [
+        ("nfb", {"n": 9}, 8302, 2490),
+        ("desargues", {}, 301, 172),
+        ("bfour", {}, 1065, 232),
+        ("rhodes", {"m": 2, "n": 4}, 607, 279),
+    ],
+)
+def test_j_build_closes_each_distinct_seed_once(name, params, plain, seeded):
+    # the plain walk makes n coloop tests and one closure per walked set; the
+    # seeded build makes the same n tests and one closure per distinct seed
+    C = named(name, **params)
+    cl, calls = counted(partial(cl_T, C))
+    want = plain_independent_complex(cl, C.n, C.labels)
+    assert calls[0] == plain
+    cl, calls = counted(partial(cl_T, C))
+    assert_same_complex(_independent_complex(cl, C.n, C.labels), want)
+    assert calls[0] == seeded
+    assert seeded - C.n < plain - C.n
 
 
 @given(complexes(max_n=8))
