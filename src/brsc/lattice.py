@@ -183,6 +183,7 @@ def _level_walk(level, grow, what, limit=None):
     Y + p. Each level is then complete, so a member Y is maximal exactly when
     grow(Y, level) is 0 and no Y + p is on the next level (only the points of
     its sets are tried). Refuses past limit (core.SET_LIMIT) sets listed.
+    Each level is a new set object, so grow can tell when the walk moves on.
     """
     level = set(level)
     room = (core.SET_LIMIT if limit is None else limit) - len(level)
@@ -243,21 +244,20 @@ def _independent_complex(cl, n, labels=None):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
     rest = full & ~K
-    # the size of the sets on the level being grown, the closures of the
-    # level before and of this one, and this level's closure of each seed
-    size, before, now, seeds = -1, {}, {}, {}
+    # the level being grown, and the closures of the sets and seeds of the
+    # level before and of this one; h is 0 for Y = 0, whose seed is 0, read
+    # from the 0 that stands for the level before the first
+    grown, before, now = None, {}, {0: 0}
 
     def grow(Y, level):
-        nonlocal size, before, now, seeds
-        if Y.bit_count() > size:
-            size, before, now, seeds = size + 1, now, {}, {}
-        seed = 0
-        if Y:
-            h = 1 << Y.bit_length() - 1
-            seed = before[Y ^ h] | h
-        c = seeds.get(seed)
+        nonlocal grown, before, now
+        if level is not grown:
+            grown, before, now = level, now, {}
+        h = 1 << Y.bit_length() >> 1
+        seed = before[Y ^ h] | h
+        c = now.get(seed)
         if c is None:
-            c = seeds[seed] = cl(seed)
+            c = now[seed] = cl(seed)
         now[Y] = c
         return rest & ~c
 
