@@ -232,7 +232,8 @@ def _independent_complex(cl, n, labels=None):
     has cl(Y) = cl(cl(Y - h) + h), and Y - h, a face of the complex J', was
     walked on the level before. So each level closes each distinct seed
     cl(Y - h) + h once, and many sets of a level share a seed. The closures
-    of two levels are held, the one before (for the seeds) and this one.
+    of two levels are held, the one before (for the seeds) and this one, and
+    only of the sets that some point of rest lies above.
 
     The walk's maximal sets plus K are the facets as they stand: cl(0) is
     empty (no loops, which j_complex checks and the flat and T(H) closures
@@ -244,6 +245,7 @@ def _independent_complex(cl, n, labels=None):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
     rest = full & ~K
+    top = rest.bit_length()
     # the level being grown, and the closures of the sets and seeds of the
     # level before and of this one; h is 0 for Y = 0, whose seed is 0, read
     # from the 0 that stands for the level before the first
@@ -253,12 +255,16 @@ def _independent_complex(cl, n, labels=None):
         nonlocal grown, before, now
         if level is not grown:
             grown, before, now = level, now, {}
-        h = 1 << Y.bit_length() >> 1
+        high = Y.bit_length()
+        h = 1 << high >> 1
         seed = before[Y ^ h] | h
         c = now.get(seed)
         if c is None:
             c = now[seed] = cl(seed)
-        now[Y] = c
+        if high < top:
+            # only a set with a point of rest above its highest is some
+            # Z - h on the next level
+            now[Y] = c
         return rest & ~c
 
     spanning = _level_walk([0], grow, "J-complex", core.SET_LIMIT >> K.bit_count())
