@@ -356,31 +356,27 @@ def plain_independent_complex(cl, n, labels=None):
     return Complex(n, [Y | K for Y in spanning], labels)
 
 
-def meet_closure(fam):
-    return partial(lattice._meet_closure, tuple(fam.members), (1 << fam.n) - 1)
-
-
 def assert_j_builds_match_the_plain_walk(C):
     # jt_complex closes through cl_T, j_complex through the flats' members
     assert_same_complex(jt_complex(C), plain_independent_complex(partial(cl_T, C), C.n, C.labels))
     fl = flats(C)
-    assert_same_complex(j_complex(fl, C.labels), plain_independent_complex(meet_closure(fl), C.n, C.labels))
+    assert_same_complex(j_complex(fl, C.labels), plain_independent_complex(fl.closure, C.n, C.labels))
 
 
-WIDE_CATALOG_INPUTS = [
-    ("nfb", {"n": 9}),
-    ("uniform", {"k": 3, "n": 18}),
-    ("bfour", {}),
-    ("rhodes", {"m": 2, "n": 4}),
-    ("dowling", {"m": 3, "n": 3}),
-    ("cepc", {}),
-    ("lhne", {}),
-    ("desargues", {}),
-    ("swirl", {"d": 3}),
-]
-
-
-@pytest.mark.parametrize("name, params", WIDE_CATALOG_INPUTS)
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("nfb", {"n": 9}),
+        ("uniform", {"k": 3, "n": 18}),
+        ("bfour", {}),
+        ("rhodes", {"m": 2, "n": 4}),
+        ("dowling", {"m": 3, "n": 3}),
+        ("cepc", {}),
+        ("lhne", {}),
+        ("desargues", {}),
+        ("swirl", {"d": 3}),
+    ],
+)
 def test_seeded_j_builds_match_the_plain_walk_on_the_catalog(name, params):
     assert_j_builds_match_the_plain_walk(named(name, **params))
 
@@ -419,7 +415,8 @@ def test_j_build_closes_each_distinct_seed_once(name, params, plain, seeded):
     cl, calls = counted(partial(cl_T, C))
     assert_same_complex(_independent_complex(cl, C.n, C.labels), want)
     assert calls[0] == seeded
-    assert seeded - C.n < plain - C.n
+    # fewer closures, the coloop tests included, than sets walked
+    assert seeded < plain - C.n
 
 
 @given(complexes(max_n=8))
