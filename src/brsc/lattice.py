@@ -12,23 +12,30 @@ _extension_map, the one place that asks whether X + p is a face, reads the
 points extending each face off the faces one point larger; the pairs built
 from it are propagated to a fixpoint by _horn_closure, which stops as soon
 as it reaches the full set V. _level_closure binds the two for one k, and F
-is a flat exactly when the closure for k = dim + 2 fixes F. A family given
-by its members closes by intersection instead (_meet_closure). _closed_sets
-lists the closed sets of either closure by Ganter's NextClosure, one closure
-per candidate, so its cost follows the size of the family rather than 2^n.
-_level_walk lists the maximal members of a subset-closed family level by
-level, each set grown from a set one point smaller, so no function here scans
-all 2^n subsets. Both refuse past core.SET_LIMIT sets, as Complex.faces does,
-and cap no vertex count. The level walk builds the complex J of either
-closure cl, the sets whose elements can be ordered so that each leaves the
-closure of the earlier ones (_independent_complex, as a cone over the coloops
-of cl, which it never walks), the long hyperplanes of a paving complex and
-the group-labeled graph complexes of the catalog. The J build makes one
-closure per distinct seed cl(Y - h) + h, h the highest point of the walked
-set Y, not one per set, and holds the closures of two levels at a time.
-_first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
-with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
-closure). The public functions below are short calls into these helpers.
+is a flat exactly when the closure for k = dim + 2 fixes F. An arbitrary
+family given by its members closes by intersection instead (_meet_closure).
+A listed Moore family (MooreFamily, such as the flats) holds its members in
+ascending order, and its closure of X is the first member at or after X that
+holds X, since the closure is the smallest member holding X as an int too.
+_closed_sets lists the closed sets of either closure by Ganter's NextClosure,
+one closure per candidate, so its cost follows the size of the family rather
+than 2^n; a candidate at b fails once its closure holds a point above b that
+it did not start with, and the Horn closure stops there. _level_walk lists
+the maximal members of a subset-closed family level by level, each set grown
+from a set one point smaller, so no function here scans all 2^n subsets; a
+set that grows no further is maximal when one isdisjoint call finds none of
+its one-point extensions on the next level. Both refuse past core.SET_LIMIT
+sets, as Complex.faces does, and cap no vertex count. The level walk builds
+the complex J of either closure cl, the sets whose elements can be ordered
+so that each leaves the closure of the earlier ones (_independent_complex,
+as a cone over the coloops of cl, which it never walks), the long
+hyperplanes of a paving complex and the group-labeled graph complexes of
+the catalog. The J build makes one closure per distinct seed
+cl(Y - h) + h, h the highest point of the walked set Y, not one per set,
+and holds the closures of two levels at a time. _first_gap walks J up to
+sets of size dim + 1 of a complex H, comparing it with H: this decides BR
+(cl the flat closure) and TBRSC (cl the T(H) closure). The public functions
+below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -37,6 +44,7 @@ closure of the boolean matrix of R). Tests compare them; library code uses
 j_complex (faster).
 """
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
 from math import comb
@@ -54,22 +62,33 @@ from .core import (
 
 
 class MooreFamily(SetFamily):
-    """Intersection-closed family of subsets containing the full vertex set."""
+    """Intersection-closed family of subsets containing the full vertex set;
+    ascending holds its members in increasing int order."""
 
     def __init__(self, n, members, validate=True):
         super().__init__(n, members)
         full = (1 << n) - 1
         if full not in self.members:
             raise DomainError("a Moore family must contain the full vertex set")
+        self.ascending = ms = tuple(sorted(self.members))
         if validate:
-            ms = sorted(self.members)
             for i, a in enumerate(ms):
                 for b in ms[i + 1 :]:
                     if a & b not in self.members:
                         raise DomainError("family is not closed under intersection")
 
     def closure(self, X):
-        return _meet_closure(self.members, (1 << self.n) - 1, X)
+        """Smallest member holding X: the first one at or after X in
+        ascending order that holds X. The closure lies inside every member
+        holding X, so as an int it is the smallest of them, and no member
+        below X holds X. V, the last member, holds every X in range."""
+        if X & ~((1 << self.n) - 1):
+            raise DomainError("set uses vertices outside 0..n-1")
+        ms = self.ascending
+        i = bisect_left(ms, X)
+        while X & ~ms[i]:
+            i += 1
+        return ms[i]
 
 
 def moore_close(n, sets):
@@ -126,19 +145,23 @@ def _closed_sets(n, cl, what):
 
     Bit i weighs 2^i, so lectic order is increasing int order. The closed set
     after A is found at the lowest point b outside A whose closure of
-    (A above b) + b adds nothing above b; the highest point outside A always
-    qualifies, so the inner loop ends.
+    head = (A above b) + b adds nothing above b; the highest point outside A
+    always qualifies, so the inner loop ends. cl(X, stop) may return any set
+    meeting stop in place of the closure of X when that closure meets stop;
+    each candidate passes the points above b outside head as stop, since the
+    candidate fails as soon as its closure holds one of them.
     """
     full = (1 << n) - 1
-    A = cl(0)
+    A = cl(0, 0)
     out = [A]
     while A != full:
         m = full & ~A
         while True:
             b = m & -m
             head = A & ~(b - 1) | b
-            B = cl(head)
-            if B & ~(b - 1) == head:
+            above = full & ~(b - 1) & ~head
+            B = cl(head, above)
+            if not B & above:
                 break
             m ^= b
         A = B
@@ -148,9 +171,11 @@ def _closed_sets(n, cl, what):
     return MooreFamily(n, out, validate=False)
 
 
-def _horn_closure(cons, full, X):
+def _horn_closure(cons, full, X, stop=0):
     """Smallest superset of X closed under the constraints (propagation
-    fixpoint), returned as soon as it reaches full, the set 0..n-1."""
+    fixpoint), returned as soon as it reaches full, the set 0..n-1. A set
+    meeting stop is returned as soon as one is reached, in place of the
+    closure, which then meets stop too."""
     S = X
     out = ~S
     while out & full:
@@ -159,15 +184,17 @@ def _horn_closure(cons, full, X):
             if not Y & out and bad & out:
                 S |= bad
                 out = ~S
-                if S == full:
+                if S & stop or S == full:
                     return S
         if S == before:
             break
     return S
 
 
-def _meet_closure(sets, full, X):
-    """Intersection of full and the given sets that contain X."""
+def _meet_closure(sets, full, X, stop=0):
+    """Intersection of full and the given sets that contain X. stop is
+    ignored: an intersection only shrinks, so no partial result can show
+    that the closure meets it."""
     out = full
     for z in sets:
         if X & ~z == 0:
@@ -181,8 +208,10 @@ def _level_walk(level, grow, what, limit=None):
     level is the family's first level; grow(Y, level) is a mask of points p
     with Y + p in the family, and every member of the next level is such a
     Y + p. Each level is then complete, so a member Y is maximal exactly when
-    grow(Y, level) is 0 and no Y + p is on the next level (only the points of
-    its sets are tried). Refuses past limit (core.SET_LIMIT) sets listed.
+    grow(Y, level) is 0 and no Y + p is on the next level. That is one
+    isdisjoint call against Y | s over the single-point masks s of the points
+    the next level reaches, listed once per level: Y | s is Y for s in Y, and
+    Y is not on the next level. Refuses past limit (core.SET_LIMIT) sets listed.
     Each level is a new set object, so grow can tell when the walk moves on.
     """
     level = set(level)
@@ -204,7 +233,8 @@ def _level_walk(level, grow, what, limit=None):
                 m ^= b
             if len(nxt) > room:
                 break
-        out += [Y for Y in stuck if not any(Y | 1 << x in nxt for x in bits(reach & ~Y))]
+        singles = [1 << x for x in bits(reach)]
+        out += [Y for Y in stuck if nxt.isdisjoint([Y | s for s in singles])]
         room -= len(nxt)
         level = nxt
     if room < 0:

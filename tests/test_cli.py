@@ -261,6 +261,9 @@ def test_closure_and_flats(capsys):
     code, out, _ = run(capsys, "closure", "exs", "--set", "1,2")
     assert code == 0
     assert json.loads(out)["closure"] == [1, 2, 4, 5]
+    # labels run 1..5: a point past them is refused before any closure
+    code, out, err = run(capsys, "closure", "exs", "--set", "1,6")
+    assert code == 2 and out == "" and "unknown vertex label '6'" in err
     code, out, _ = run(capsys, "flats", "cfup")
     assert code == 0
     fl = json.loads(out)["flats"]

@@ -35,7 +35,9 @@ from brsc.lattice import (
     _horn_closure,
     _independent_complex,
     _level_closure,
+    _level_walk,
     _long_hyperplanes,
+    _meet_closure,
     is_boolean_representable,
     j_complex,
     long_hyperplane_partition,
@@ -289,6 +291,72 @@ def test_closure_axioms(C, x, y):
     assert closure(C, cx) == cx
     if X & ~Y == 0:
         assert cx & ~closure(C, Y) == 0
+
+
+def test_closure_refuses_sets_outside_the_vertices():
+    # exs has 5 vertices: point 5 and a negative set name no set of them
+    C = named("exs")
+    for X in (1 << 5, 0b100001, -1, -(1 << 3)):
+        with pytest.raises(DomainError, match="outside 0..n-1"):
+            closure(C, X)
+        with pytest.raises(DomainError, match="outside 0..n-1"):
+            flats(C).closure(X)
+    assert closure(C, C.full_mask) == C.full_mask
+
+
+def assert_closure_is_the_meet(fam, xs=()):
+    """MooreFamily.closure against the intersection of the members holding
+    X, at X = 0, X = V, every member and each X of xs."""
+    full = (1 << fam.n) - 1
+    for X in (0, full, *fam.members, *xs):
+        assert fam.closure(X) == _meet_closure(fam.members, full, X)
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=9), st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_moore_family_closure_is_the_meet(draw):
+    n, sets, xs = draw
+    assert_closure_is_the_meet(moore_close(n, sets), xs)
+
+
+def test_flat_closure_is_the_meet_on_the_catalog_and_sampled_complexes():
+    # the eight catalog inputs of the check-wide benchmark, then 300 sampled
+    # complexes drawn as in the seeded J build test
+    rng = random.Random(25)
+    wide = [
+        named("nfb", n=9),
+        named("uniform", k=3, n=18),
+        named("bfour"),
+        named("rhodes", m=2, n=4),
+        named("dowling", m=3, n=3),
+        named("cepc"),
+        named("lhne"),
+        named("desargues"),
+    ]
+    samplers = [
+        lambda: reproduce.random_complex(rng, 8),
+        lambda: reproduce.random_paving(rng, rng.randint(4, 8), 2, rng.uniform(0.2, 0.9)),
+        lambda: reproduce.random_matroid(rng),
+        lambda: reproduce.random_line_union(rng, rng.randint(8, 11), rng.randint(2, 3)),
+    ]
+    sampled = [sample() for sample in samplers for _ in range(75)]
+    for C in wide + sampled:
+        assert_closure_is_the_meet(flats(C), [rng.getrandbits(C.n) for _ in range(40)])
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=200, deadline=None)
+def test_level_walk_grown_by_faces_lists_the_facets(C):
+    faces = C.faces
+
+    def grow(Y, level):
+        return sum(1 << p for p in range(C.n) if not Y >> p & 1 and Y | 1 << p in faces)
+
+    assert sorted(_level_walk([0], grow, "faces")) == sorted(C.facets)
 
 
 def _closed_families_match_scan(C):
