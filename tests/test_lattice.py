@@ -263,6 +263,30 @@ def moore_families(max_n=6):
     return strat()
 
 
+# the catalog inputs of the check-wide benchmark
+CHECK_WIDE_CATALOG = [
+    ("nfb", {"n": 9}),
+    ("uniform", {"k": 3, "n": 18}),
+    ("bfour", {}),
+    ("rhodes", {"m": 2, "n": 4}),
+    ("dowling", {"m": 3, "n": 3}),
+    ("cepc", {}),
+    ("lhne", {}),
+    ("desargues", {}),
+]
+
+
+def sampled_complexes(rng):
+    """Random complexes, pavings, matroids and line unions, 75 of each."""
+    samplers = [
+        lambda: reproduce.random_complex(rng, 8),
+        lambda: reproduce.random_paving(rng, rng.randint(4, 8), 2, rng.uniform(0.2, 0.9)),
+        lambda: reproduce.random_matroid(rng),
+        lambda: reproduce.random_line_union(rng, rng.randint(8, 11), rng.randint(2, 3)),
+    ]
+    return [sample() for sample in samplers for _ in range(75)]
+
+
 @given(complexes())
 @settings(max_examples=120, deadline=None)
 def test_flats_match_definition(C):
@@ -314,7 +338,11 @@ def assert_closure_is_the_meet(fam, xs=()):
 
 @given(
     st.integers(1, 9).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=9), st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=9),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        )
     )
 )
 @settings(max_examples=300, deadline=None)
@@ -324,27 +352,9 @@ def test_moore_family_closure_is_the_meet(draw):
 
 
 def test_flat_closure_is_the_meet_on_the_catalog_and_sampled_complexes():
-    # the eight catalog inputs of the check-wide benchmark, then 300 sampled
-    # complexes drawn as in the seeded J build test
     rng = random.Random(25)
-    wide = [
-        named("nfb", n=9),
-        named("uniform", k=3, n=18),
-        named("bfour"),
-        named("rhodes", m=2, n=4),
-        named("dowling", m=3, n=3),
-        named("cepc"),
-        named("lhne"),
-        named("desargues"),
-    ]
-    samplers = [
-        lambda: reproduce.random_complex(rng, 8),
-        lambda: reproduce.random_paving(rng, rng.randint(4, 8), 2, rng.uniform(0.2, 0.9)),
-        lambda: reproduce.random_matroid(rng),
-        lambda: reproduce.random_line_union(rng, rng.randint(8, 11), rng.randint(2, 3)),
-    ]
-    sampled = [sample() for sample in samplers for _ in range(75)]
-    for C in wide + sampled:
+    wide = [named(name, **params) for name, params in CHECK_WIDE_CATALOG]
+    for C in wide + sampled_complexes(rng):
         assert_closure_is_the_meet(flats(C), [rng.getrandbits(C.n) for _ in range(40)])
 
 
@@ -434,37 +444,15 @@ def assert_j_builds_match_the_plain_walk(C):
     assert_same_complex(j_complex(fl, C.labels), plain_independent_complex(fl.closure, C.n, C.labels))
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [
-        ("nfb", {"n": 9}),
-        ("uniform", {"k": 3, "n": 18}),
-        ("bfour", {}),
-        ("rhodes", {"m": 2, "n": 4}),
-        ("dowling", {"m": 3, "n": 3}),
-        ("cepc", {}),
-        ("lhne", {}),
-        ("desargues", {}),
-        ("swirl", {"d": 3}),
-    ],
-)
+@pytest.mark.parametrize("name, params", [*CHECK_WIDE_CATALOG, ("swirl", {"d": 3})])
 def test_seeded_j_builds_match_the_plain_walk_on_the_catalog(name, params):
     assert_j_builds_match_the_plain_walk(named(name, **params))
 
 
 def test_seeded_j_builds_match_the_plain_walk_on_sampled_complexes():
-    # random complexes, pavings, matroids and line unions, 75 of each, and
-    # the Moore families of their flats through j_complex
-    rng = random.Random(24)
-    samplers = [
-        lambda: reproduce.random_complex(rng, 8),
-        lambda: reproduce.random_paving(rng, rng.randint(4, 8), 2, rng.uniform(0.2, 0.9)),
-        lambda: reproduce.random_matroid(rng),
-        lambda: reproduce.random_line_union(rng, rng.randint(8, 11), rng.randint(2, 3)),
-    ]
-    for sample in samplers:
-        for _ in range(75):
-            assert_j_builds_match_the_plain_walk(sample())
+    # and the Moore families of their flats through j_complex
+    for C in sampled_complexes(random.Random(24)):
+        assert_j_builds_match_the_plain_walk(C)
 
 
 @pytest.mark.parametrize(
