@@ -195,12 +195,14 @@ def _six(case):
 def _swirl(d):
     """One central block A and d+1 satellite blocks B_i of size d+1 each; the
     non-faces are B_i itself and the (d+1)-sets inside A_i u (B_i minus its
-    first point)."""
+    first point). Its C(n, d) + C(n, d+1) generating sets are counted
+    against SET_LIMIT before any is listed."""
     if d < 2:
         raise DomainError("swirl needs d >= 2")
     n = (d + 1) * (d + 2)
-    if n > 30:
-        raise CapacityError("swirl scan needs (d+1)(d+2) <= 30")
+    core.check_capacity(n)
+    if comb(n, d) + comb(n, d + 1) > core.SET_LIMIT:
+        raise CapacityError(f"swirl with more than {core.SET_LIMIT} generating sets is out of range")
     a = list(range(d + 1))
     b = [[d + 1 + i * (d + 1) + j for j in range(d + 1)] for i in range(d + 1)]
     removed = set()

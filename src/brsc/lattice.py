@@ -28,14 +28,11 @@ its one-point extensions on the next level. Both refuse past core.SET_LIMIT
 sets, as Complex.faces does, and cap no vertex count. The level walk builds
 the complex J of either closure cl, the sets whose elements can be ordered
 so that each leaves the closure of the earlier ones (_independent_complex,
-as a cone over the coloops of cl, which it never walks), the long
-hyperplanes of a paving complex and the group-labeled graph complexes of
-the catalog. The J build makes one closure per distinct seed
-cl(Y - h) + h, h the highest point of the walked set Y, not one per set,
-and holds the closures of two levels at a time. _first_gap walks J up to
-sets of size dim + 1 of a complex H, comparing it with H: this decides BR
-(cl the flat closure) and TBRSC (cl the T(H) closure). The public functions
-below are short calls into these helpers.
+whose docstring argues its coloop cone and its seeds), the long hyperplanes
+of a paving complex and the group-labeled graph complexes of the catalog.
+_first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
+with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
+closure). The public functions below are short calls into these helpers.
 
 Two independent routes exist from a set family R to its complex of
 partial transversals: transversal_complex walks chains of R directly,
@@ -202,7 +199,7 @@ def _meet_closure(sets, full, X, stop=0):
     return out
 
 
-def _level_walk(level, grow, what, limit=None):
+def _level_walk(level, grow, what):
     """The maximal members of a subset-closed family, listed level by level.
 
     level is the family's first level; grow(Y, level) is a mask of points p
@@ -211,11 +208,11 @@ def _level_walk(level, grow, what, limit=None):
     grow(Y, level) is 0 and no Y + p is on the next level. That is one
     isdisjoint call against Y | s over the single-point masks s of the points
     the next level reaches, listed once per level: Y | s is Y for s in Y, and
-    Y is not on the next level. Refuses past limit (core.SET_LIMIT) sets listed.
+    Y is not on the next level. Refuses past core.SET_LIMIT sets listed.
     Each level is a new set object, so grow can tell when the walk moves on.
     """
     level = set(level)
-    room = (core.SET_LIMIT if limit is None else limit) - len(level)
+    room = core.SET_LIMIT - len(level)
     out = []
     while room >= 0 and level:
         nxt = set()
@@ -250,13 +247,12 @@ def _independent_complex(cl, n, labels=None):
     so p can be appended to any independent order, and deleting p from one
     leaves it independent, since the closures of the later prefixes only
     shrink. J is therefore the cone J' * simplex(K), J' the sets of
-    rest = V - K independent for cl, with |J'| * 2^|K| faces; only J' is
-    walked, and each of its facets gets K added.
+    rest = V - K independent for cl. Only J' is walked, under SET_LIMIT as
+    every listed family is, and each of its facets gets K added; a caller
+    that lists J's |J'| * 2^|K| faces is refused by Complex.faces.
 
     The level walk grows Y by each p in rest outside cl(Y), which builds each
-    set from an independent order's prefix. It refuses once J has more than
-    SET_LIMIT faces: at once when 2^|K| alone is more, else once the walk of
-    J' passes SET_LIMIT >> |K| sets.
+    set from an independent order's prefix.
 
     cl(Y) is not computed from Y: for h the highest point of Y, any closure
     has cl(Y) = cl(cl(Y - h) + h), and Y - h, a face of the complex J', was
@@ -297,7 +293,7 @@ def _independent_complex(cl, n, labels=None):
             now[Y] = c
         return rest & ~c
 
-    spanning = _level_walk([0], grow, "J-complex", core.SET_LIMIT >> K.bit_count())
+    spanning = _level_walk([0], grow, "J-complex")
     return Complex._of_antichain(n, [Y | K for Y in spanning], core._labels(n, labels))
 
 

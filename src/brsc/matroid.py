@@ -47,10 +47,10 @@ def is_matroid(C):
     return True, None
 
 
-def is_near_matroid(C):
-    """Whether closure-equal faces always share cardinality, proper closures
-    only (faces whose closure is V are exempt).  Returns (ok, violating face
-    pair)."""
+def _proper_closures(C):
+    """One pass over the faces by size: the map from each proper flat that
+    closes a face to the first such face, and the first pair of faces with
+    one proper closure and different sizes (None when there is none)."""
     fl = flats(C)
     full = C.full_mask
     seen = {}
@@ -58,12 +58,19 @@ def is_near_matroid(C):
         F = fl.closure(X)
         if F == full:
             continue
-        if F in seen:
-            if seen[F].bit_count() != X.bit_count():
-                return False, (seen[F], X)
-        else:
+        if F not in seen:
             seen[F] = X
-    return True, None
+        elif seen[F].bit_count() != X.bit_count():
+            return seen, (seen[F], X)
+    return seen, None
+
+
+def is_near_matroid(C):
+    """Whether closure-equal faces always share cardinality, proper closures
+    only (faces whose closure is V are exempt).  Returns (ok, violating face
+    pair)."""
+    pair = _proper_closures(C)[1]
+    return pair is None, pair
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,10 @@ def rho(C):
     increases along flat chains; `brsc reproduce pure-conjecture` and the
     tests check both.
     """
-    ok, pair = is_near_matroid(C)
-    if not ok:
+    seen, pair = _proper_closures(C)
+    if pair is not None:
         raise DomainError(f"rho needs a near-matroid; faces {pair} break it")
-    fl = flats(C)
-    full = C.full_mask
-    vals = {}
-    for X in C.faces:
-        F = fl.closure(X)
-        if F != full:
-            vals[F] = X.bit_count()
-    return RhoMap(vals)
+    return RhoMap({F: X.bit_count() for F, X in seen.items()})
 
 
 def _chain_flats(members, k):

@@ -149,9 +149,9 @@ def _gu_witnesses(cl, full, d):
 
 def goes_up(C):
     """Does dim J(T(H)) exceed dim C: the report of dim J(T(H)), the verdict
-    read off it, the witness pair, and |T(H)|. Each member of T(H) is the
-    closure of an independent set grown inside it, so |T(H)| <= |J(T(H))|,
-    and T(H) is listed whenever J(T(H)) is within SET_LIMIT.
+    read off it, the witness pair, and |T(H)|. T(H) is listed, so past
+    SET_LIMIT members it is refused even where J(T(H)) is built, as J is
+    walked without its coloops.
 
     Only paving complexes qualify: the witness characterization needs
     P_{<=d-1} among the flats. The pair is C's first witness as (Y + x, Y),
@@ -274,8 +274,6 @@ def paving2_reps(n):
     """One paving dim-2 complex per isomorphism class on n vertices."""
     from .iso import paving_complexes
 
-    if not 4 <= n <= 6:
-        raise CapacityError("paving scan supported for 4 <= n <= 6")
     for C in paving_complexes(n, 2):
         if C.dim == 2:
             yield C

@@ -1,7 +1,6 @@
 """Catalog constructions: group-labeled complexes, forest complexes, and the
 named fixtures, checked against their structural descriptions."""
 
-import random
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brsc.core import (
+    SET_LIMIT,
+    CapacityError,
     Complex,
     DomainError,
     alpha_vector,
@@ -29,9 +30,10 @@ from brsc.catalog import (
     non_desargues,
     rhodes_reduced,
 )
-from brsc.iso import are_isomorphic, canonical_complex, embeds
+from brsc.iso import canonical_complex, embeds
 from brsc.lattice import MooreFamily, flats, is_boolean_representable, j_complex
 from brsc.matroid import is_matroid
+from brsc.reproduce import tri
 from brsc.t_operator import (
     cl_T,
     is_tbrsc,
@@ -40,10 +42,7 @@ from brsc.t_operator import (
     t_family,
     truncation_t_family,
 )
-
-
-def tri(*t):
-    return mask_of(tuple(x - 1 for x in t))
+from complex_helpers import complexes
 
 
 # ---------------------------------------------------------------- registry
@@ -601,6 +600,16 @@ def test_swirl_minimal_non_representable():
         named("swirl", d=1)
 
 
+def test_swirl_counts_its_generating_sets_against_the_limit(monkeypatch):
+    # d = 4: C(30, 4) + C(30, 5) = 169,911 generating sets on 30 vertices
+    S = named("swirl", d=4)
+    assert S.n == 30 and S.dim == 4
+    # d = 5: 6,096,454 sets on 42 vertices, refused before any is listed
+    monkeypatch.setattr("brsc.catalog.k_submasks", None)
+    with pytest.raises(CapacityError, match=f"swirl with more than {SET_LIMIT} generating sets"):
+        named("swirl", d=5)
+
+
 # -------------------------------------------------------------------- nfb
 
 
@@ -695,18 +704,7 @@ def test_remaining_fixture_shapes():
 # --------------------------------------------------- truncation T-family
 
 
-def complexes(max_n=5):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
-@given(complexes(), st.integers(1, 7))
+@given(complexes(5), st.integers(1, 7))
 @settings(max_examples=120, deadline=None)
 def test_truncation_t_family_matches_plain_route(C, k):
     stable = truncation_t_family(C, C.dim + 2)

@@ -133,9 +133,9 @@ def test_brcheck_past_twenty_two_vertices(capsys):
 
 
 def test_j_complex_past_the_face_limit(capsys):
-    # J(T(H)) of U(2,26) is the full 26-simplex: all 26 points are coloops,
-    # so its 2^26 faces are counted and refused before any walk; the command
-    # runs in a fresh process so the refusal is timed end to end
+    # J(T(H)) of U(2,26) is the full 26-simplex, 2^26 faces: all 26 points are
+    # coloops, so only the empty set is walked; the command runs in a fresh
+    # process so it is timed end to end
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "brsc.cli", "codim", "uniform:k=2,n=26"],
@@ -144,11 +144,16 @@ def test_j_complex_past_the_face_limit(capsys):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert time.perf_counter() - t0 < 20
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert "capacity: J-complex with more than" in proc.stderr
+    assert proc.returncode == 0 and json.loads(proc.stdout)["codim"] == 24
     code, out, _ = run(capsys, "check", "uniform:k=2,n=26")
     d = json.loads(out)
-    assert code == 0 and d["codim"] is None and d["tbrsc"] is True
+    assert code == 0 and d["codim"] == 24 and d["tbrsc"] is True
+    # J(T(desargues)) has no coloops and 291 faces, desargues 166: a limit
+    # between them refuses the walk
+    with mock.patch("brsc.core.SET_LIMIT", 200):
+        code, out, err = run(capsys, "codim", "desargues")
+    assert code == 3 and out == ""
+    assert "capacity: J-complex with more than" in err
 
 
 def test_check_desargues(capsys):

@@ -41,6 +41,7 @@ from brsc.core import (
     mask_of,
     submasks,
 )
+from complex_helpers import complexes
 
 
 # Oracle: plain frozenset-of-frozensets downward closure.
@@ -57,17 +58,6 @@ def closure_oracle(n, generators):
 
 def faces_as_sets(C):
     return {frozenset(bits(f)) for f in C.faces}
-
-
-def complexes(max_n=6):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
 
 
 def test_bit_helpers():
@@ -104,14 +94,14 @@ def test_domain_and_capacity():
         Complex(2, labels=("a", "a"))
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=200, deadline=None)
 def test_faces_match_oracle(C):
     gens = [set(bits(f)) for f in C.facets]
     assert faces_as_sets(C) == closure_oracle(C.n, gens)
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=200, deadline=None)
 def test_facets_are_maximal_faces(C):
     faces = C.faces
@@ -221,7 +211,7 @@ def test_out_of_range_generator_is_refused(case, shift):
         Complex(n, gens + [-1 - shift])
 
 
-@given(complexes(), st.integers(0, 127))
+@given(complexes(6), st.integers(0, 127))
 @settings(max_examples=200, deadline=None)
 def test_has_agrees_with_faces(C, probe):
     probe &= C.full_mask
@@ -241,7 +231,7 @@ def test_restriction_oracle():
     assert R.labels == (2, 3, 4)
 
 
-@given(complexes(), st.integers(1, 127))
+@given(complexes(6), st.integers(1, 127))
 @settings(max_examples=100, deadline=None)
 def test_restriction_matches_filter(C, W_seed):
     W = W_seed & C.full_mask
@@ -270,7 +260,7 @@ def test_contraction():
         contraction(C, 0b1001)
 
 
-@given(complexes(), st.integers(1, 4))
+@given(complexes(6), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_truncate_matches_filter(C, k):
     T = truncate(C, k)
@@ -339,7 +329,7 @@ def test_counting_function_and_unimodal():
     assert is_unimodal((1, 3, 2, 2, 3)) is False
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=100, deadline=None)
 def test_alpha_sums_to_face_count(C):
     assert sum(alpha_vector(C)) == len(C.faces)
@@ -411,7 +401,7 @@ def test_json_round_trip():
     assert back == L
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=100, deadline=None)
 def test_json_round_trip_random(C):
     assert complex_from_json(json.dumps(complex_to_dict(C))) == C

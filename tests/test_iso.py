@@ -19,38 +19,20 @@ from brsc.iso import (
     canonical_complex,
     canonical_key,
     embeds,
-    graphs_up_to_iso,
     orbit_min_table,
     orbit_reps,
     paving_complexes,
 )
 from brsc.t_operator import paving2_reps
+from complex_helpers import complexes, relabeled
 
 
-def permute_complex(C, perm):
-    gens = []
-    for f in C.facets:
-        gens.append(mask_of(perm[v] for v in bits(f)))
-    return Complex(C.n, gens)
-
-
-def complexes(max_n=6):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
-@given(complexes(), st.randoms(use_true_random=False))
+@given(complexes(6), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_canonical_key_is_orbit_invariant(C, rng):
     perm = list(range(C.n))
     rng.shuffle(perm)
-    D = permute_complex(C, perm)
+    D = relabeled(C, perm)
     # the search on its own: at n <= TABLE_MAX_N canonical_key does not reach it
     assert _search_key(C) == _search_key(D) == canonical_key(D)
 
@@ -164,7 +146,7 @@ def test_named_canonical_keys(spec, brute):
     key = canonical_key(C)
     perm = list(range(C.n))
     random.Random(C.n * 1000 + len(C.facets)).shuffle(perm)
-    assert canonical_key(permute_complex(C, perm)) == key
+    assert canonical_key(relabeled(C, perm)) == key
     # the key, read as a complex, has C's facet sizes and is its own key
     K = Complex(C.n, key)
     assert sorted(f.bit_count() for f in K.facets) == sorted(f.bit_count() for f in C.facets)
@@ -258,12 +240,12 @@ def unfiltered_embeds(C, D):
 def test_embeds_into_a_relabeling(C, rng):
     perm = list(range(C.n))
     rng.shuffle(perm)
-    D = permute_complex(C, perm)
+    D = relabeled(C, perm)
     m = embeds(C, D)
     assert m is not None and sorted(m) == list(range(C.n))
     assert all(D.has(mask_of(m[v] for v in bits(f))) for f in C.facets)
     # the face-profile filter drops only images that lie in no embedding
-    assert m == unfiltered_embeds(C, permute_complex(C, perm))
+    assert m == unfiltered_embeds(C, relabeled(C, perm))
 
 
 @st.composite

@@ -46,7 +46,9 @@ from brsc.lattice import (
 )
 from brsc.iso import all_complexes
 from brsc.operators import b_d
+from brsc.reproduce import tri
 from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
+from complex_helpers import complexes
 from independence_oracle import independent_order
 
 
@@ -241,17 +243,6 @@ def per_face_boolean_representable(C):
     raise AssertionError("a facet failed but no face did")
 
 
-def complexes(max_n=6):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
 def moore_families(max_n=6):
     @st.composite
     def strat(draw):
@@ -287,13 +278,13 @@ def sampled_complexes(rng):
     return [sample() for sample in samplers for _ in range(75)]
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=120, deadline=None)
 def test_flats_match_definition(C):
     assert set(flats(C).members) == flats_oracle(C)
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=80, deadline=None)
 def test_flats_form_moore_family(C):
     fl = flats(C)
@@ -304,7 +295,7 @@ def test_flats_form_moore_family(C):
         assert a & b in fl.members
 
 
-@given(complexes(), st.integers(0, 63), st.integers(0, 63))
+@given(complexes(6), st.integers(0, 63), st.integers(0, 63))
 @settings(max_examples=120, deadline=None)
 def test_closure_axioms(C, x, y):
     X = x & C.full_mask
@@ -433,7 +424,7 @@ def plain_independent_complex(cl, n, labels=None):
         if not cl(full ^ 1 << p) >> p & 1:
             K |= 1 << p
     rest = full & ~K
-    spanning = lattice._level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex", SET_LIMIT >> K.bit_count())
+    spanning = lattice._level_walk([0], lambda Y, level: rest & ~cl(Y), "J-complex")
     return Complex(n, [Y | K for Y in spanning], labels)
 
 
@@ -514,38 +505,35 @@ def test_cone_split_matches_level_walk_on_uniform(k, n):
 def test_mixed_closure_refused_exactly_past_the_face_limit(m, r, k):
     # U(r, m) has f = sum of C(m, i), i <= r, independent sets and no coloop
     # (m = 0 leaves the identity closure, f = 1); the k identity points are
-    # coloops, so J has f * 2^k faces, and neither answer walks them all
-    f = sum(comb(m, i) for i in range(r + 1))
+    # coloops, so J has f * 2^k faces, past SET_LIMIT at the larger k of each
+    # pair, and the build walks only the f sets of J' either way
     cl = uniform_closure(m, r, m + k)
     t0 = time.perf_counter()
-    if f << k > SET_LIMIT:
-        with pytest.raises(CapacityError):
-            _independent_complex(cl, m + k)
-    else:
-        coloops = ((1 << k) - 1) << m
-        want = {B | coloops for B in k_submasks((1 << m) - 1, r)}
-        assert _independent_complex(cl, m + k).facets == want
+    coloops = ((1 << k) - 1) << m
+    want = {B | coloops for B in k_submasks((1 << m) - 1, r)}
+    assert _independent_complex(cl, m + k).facets == want
     assert time.perf_counter() - t0 < 1
 
 
 @given(complexes(max_n=6), st.integers(0, 3), st.integers(0, 9))
 @settings(max_examples=150, deadline=None)
 def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
-    # a small face limit, so that both routes meet it: each refuses exactly
-    # when J, C joined with `extra` coloops, has more faces than the limit;
-    # D's faces and J's face count are read before the limit is set, as
-    # Complex.faces obeys it too
+    # a small limit, so that the walk meets it: the J build of D, C joined
+    # with `extra` coloops, refuses exactly when J', the independent sets
+    # that avoid D's coloops, has more sets than the limit; J and D's faces
+    # are read before the limit is set, as Complex.faces obeys it too
     D = cone(C, extra)
     cl = partial(cl_T, D)
-    size = len(all_faces_complex(cl, D.n).faces)
+    K = sum(1 << p for p in range(D.n) if not cl(D.full_mask ^ 1 << p) >> p & 1)
+    J = level_walk_complex(cl, D.n)
+    size = sum(1 for X in J.faces if not X & K)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "SET_LIMIT", 1 << log_limit)
         if size > 1 << log_limit:
-            for build in (_independent_complex, level_walk_complex):
-                with pytest.raises(CapacityError):
-                    build(cl, D.n)
+            with pytest.raises(CapacityError, match="J-complex with more than"):
+                _independent_complex(cl, D.n)
         else:
-            assert_same_complex(_independent_complex(cl, D.n), level_walk_complex(cl, D.n))
+            assert_same_complex(_independent_complex(cl, D.n), J)
 
 
 @given(
@@ -559,7 +547,7 @@ def test_moore_close_matches_frontier_closure(draw):
     assert moore_close(n, sets).members == frontier_moore_close(n, sets)
 
 
-@given(complexes(), st.integers(0, 6))
+@given(complexes(6), st.integers(0, 6))
 @settings(max_examples=150, deadline=None)
 def test_closed_sets_refuse_exactly_past_the_set_limit(C, log_limit):
     # the flats, T(H) and each T(H_k): NextClosure lists a family whole when
@@ -606,15 +594,6 @@ def test_flats_of_up_of_cfup_shape():
     assert set(fl.members) == expect
 
 
-def _random_paving(rng, n, d):
-    full = (1 << n) - 1
-    top = list(k_submasks(full, d + 1))
-    keep = [X for X in top if rng.random() < 0.7]
-    gens = set(keep) | set(k_submasks(full, d))
-    C = Complex(n, gens)
-    return C
-
-
 def test_flats_paving_matches_brute():
     rng = random.Random(7)
     for _ in range(60):
@@ -622,7 +601,7 @@ def test_flats_paving_matches_brute():
         d = rng.choice([2, 3])
         if d >= n - 1:
             d = 2
-        C = _random_paving(rng, n, d)
+        C = reproduce.random_paving(rng, n, d, 0.7)
         if C.dim != d:
             continue
         assert set(flats_paving(C).members) == set(flats(C).members)
@@ -705,7 +684,7 @@ def test_long_hyperplanes_match_scan(C):
 
 @pytest.mark.parametrize(
     "C",
-    [named("nfb", n=9), _random_paving(random.Random(20), 20, 2)],
+    [named("nfb", n=9), reproduce.random_paving(random.Random(20), 20, 2, 0.7)],
     ids=["nfb:n=9", "paving:n=20"],
 )
 def test_long_hyperplanes_match_scan_on_wide_complexes(C):
@@ -890,18 +869,10 @@ def test_br_positive():
 
 
 def test_br_mixed_medium():
-    # pairs everywhere, triples meeting {5,6} in one point, plus 123 and 124
-    def tri(*t):
-        return mask_of(tuple(x - 1 for x in t))
-
-    full = (1 << 6) - 1
-    fivesix = tri(5, 6)
-    gens = set(k_submasks(full, 2))
-    for X in k_submasks(full, 3):
-        if (X & fivesix).bit_count() == 1:
-            gens.add(X)
-    gens |= {tri(1, 2, 3), tri(1, 2, 4)}
-    C = Complex(6, gens)
+    # btbtwo: pairs everywhere, triples meeting {5,6} in one point, plus 123
+    # and 124
+    C = named("btbtwo")
+    full = C.full_mask
     fl = flats(C)
     assert set(fl.members) == {0, tri(1), tri(2), tri(3), tri(4), tri(5), tri(6), tri(1, 2), full}
     ok, witness = is_boolean_representable(C)

@@ -40,28 +40,10 @@ from brsc.matroid import (
     truncation_is_brsc_for_near_matroid,
 )
 from brsc.catalog import desargues, named, non_desargues
-from brsc.reproduce import random_matroid, random_paving
+from brsc.reproduce import _forest_complex, random_matroid, random_paving, tri
 from brsc.operators import b_d, up
 from brsc.t_operator import jt_complex
-
-
-def tri(*t):
-    return mask_of(tuple(x - 1 for x in t))
-
-
-def complexes(max_n=5):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
-def _far():
-    return Complex(4, set(k_submasks(0b1111, 2)) | {tri(1, 2, 3)})
+from complex_helpers import complexes
 
 
 def test_is_matroid_examples():
@@ -69,16 +51,16 @@ def test_is_matroid_examples():
     assert is_matroid(U35) == (True, None)
     assert is_matroid(desargues())[0]
 
-    ok, pair = is_matroid(_far())
+    ok, pair = is_matroid(named("far"))
     assert not ok
     I, J = pair
     assert I.bit_count() == J.bit_count() + 1
-    C = _far()
+    C = named("far")
     assert all(not C.has(J | (1 << p)) for p in bits(I & ~J))
 
 
 def test_far_is_near_matroid_but_not_matroid():
-    C = _far()
+    C = named("far")
     assert is_near_matroid(C) == (True, None)
     assert not is_matroid(C)[0]
     assert not is_boolean_representable(C)[0]
@@ -112,7 +94,7 @@ def _size_consistent_everywhere(C):
     return True
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=150, deadline=None)
 def test_matroid_iff_closure_determines_size(C):
     assert is_matroid(C)[0] == _size_consistent_everywhere(C)
@@ -149,7 +131,7 @@ def test_is_matroid_matches_probe_loop(C):
     assert is_matroid(C) == probe_is_matroid(C)
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=120, deadline=None)
 def test_faces_inside_a_closure_extend_to_it(C):
     # I inside the closure of J grows to a face with the same closure
@@ -204,10 +186,10 @@ def test_rho_is_total_and_strictly_monotone():
     for name in ("sme", "boom", "tracks", "triang", "lhne"):
         _assert_rho_graded(named(name))
     _assert_rho_graded(desargues())
-    _assert_rho_graded(_far())
+    _assert_rho_graded(named("far"))
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=150, deadline=None)
 def test_rho_is_total_and_strictly_monotone_on_near_matroids(C):
     if is_near_matroid(C)[0]:
@@ -222,7 +204,7 @@ def test_truncation_representation_for_matroids():
     K5 = jt_complex(D)
     assert truncation_is_brsc_for_near_matroid(K5, 3)
     with pytest.raises(DomainError):
-        truncation_is_brsc_for_near_matroid(_far(), 2)
+        truncation_is_brsc_for_near_matroid(named("far"), 2)
 
 
 def test_pure_conjecture_fixtures():
@@ -279,7 +261,7 @@ def test_extension_candidate_verdicts():
     assert verdict == "no_extension" and F == free
 
     with pytest.raises(DomainError):
-        matroid_extension_candidate(_far())
+        matroid_extension_candidate(named("far"))
 
 
 def test_unique_extension_candidates_truncate_back():
@@ -321,31 +303,6 @@ def test_no_extension_past_the_adjoined_line():
     out = search_matroid_extensions(non_desargues())
     assert out.complete
     assert out.extensions == []
-
-
-def _forest_complex(nv, edges):
-    def acyclic(sel):
-        parent = list(range(nv + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in sel:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
-
-    gens = set()
-    for r in range(1, len(edges) + 1):
-        for combo in combinations(range(len(edges)), r):
-            if acyclic([edges[t] for t in combo]):
-                gens.add(mask_of(combo))
-    return Complex(len(edges), gens)
 
 
 def test_extension_search_on_small_graphic_matroids():
@@ -727,7 +684,7 @@ def test_shelling_search_leaves_no_reference_cycle():
 
 
 def test_mixed_dimension_shelling():
-    C = _far()
+    C = named("far")
     sh = is_shellable(C)
     assert sh is not None
     assert shelling_certificates(C, sh.order) == sh.certificates
@@ -921,7 +878,7 @@ def test_lines_and_l_mu():
         tri(6, 7),
     }
     with pytest.raises(DomainError):
-        lines(_far())
+        lines(named("far"))
 
 
 def test_h_star_and_l_mu_check_representability_once(monkeypatch):

@@ -17,7 +17,6 @@ from brsc.core import (
     contraction,
     is_paving,
     k_submasks,
-    mask_of,
     restriction,
     truncate,
 )
@@ -35,21 +34,8 @@ from brsc.operators import (
     up_iter,
     up_iter_paving,
 )
-
-
-def complexes(max_n=6):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
-def tri(*t):
-    return mask_of(tuple(x - 1 for x in t))
+from brsc.reproduce import random_paving, tri
+from complex_helpers import complexes
 
 
 def up_scan(C):
@@ -101,13 +87,13 @@ def test_up_counts_its_generators_before_listing(monkeypatch):
     assert up(C) == want
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=150, deadline=None)
 def test_up_matches_scan(C):
     assert up(C) == up_scan(C)
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=100, deadline=None)
 def test_up_matches_matrix_route(C):
     # rows = all faces plus V represent the up complex
@@ -115,7 +101,7 @@ def test_up_matches_matrix_route(C):
     assert up(C) == j_complex(fam)
 
 
-@given(complexes())
+@given(complexes(6))
 @settings(max_examples=100, deadline=None)
 def test_up_dimension_growth(C):
     U = up(C)
@@ -125,7 +111,7 @@ def test_up_dimension_growth(C):
         assert U.dim == C.dim + 1
 
 
-@given(complexes(), st.integers(1, 4))
+@given(complexes(6), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_up_commutes_with_truncation(C, k):
     # (H-up)_k = (H_{k-1})-up, for k >= 2
@@ -133,18 +119,12 @@ def test_up_commutes_with_truncation(C, k):
     assert truncate(up(C), k) == up(truncate(C, k - 1))
 
 
-def _random_paving(rng, n, d):
-    full = (1 << n) - 1
-    keep = [X for X in k_submasks(full, d + 1) if rng.random() < 0.6]
-    return Complex(n, set(keep) | set(k_submasks(full, d)))
-
-
 def test_up_iter_paving_formula():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(3, 7)
         d = rng.choice([1, 2])
-        C = _random_paving(rng, n, d)
+        C = random_paving(rng, n, d, 0.6)
         if is_paving(C) != d:
             continue
         for m in range(0, 3):

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from functools import partial
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -29,7 +28,7 @@ from brsc.core import (
 from brsc.lattice import MooreFamily, _horn_closure, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
-from brsc.reproduce import random_line_union
+from brsc.reproduce import random_line_union, random_paving, tri
 from brsc.t_operator import (
     _gu_witnesses,
     _is_gu,
@@ -52,11 +51,8 @@ from brsc.t_operator import (
     t_family,
     two_line_complex,
 )
+from complex_helpers import complexes, relabeled
 from independence_oracle import independent_order
-
-
-def tri(*t):
-    return mask_of(tuple(x - 1 for x in t))
 
 
 def dfs_is_tbrsc(C):
@@ -145,21 +141,6 @@ def rebuilt_constraints_classify(C):
     return "MNGU"
 
 
-def relabeled(C, perm):
-    return Complex(C.n, [mask_of(perm[v] for v in bits(f)) for f in C.facets])
-
-
-def complexes(max_n=5):
-    @st.composite
-    def strat(draw):
-        n = draw(st.integers(1, max_n))
-        full = (1 << n) - 1
-        gens = draw(st.lists(st.integers(0, full), max_size=8))
-        return Complex(n, gens)
-
-    return strat()
-
-
 def pavings(max_n=7):
     """Paving complexes: every d-set plus a drawn subset of the (d+1)-sets."""
 
@@ -199,6 +180,14 @@ def test_tbrsc_walk_matches_independence_search_on_paving_classes():
     for n in (4, 5, 6):
         for C in paving2_reps(n):
             assert is_tbrsc(C) == dfs_is_tbrsc(C)
+
+
+def test_paving2_reps_range_is_the_orbit_table_cap():
+    # the orbit table caps C(n, 3) at 21: n = 3 gives the triangle alone, and
+    # n = 7 (35 triples) is refused
+    assert [C.facets for C in paving2_reps(3)] == [{0b111}]
+    with pytest.raises(CapacityError, match=r"C\(n, d\+1\) <= 21"):
+        next(paving2_reps(7))
 
 
 def test_incremental_classify_matches_neighbour_complexes_on_paving_classes():
@@ -352,7 +341,7 @@ def test_t_family_far_example():
     assert set(fam.members) == expect
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=120, deadline=None)
 def test_t_family_is_moore_and_contains_flats(C):
     fam = t_family(C)
@@ -360,7 +349,7 @@ def test_t_family_is_moore_and_contains_flats(C):
     assert set(flats(C).members) <= set(fam.members)
 
 
-@given(complexes(), st.integers(0, 31))
+@given(complexes(5), st.integers(0, 31))
 @settings(max_examples=150, deadline=None)
 def test_cl_T_matches_family_scan(C, seed):
     X = seed & C.full_mask
@@ -369,7 +358,7 @@ def test_cl_T_matches_family_scan(C, seed):
     assert cl_T(C, cl_T(C, X)) == cl_T(C, X)
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=100, deadline=None)
 def test_jt_complex_matches_family_route(C):
     assert jt_complex(C) == j_complex(t_family(C))
@@ -391,7 +380,7 @@ def _jt_flats_are_t_family(C):
     return set(flats(jt_complex(C)).members) == set(t_family(C).members)
 
 
-@given(complexes())
+@given(complexes(5))
 @settings(max_examples=150, deadline=None)
 def test_tbrsc_flats_of_jt_are_t_family(C):
     if is_tbrsc(C):
@@ -421,19 +410,13 @@ def test_flats_inside_truncation_t_family():
     assert tri(1, 3) not in T2
 
 
-def _random_paving(rng, n, d):
-    full = (1 << n) - 1
-    keep = [X for X in k_submasks(full, d + 1) if rng.random() < 0.6]
-    return Complex(n, set(keep) | set(k_submasks(full, d)))
-
-
 def test_t_monotone_for_paving_pairs():
     rng = random.Random(23)
     tried = 0
     while tried < 40:
         n = rng.randint(4, 6)
         d = rng.choice([1, 2])
-        C = _random_paving(rng, n, d)
+        C = random_paving(rng, n, d, 0.6)
         if is_paving(C) != d:
             continue
         # enlarge by a few extra top faces
@@ -450,19 +433,8 @@ def test_t_monotone_for_paving_pairs():
         assert all(JD.has(f) for f in JC.facets)
 
 
-def _btbtwo():
-    full = (1 << 6) - 1
-    fivesix = tri(5, 6)
-    gens = set(k_submasks(full, 2))
-    for X in k_submasks(full, 3):
-        if (X & fivesix).bit_count() == 1:
-            gens.add(X)
-    gens |= {tri(1, 2, 3), tri(1, 2, 4)}
-    return Complex(6, gens)
-
-
 def test_is_tbrsc_on_truncation_example():
-    C = _btbtwo()
+    C = named("btbtwo")
     assert is_tbrsc(C)
     assert not is_boolean_representable(C)[0]
     fam = t_family(C)
@@ -537,7 +509,7 @@ def test_union_of_representable_can_lose_representability():
     assert is_boolean_representable(C)[0]
     assert is_boolean_representable(D)[0]
     U = union(C, D)
-    assert U == _btbtwo()
+    assert U == named("btbtwo")
     assert not is_boolean_representable(U)[0]
     assert is_tbrsc(U)
 
@@ -603,8 +575,8 @@ def test_going_up_witness_matches_dimension(C):
 
 def test_goes_up_past_the_t_family_cap(monkeypatch):
     # T(H) of a line union on 21 vertices has 27 members. Past a limit below
-    # that it is not listed, and goes_up is refused first by J(T(H)), which
-    # has at least as many faces
+    # that it is not listed, and goes_up is refused first by J(T(H)): it has
+    # no coloops, so its walk lists all of its 305 faces
     C = jijn(2, 3, 21)
     assert len(t_family(C)) == goes_up(C).t_family_size == 27
     monkeypatch.setattr(core, "SET_LIMIT", 26)

@@ -63,3 +63,24 @@ def test_summary_flags_digests_failures_and_errors():
     s = bench_pairs.summarize(runs, SPEC)["w"]
     assert s["wall"]["change_better_pairs"] == "0/1"
     assert not s["same_digest_every_seed"] and not s["all_correct_and_no_failures"]
+
+
+def test_summary_marks_unresolved_spreads():
+    # the parent's runs spread 0.2 / 1.1 of their median, past the 0.1 bound:
+    # resolved only when every change run beats every parent run
+    parent = [(1.0, 10.0), (1.2, 12.0), (1.0, 10.0), (1.2, 12.0)]
+
+    def summary(change):
+        runs = []
+        for seed, ((pw, pr), (cw, cr)) in enumerate(zip(parent, change)):
+            runs += [_run(seed, "parent", pw, pr), _run(seed, "change", cw, cr)]
+        return bench_pairs.summarize(runs, SPEC)["w"]
+
+    s = summary([(0.9, 12.5), (0.98, 13.0), (0.95, 12.1), (0.99, 14.0)])
+    assert s["wall"]["parent_iqr_share"] > 0.1 and s["wall"]["resolved"] and s["rate"]["resolved"]
+    # a wall of 1.0 ties the parent's best run, which is no win
+    s = summary([(0.9, 12.5), (1.0, 13.0), (0.95, 11.0), (0.99, 14.0)])
+    assert not s["wall"]["resolved"] and not s["rate"]["resolved"]
+    # a spread within the bound resolves the metric
+    runs = [_run(seed, side, 1.0, 10.0) for seed in range(3) for side in ("parent", "change")]
+    assert bench_pairs.summarize(runs, SPEC)["w"]["wall"]["resolved"]

@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written as BENCH_<N>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --number N --pairs search=10 classify=3 --seed S
+    python3 tools/bench_pairs.py PARENT CHANGE --number N --pairs search=10 classify=5 --seed S
 
 For each workload, each pair runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once on each side with the same seed; the side that
@@ -16,12 +16,14 @@ operations, correctness and verdict digest) and, per workload, a summary:
 for each end-to-end metric of BENCHMARK.json, each side's median and
 quartiles (inclusive method), the pairs in which the change was better
 (ties count for neither side), the change's median relative to the
-parent's, the parent's interquartile range as a share of its median, and
-whether the change's median is within the metric's bound; and whether
-every pair gave one verdict digest and every run was correct with no
-failures. The file is rewritten after every run, so a stopped run of this
-tool keeps the runs it finished. Nothing under perfbench/ or BENCHMARK.json is
-written. Standard library only.
+parent's, the parent's interquartile range as a share of its median,
+whether the change's median is within the metric's bound, and whether the
+pairs resolve the metric: not when that share exceeds the bound, unless
+every change run beats every parent run; and whether every pair gave one
+verdict digest and every run was correct with no failures. The file is
+rewritten after every run, so a stopped run of this tool keeps the runs it
+finished. Nothing under perfbench/ or BENCHMARK.json is written. Standard
+library only.
 """
 
 import argparse
@@ -114,12 +116,16 @@ def summarize(runs, spec):
             pq1, pmed, pq3 = q["parent"]
             rel = (q["change"][1] - pmed) / pmed if pmed else 0.0
             better = sum(1 for p in done if sign * (p["change"][name] - p["parent"][name]) < 0)
+            iqr_share = (pq3 - pq1) / pmed if pmed else 0.0
+            worst_change = max(sign * p["change"][name] for p in done)
+            best_parent = min(sign * p["parent"][name] for p in done)
             summary[name] = {
                 **{side: {"median": round(m, 4), "q1": round(q1, 4), "q3": round(q3, 4)} for side, (q1, m, q3) in q.items()},
                 "change_better_pairs": f"{better}/{len(done)}",
                 "change_vs_parent_median": round(rel, 4),
-                "parent_iqr_share": round((pq3 - pq1) / pmed, 4) if pmed else 0.0,
+                "parent_iqr_share": round(iqr_share, 4),
                 "within_bound": sign * rel <= metric["bound"],
+                "resolved": iqr_share <= metric["bound"] or worst_change < best_parent,
             }
         summary["same_digest_every_seed"] = bool(both) and all(
             "digest" in p["parent"] and p["parent"]["digest"] == p["change"].get("digest") for p in both
