@@ -401,13 +401,11 @@ def counting_function(C):
 
 
 def is_paving(C):
-    """The dimension d if every d-subset of V is a face, else None."""
+    """The dimension d if every d-subset of V is a face, else None. Reads the
+    listed faces, so it is refused past SET_LIMIT faces, as its callers are."""
     d = C.dim
-    full = C.full_mask
-    for X in k_submasks(full, d):
-        if not C.has(X):
-            return None
-    return d
+    faces = C.faces
+    return d if all(X in faces for X in k_submasks(C.full_mask, d)) else None
 
 
 def defect(C):

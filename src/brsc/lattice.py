@@ -8,9 +8,9 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 - T(H) for k = dim + 1 (the faces of size <= dim),
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
-_extension_map, the one place that asks whether X + p is a face, reads the
-points extending each face off the faces one point larger; the pairs built
-from it are propagated to a fixpoint by _horn_closure, which stops as soon
+_extension_constraints, the one place that asks whether X + p is a face, reads
+the points extending each face off the faces one point larger; the pairs it
+builds are propagated to a fixpoint by _horn_closure, which stops as soon
 as it reaches the full set V. _level_closure binds the two for one k, and F
 is a flat exactly when the closure for k = dim + 2 fixes F. An arbitrary
 family given by its members closes by intersection instead (_meet_closure).
@@ -99,13 +99,14 @@ def moore_close(n, sets):
     return _closed_sets(n, partial(_meet_closure, base, full), "Moore family")
 
 
-def _extension_map(C, k):
-    """Map every face X to the mask of the points p outside X for which
-    X + p is a face of at most k points (0 when |X| >= k), so H and its
-    truncation H_k agree on it: each face Z with |Z| <= k marks every p in Z
-    as extending Z - p."""
+def _extension_constraints(C, k):
+    """Pairs (X, bad) over the faces X with |X| < k, bad the points p outside
+    X for which X + p is not a face of at most k points (pairs with bad empty
+    are dropped), so H and its truncation H_k agree on them. Each face Z with
+    |Z| <= k marks every p in Z as extending Z - p."""
     faces = C.faces
-    good = dict.fromkeys(faces, 0)
+    full = C.full_mask
+    good = {X: 0 for X in faces if X.bit_count() < k}
     for Z in faces:
         if Z.bit_count() <= k:
             m = Z
@@ -113,20 +114,7 @@ def _extension_map(C, k):
                 b = m & -m
                 good[Z ^ b] |= b
                 m ^= b
-    return good
-
-
-def _extension_constraints(C, k):
-    """Pairs (X, bad) over the faces X with |X| < k, where bad holds the
-    points whose addition to X leaves H (pairs with bad empty are dropped)."""
-    full = C.full_mask
-    out = []
-    for X, g in _extension_map(C, k).items():
-        if X.bit_count() < k:
-            bad = full & ~(X | g)
-            if bad:
-                out.append((X, bad))
-    return tuple(out)
+    return tuple((X, bad) for X, g in good.items() if (bad := full & ~(X | g)))
 
 
 def _level_closure(C, k):

@@ -18,31 +18,34 @@ from .core import (
     SetFamily,
     bits,
     compress,
-    is_paving,
     k_submasks,
     mask_of,
     pure_part,
     restriction,
     truncate,
 )
-from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
-from .t_operator import is_tbrsc, jt_complex
+from .lattice import MooreFamily, _paving_dimension, flats, is_boolean_representable, j_complex
+from .t_operator import _t_constraints, is_tbrsc, jt_complex
 
 
 def is_matroid(C):
     """Exchange check over all face pairs with |I| = |J| + 1.
 
     Returns (ok, pair) where pair = (I, J) admits no exchange point when the
-    check fails, None otherwise.
+    check fails, None otherwise. J, the smaller face, has at most dim points,
+    so the T(H) constraints cover it: the points extending J are those
+    outside J and bad(J).
     """
-    good = _extension_map(C, C.dim + 2)
+    bad = dict(_t_constraints(C))
     by_size = defaultdict(list)
     for f in C.faces:
         by_size[f.bit_count()].append(f)
-    for k in sorted(by_size):
-        for I in by_size.get(k + 1, ()):
-            for J in by_size[k]:
-                if I & ~J & good[J] == 0:
+    for k in range(C.dim + 1):
+        # each J with a mask that meets a face exactly in its points extending J
+        ext = [(J, ~(J | bad.get(J, 0))) for J in by_size[k]]
+        for I in by_size[k + 1]:
+            for J, e in ext:
+                if I & e == 0:
                     return False, (I, J)
     return True, None
 
@@ -547,9 +550,7 @@ def is_shellable(C):
 
 
 def _bpav_dim(C):
-    d = is_paving(C)
-    if d is None or d < 2:
-        raise DomainError("a paving complex of dimension >= 2 is required")
+    d = _paving_dimension(C, "lines")
     okbr, _ = is_boolean_representable(C)
     if not okbr:
         raise DomainError("a boolean representable paving complex is required")

@@ -12,7 +12,7 @@ from .core import (
     is_paving,
     k_submasks,
 )
-from .lattice import MooreFamily, _extension_map, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_constraints, flats, is_boolean_representable, j_complex
 
 
 def up(C):
@@ -148,8 +148,8 @@ def is_graphic_boolean(C):
     whose up is the same complex; `brsc reproduce up` and the tests check
     that.
     """
-    full = C.full_mask
-    edges = {e for e, g in _extension_map(C, 3).items() if e.bit_count() == 2 and g == full & ~e}
+    constrained = {X for X, _ in _extension_constraints(C, 3)}
+    edges = {e for e in C.faces_of_size(2) if e not in constrained}
     G = graph_complex(C.n, edges, C.labels)
     ok = up(G) == C
     return ok, (SetFamily(C.n, edges) if ok else None)

@@ -604,6 +604,8 @@ def test_swirl_counts_its_generating_sets_against_the_limit(monkeypatch):
     # d = 4: C(30, 4) + C(30, 5) = 169,911 generating sets on 30 vertices
     S = named("swirl", d=4)
     assert S.n == 30 and S.dim == 4
+    # every 4-set of the 30 points is a face: read off the 174,152 listed faces
+    assert is_paving(S) == 4
     # d = 5: 6,096,454 sets on 42 vertices, refused before any is listed
     monkeypatch.setattr("brsc.catalog.k_submasks", None)
     with pytest.raises(CapacityError, match=f"swirl with more than {SET_LIMIT} generating sets"):

@@ -351,6 +351,15 @@ def test_paving_and_defect():
         defect(C2)
 
 
+def test_paving_is_refused_past_the_set_limit(monkeypatch):
+    # the 3-sets of 4 points: 15 faces, every 2-set among them
+    monkeypatch.setattr(core, "SET_LIMIT", 15)
+    assert is_paving(Complex(4, k_submasks(0b1111, 3))) == 2
+    monkeypatch.setattr(core, "SET_LIMIT", 14)
+    with pytest.raises(CapacityError, match="face family with more than 14 sets"):
+        is_paving(Complex(4, k_submasks(0b1111, 3)))
+
+
 def test_faces_refuse_a_facet_past_the_set_limit(monkeypatch):
     # a facet with more subsets than the limit is refused before any subset
     # is listed; membership is still answered from the facets

@@ -40,7 +40,7 @@ from brsc.matroid import (
     truncation_is_brsc_for_near_matroid,
 )
 from brsc.catalog import desargues, named, non_desargues
-from brsc.reproduce import _forest_complex, random_matroid, random_paving, tri
+from brsc.reproduce import _forest_complex, random_complex, random_line_union, random_matroid, random_paving, tri
 from brsc.operators import b_d, up
 from brsc.t_operator import jt_complex
 from complex_helpers import complexes
@@ -123,6 +123,45 @@ def test_is_matroid_matches_probe_loop_on_every_small_complex():
             assert is_matroid(C) == probe_is_matroid(C)
             seen += 1
     assert seen == 7020
+
+
+def map_is_matroid(C):
+    """The exchange check with each face's extending points read off a map
+    of every face, which each face Z marks as extended by every p in Z from
+    Z - p."""
+    good = dict.fromkeys(C.faces, 0)
+    for Z in C.faces:
+        for p in bits(Z):
+            good[Z ^ 1 << p] |= 1 << p
+    by_size = {}
+    for f in C.faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    for k in sorted(by_size):
+        for I in by_size.get(k + 1, ()):
+            for J in by_size[k]:
+                if I & ~J & good[J] == 0:
+                    return False, (I, J)
+    return True, None
+
+
+def test_is_matroid_matches_the_extension_map_loop():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert is_matroid(C) == map_is_matroid(C)
+            seen += 1
+    assert seen == 7020
+    rng = random.Random(27)
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        samples = [
+            random_complex(rng, 8),
+            random_paving(rng, n, rng.randint(1, min(3, n - 1)), rng.uniform(0.2, 0.9)),
+            random_matroid(rng),
+            random_line_union(rng, n, rng.randint(1, 3)),
+        ]
+        for C in samples:
+            assert is_matroid(C) == map_is_matroid(C)
 
 
 @given(complexes(max_n=8))

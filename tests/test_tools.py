@@ -1,6 +1,8 @@
-"""The summary that tools/bench_pairs.py writes, on made-up runs."""
+"""The summary that tools/bench_pairs.py writes, on made-up runs, and the
+source size it records, on a made-up repository."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,24 @@ def test_summary_marks_unresolved_spreads():
     # a spread within the bound resolves the metric
     runs = [_run(seed, side, 1.0, 10.0) for seed in range(3) for side in ("parent", "change")]
     assert bench_pairs.summarize(runs, SPEC)["w"]["wall"]["resolved"]
+
+
+def test_source_lines_read_the_commit_not_the_work_tree(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    src = tmp_path / "src" / "brsc"
+    (src / "sub").mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (src / "b.py").write_text("z = 3\n")
+    (src / "notes.txt").write_text("not a module\n")
+    (src / "sub" / "c.py").write_text("not at the top level\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "one")
+    # the work tree no longer matches the commit, whose counts are read
+    (src / "a.py").write_text("x = 1\n")
+    (src / "d.py").write_text("w = 4\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.source_lines("HEAD") == {"a.py": 2, "b.py": 1, "total": 3}

@@ -11,8 +11,10 @@ count up from --seed, one per pair, workload after workload in the order
 given. The run length T is BENCHMARK.json's ``run_seconds``, the same on
 both sides.
 
-The output holds every run (its end-to-end metrics, failed and attempted
-operations, correctness and verdict digest) and, per workload, a summary:
+The output holds each side's source size (the line count of every
+src/brsc/*.py as its commit holds it, and their total), every run (its
+end-to-end metrics, failed and attempted operations, correctness and
+verdict digest) and, per workload, a summary:
 for each end-to-end metric of BENCHMARK.json, each side's median and
 quartiles (inclusive method), the pairs in which the change was better
 (ties count for neither side), the change's median relative to the
@@ -49,6 +51,20 @@ def export(rev, dest):
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
+
+
+def source_lines(rev):
+    """Line count of each src/brsc/*.py at rev, read from the commit rather
+    than the work tree, and their total under "total"."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+    out = {}
+    for path in git("ls-tree", "--name-only", rev, "src/brsc/").decode().splitlines():
+        if path.endswith(".py"):
+            out[path.rsplit("/", 1)[1]] = git("show", f"{rev}:{path}").count(b"\n")
+    out["total"] = sum(out.values())
+    return out
 
 
 def run_side(rev, workload, seed, seconds, workdir):
@@ -197,6 +213,7 @@ def main(argv=None):
         "parent": revs["parent"],
         "change": revs["change"],
         "host": host(),
+        "source_lines": {side: source_lines(rev) for side, rev in revs.items()},
         "runs": [],
         "summary": {},
     }
