@@ -126,9 +126,8 @@ def test_is_matroid_matches_probe_loop_on_every_small_complex():
 
 
 def map_is_matroid(C):
-    """The exchange check with each face's extending points read off a map
-    of every face, which each face Z marks as extended by every p in Z from
-    Z - p."""
+    """The exchange check over a map of every face to its extending points:
+    each face Z marks every p in Z as extending Z - p."""
     good = dict.fromkeys(C.faces, 0)
     for Z in C.faces:
         for p in bits(Z):
