@@ -184,7 +184,7 @@ def _labels(n, labels=None):
 class Complex:
     """Simplicial complex on vertices 0..n-1, stored by its facet antichain."""
 
-    __slots__ = ("n", "facets", "labels", "_faces")
+    __slots__ = ("n", "facets", "labels", "_faces", "_dim")
 
     def __init__(self, n, generators=(), labels=None):
         if n < 1:
@@ -205,6 +205,7 @@ class Complex:
         self.facets = facets
         self.labels = _labels(n, labels)
         self._faces = None
+        self._dim = None
 
     @classmethod
     def _of_antichain(cls, n, facets, labels):
@@ -232,6 +233,7 @@ class Complex:
         C.facets = frozenset(facets)
         C.labels = labels
         C._faces = None
+        C._dim = None
         return C
 
     @property
@@ -261,7 +263,10 @@ class Complex:
 
     @property
     def dim(self):
-        return max(f.bit_count() for f in self.facets) - 1
+        """Largest facet size minus one, found on first use."""
+        if self._dim is None:
+            self._dim = max(f.bit_count() for f in self.facets) - 1
+        return self._dim
 
     def faces_of_size(self, k):
         return [x for x in self.faces if x.bit_count() == k]

@@ -10,9 +10,10 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 
 _extension_constraints, the one place that asks whether X + p is a face, reads
 the points extending each face off the faces one point larger; the pairs it
-builds are propagated to a fixpoint by _horn_closure, which stops as soon
-as it reaches the full set V. _level_closure binds the two for one k, and F
-is a flat exactly when the closure for k = dim + 2 fixes F. An arbitrary
+builds, in increasing size of X, are propagated to a fixpoint by
+_horn_closure, which stops as soon as it reaches the full set V.
+_level_closure binds the two for one k, and F is a flat exactly when the
+closure for k = dim + 2 fixes F. An arbitrary
 family given by its members closes by intersection instead (_meet_closure).
 A listed Moore family (MooreFamily, such as the flats) holds its members in
 ascending order, and its closure of X is the first member at or after X that
@@ -103,7 +104,9 @@ def _extension_constraints(C, k):
     """Pairs (X, bad) over the faces X with |X| < k, bad the points p outside
     X for which X + p is not a face of at most k points (pairs with bad empty
     are dropped), so H and its truncation H_k agree on them. Each face Z with
-    |Z| <= k marks every p in Z as extending Z - p."""
+    |Z| <= k marks every p in Z as extending Z - p. The pairs come in
+    increasing size of X: a small premise holds in more sets, so a closure
+    that scans them in this order adds its points in fewer passes."""
     faces = C.faces
     full = C.full_mask
     good = {X: 0 for X in faces if X.bit_count() < k}
@@ -114,7 +117,9 @@ def _extension_constraints(C, k):
                 b = m & -m
                 good[Z ^ b] |= b
                 m ^= b
-    return tuple((X, bad) for X, g in good.items() if (bad := full & ~(X | g)))
+    cons = [(X, bad) for X, g in good.items() if (bad := full & ~(X | g))]
+    cons.sort(key=lambda c: c[0].bit_count())
+    return tuple(cons)
 
 
 def _level_closure(C, k):

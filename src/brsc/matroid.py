@@ -34,7 +34,8 @@ def is_matroid(C):
     Returns (ok, pair) where pair = (I, J) admits no exchange point when the
     check fails, None otherwise. J, the smaller face, has at most dim points,
     so the T(H) constraints cover it: the points extending J are those
-    outside J and bad(J).
+    outside J and bad(J). A J with no constraint extends by every point
+    outside it, so it fails no exchange and is skipped.
     """
     bad = dict(_t_constraints(C))
     by_size = defaultdict(list)
@@ -42,7 +43,7 @@ def is_matroid(C):
         by_size[f.bit_count()].append(f)
     for k in range(C.dim + 1):
         # each J with a mask that meets a face exactly in its points extending J
-        ext = [(J, ~(J | bad.get(J, 0))) for J in by_size[k]]
+        ext = [(J, ~(J | bad[J])) for J in by_size[k] if J in bad]
         for I in by_size[k + 1]:
             for J, e in ext:
                 if I & e == 0:

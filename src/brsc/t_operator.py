@@ -6,7 +6,11 @@ of size <= dim, and T(H_k), read off H directly, those of the faces of size
 are listed by the core's NextClosure. Most operators here avoid enumerating
 T(H): its closure cl_T is the core's propagation fixpoint over the finitely
 many (face, forced points) pairs, which is enough to build J(T(H)) and to
-walk it up to size dim + 1 for the TBRSC test. A going-up witness is a d-set
+walk it up to size dim + 1 for the TBRSC test. Every reader of cl_T closes
+through one memo per complex (_t_closure, kept for the last eight
+complexes), which holds the exact closures of the sets of at most dim + 1
+points, so the TBRSC test, the codimension and the going-up checks of one
+complex close each such set once. A going-up witness is a d-set
 Y and a point x outside cl(Y) with cl(Y + x) short of V; one walk lists them
 and answers every going-up question: whether C goes up, the witness of
 `goes_up`, and both neighbour checks of the classification, which decides
@@ -56,9 +60,28 @@ def _t_constraints(C):
     return _extension_constraints(C, C.dim + 1)
 
 
+@lru_cache(maxsize=8)
 def _t_closure(C):
-    """cl_T for one complex, its constraints looked up once."""
-    return partial(_horn_closure, _t_constraints(C), C.full_mask)
+    """cl_T for one complex, its constraints looked up once, with a memo of
+    the exact closures of sets of at most dim + 1 points. Every T(H) reader
+    closes through it, so the operators asked of one complex close each such
+    set once. A call with a stop, or on a larger set, is closed afresh, so
+    the memo never holds more than the sets of at most dim + 1 points: J's
+    walk closes far more larger seeds, and keeps its own closures of those."""
+    cons = _t_constraints(C)
+    full = C.full_mask
+    small = C.dim + 1
+    memo = {}
+
+    def cl(X, stop=0):
+        if stop or X.bit_count() > small:
+            return _horn_closure(cons, full, X, stop)
+        S = memo.get(X)
+        if S is None:
+            S = memo[X] = _horn_closure(cons, full, X)
+        return S
+
+    return cl
 
 
 def t_family(C):
@@ -82,7 +105,7 @@ def truncation_t_family(C, k):
 
 def cl_T(C, X):
     """Intersection of the T(H) members containing X, via constraint propagation."""
-    return _horn_closure(_t_constraints(C), C.full_mask, X)
+    return _t_closure(C)(X)
 
 
 def jt_complex(C):

@@ -103,6 +103,17 @@ def test_faces_match_oracle(C):
 
 @given(complexes(6))
 @settings(max_examples=200, deadline=None)
+def test_dim_is_read_once_from_the_facets(C):
+    want = max(f.bit_count() for f in C.facets) - 1
+    D = Complex._of_antichain(C.n, C.facets, C.labels)
+    for E in (C, D):
+        E._dim = None
+        assert E.dim == want
+        assert E._dim == want
+
+
+@given(complexes(6))
+@settings(max_examples=200, deadline=None)
 def test_facets_are_maximal_faces(C):
     faces = C.faces
     maximal = {

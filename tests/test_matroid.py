@@ -163,6 +163,15 @@ def test_is_matroid_matches_the_extension_map_loop():
             assert is_matroid(C) == map_is_matroid(C)
 
 
+def test_is_matroid_skips_faces_without_a_constraint():
+    # every face of at most 4 of 26 points extends by every point outside
+    # it, so no J carries a constraint and no face pair is compared
+    C = named("uniform", k=5, n=26)
+    t0 = time.perf_counter()
+    assert is_matroid(C) == (True, None)
+    assert time.perf_counter() - t0 < 10
+
+
 @given(complexes(max_n=8))
 @settings(max_examples=200, deadline=None)
 def test_is_matroid_matches_probe_loop(C):

@@ -25,7 +25,7 @@ from brsc.core import (
     truncate,
     union,
 )
-from brsc.lattice import MooreFamily, _horn_closure, flats, j_complex, is_boolean_representable
+from brsc.lattice import MooreFamily, _extension_constraints, _horn_closure, flats, j_complex, is_boolean_representable
 from brsc.operators import b_d
 from brsc.iso import canonical_complex
 from brsc.reproduce import random_line_union, random_paving, tri
@@ -313,11 +313,55 @@ def test_removal_route_closure_count(monkeypatch):
     counts = []
     for D in (C, relabeled(C, perm)):
         top = D.faces_of_size(3)
+        # each count starts from an empty closure memo
+        t_operator._t_closure.cache_clear()
         calls.clear()
         assert classify_minimality(D) == "mGU"
         assert len(calls) <= comb(D.n, 2) * (D.n - 1) + len(top)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _mgu_line_union():
+    rng = random.Random(2309)
+    while True:
+        C = random_line_union(rng, rng.randint(10, 12), rng.randint(2, 3))
+        if len(C.faces_of_size(3)) > 100:
+            return C
+
+
+@pytest.mark.parametrize("make", [lambda: named("nfb", n=9), _mgu_line_union], ids=["nfb:n=9", "line-union"])
+def test_t_readers_close_each_small_set_once(monkeypatch, make):
+    # is_tbrsc, codimension and classify_minimality share one memoised cl_T
+    # per complex: a set of at most dim + 1 points is closed exactly once
+    C = make()
+    closed = []
+
+    def counted(cons, full, X, stop=0):
+        if not stop and X.bit_count() <= C.dim + 1:
+            closed.append(X)
+        return _horn_closure(cons, full, X, stop)
+
+    monkeypatch.setattr(t_operator, "_horn_closure", counted)
+    t_operator._t_closure.cache_clear()
+    is_tbrsc(C)
+    codimension(C)
+    classify_minimality(C)
+    assert len(closed) > C.n
+    assert len(closed) == len(set(closed))
+
+
+@given(complexes(5))
+@settings(max_examples=120, deadline=None)
+def test_memoised_cl_t_matches_a_fresh_closure(C):
+    cons = _extension_constraints(C, C.dim + 1)
+    # NextClosure's calls stop early, and must leave no partial closure behind
+    t_family(C)
+    is_tbrsc(C)
+    codimension(C)
+    for _ in range(2):
+        for X in range(C.full_mask + 1):
+            assert cl_T(C, X) == _horn_closure(cons, C.full_mask, X)
 
 
 def test_dim1_gu_facts_checks_paving_once(monkeypatch):

@@ -1,8 +1,10 @@
-"""The summary that tools/bench_pairs.py writes, on made-up runs, and the
-source size it records, on a made-up repository."""
+"""The summary that tools/bench_pairs.py writes, on made-up runs, the
+source size it records, on a made-up repository, and the benchmark's
+tracing self-tests, which pin library names."""
 
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,13 @@ def test_source_lines_read_the_commit_not_the_work_tree(tmp_path, monkeypatch):
     (src / "d.py").write_text("w = 4\n")
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert bench_pairs.source_lines("HEAD") == {"a.py": 2, "b.py": 1, "total": 3}
+
+
+def test_benchmark_tracing_selftests_pass():
+    # the tracer wraps cl_T, flats and the cached _t_constraints by name and
+    # reads their cache_info(), so a library change that moves them fails here
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py", "Tracing"], cwd=root, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
