@@ -4,15 +4,18 @@ A face X of H forces the points that cannot extend it inside H: a set S
 containing X must contain bad(X) = {p : X + p is not a face}. The sets
 closed under the constraints (X, bad(X)) over the faces with |X| < k are
 
-- the flats of H for k = dim + 2 (every face),
+- the flats of H for k = dim + 2 (every face; T(H)'s pairs and a jump to V),
 - T(H) for k = dim + 1 (the faces of size <= dim),
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
 _extension_constraints, the one place that asks whether X + p is a face, reads
 the points extending each face off the faces one point larger; the pairs it
 builds, in increasing size of X, are propagated to a fixpoint by
-_horn_closure, which stops as soon as it reaches the full set V.
-_level_closure binds the two for one k, and F is a flat exactly when the
+_horn_closure, which stops as soon as it reaches the full set V. The flats'
+extra pairs (X, V - X), one per (dim+1)-face X, fire only in a set holding X,
+so the flat closure of S is V when cl_T(S) holds a (dim+1)-face and cl_T(S)
+otherwise: given C's faces, _horn_closure tests its T(H) fixpoint once for
+one. _level_closure binds the two for one k, and F is a flat exactly when the
 closure for k = dim + 2 fixes F. An arbitrary
 family given by its members closes by intersection instead (_meet_closure).
 A listed Moore family (MooreFamily, such as the flats) holds its members in
@@ -123,9 +126,12 @@ def _extension_constraints(C, k):
 
 
 def _level_closure(C, k):
-    """The Horn closure of the constraints of the faces with |X| < k: the
-    flat closure for k = dim + 2, that of T(H_k) for k <= dim + 1."""
-    return partial(_horn_closure, _extension_constraints(C, k), C.full_mask)
+    """The Horn closure of the constraints of the faces with |X| < k: that of
+    T(H_k) for k <= dim + 1, and the flat closure for k >= dim + 2, where the
+    constraints are those of k = dim + 1 plus the jump to V."""
+    if k <= C.dim + 1:
+        return partial(_horn_closure, _extension_constraints(C, k), C.full_mask, None, 0)
+    return partial(_horn_closure, _extension_constraints(C, C.dim + 1), C.full_mask, C.faces, C.dim + 1)
 
 
 def _closed_sets(n, cl, what):
@@ -161,11 +167,13 @@ def _closed_sets(n, cl, what):
     return MooreFamily(n, out, validate=False)
 
 
-def _horn_closure(cons, full, X, stop=0):
+def _horn_closure(cons, full, faces, d1, X, stop=0):
     """Smallest superset of X closed under the constraints (propagation
     fixpoint), returned as soon as it reaches full, the set 0..n-1. A set
     meeting stop is returned as soon as one is reached, in place of the
-    closure, which then meets stop too."""
+    closure, which then meets stop too. Unless faces is None, a fixpoint
+    holding a member of faces with d1 points jumps to full (the flat closure,
+    over the T(H) constraints with d1 = dim + 1)."""
     S = X
     out = ~S
     while out & full:
@@ -178,6 +186,10 @@ def _horn_closure(cons, full, X, stop=0):
                     return S
         if S == before:
             break
+    if faces is not None:
+        m = S.bit_count()
+        if m == d1 and S in faces or m > d1 and not faces.isdisjoint(k_submasks(S, d1)):
+            return full
     return S
 
 

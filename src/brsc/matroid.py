@@ -54,11 +54,15 @@ def is_matroid(C):
 def _proper_closures(C):
     """One pass over the faces by size: the map from each proper flat that
     closes a face to the first such face, and the first pair of faces with
-    one proper closure and different sizes (None when there is none)."""
+    one proper closure and different sizes (None when there is none). The
+    pass stops at the (dim+1)-faces, whose closure is always V."""
     fl = flats(C)
     full = C.full_mask
+    top = C.dim + 1
     seen = {}
     for X in sorted(C.faces, key=int.bit_count):
+        if X.bit_count() == top:
+            break
         F = fl.closure(X)
         if F == full:
             continue

@@ -75,10 +75,10 @@ def _t_closure(C):
 
     def cl(X, stop=0):
         if stop or X.bit_count() > small:
-            return _horn_closure(cons, full, X, stop)
+            return _horn_closure(cons, full, None, 0, X, stop)
         S = memo.get(X)
         if S is None:
-            S = memo[X] = _horn_closure(cons, full, X)
+            S = memo[X] = _horn_closure(cons, full, None, 0, X)
         return S
 
     return cl
@@ -94,9 +94,8 @@ def truncation_t_family(C, k):
     extend inside H_k by any outside point.
 
     Agrees with t_family(truncate(C, k)) for k <= dim and with t_family(C)
-    at k = dim + 1.  For larger k the constraints also range over facets, so
-    the family equals flats(C) (any T containing a facet must be the full
-    set) and stops depending on k.
+    at k = dim + 1.  For larger k the family equals flats(C), as any T
+    holding a (dim+1)-face must be the full set, and stops depending on k.
     """
     if k < 1:
         raise DomainError("truncation level must be at least 1")
@@ -254,7 +253,7 @@ def classify_minimality(C):
                 nb[Y] = b
             else:
                 nb.pop(Y, None)
-        return next(_gu_witnesses(partial(_horn_closure, tuple(nb.items()), full), full, d), None) is not None
+        return next(_gu_witnesses(partial(_horn_closure, tuple(nb.items()), full, None, 0), full, d), None) is not None
 
     faces = C.faces
     for X in k_submasks(full, d + 1):

@@ -52,6 +52,13 @@ from complex_helpers import complexes
 from independence_oracle import independent_order
 
 
+def every_face_closure(C):
+    """The flat closure by the route without the jump: the Horn closure over
+    the constraints of every face, the (dim+1)-faces' pairs (X, V - X)
+    included."""
+    return partial(_horn_closure, _extension_constraints(C, C.dim + 2), C.full_mask, None, 0)
+
+
 def scan_closed_sets(n, cons):
     """Every subset of 0..n-1 closed under the constraints, by a 2^n scan."""
     out = set()
@@ -301,7 +308,7 @@ def test_closure_axioms(C, x, y):
     X = x & C.full_mask
     Y = y & C.full_mask
     cx = closure(C, X)
-    assert cx == _horn_closure(_extension_constraints(C, C.dim + 2), C.full_mask, X)
+    assert cx == every_face_closure(C)(X)
     assert X & ~cx == 0
     assert closure(C, cx) == cx
     if X & ~Y == 0:
@@ -649,6 +656,53 @@ def test_flat_closure_fixes_exactly_the_flats(C, seed):
     cl = _level_closure(C, C.dim + 2)
     for F in (seed & C.full_mask, closure(C, seed & C.full_mask)):
         assert (cl(F) == F) == subset_walk_is_flat(C, F) == (F in flats(C).members)
+
+
+@given(complexes(6))
+@settings(max_examples=150, deadline=None)
+def test_jump_closure_is_the_every_face_closure(C):
+    # the T(H) constraints plus the jump to V close every set as the
+    # constraints of every face do
+    cl, want = _level_closure(C, C.dim + 2), every_face_closure(C)
+    for X in range(C.full_mask + 1):
+        assert cl(X) == want(X)
+
+
+@given(complexes(6), st.lists(st.integers(0, 63), min_size=1, max_size=8), st.integers(0, 63))
+@settings(max_examples=150, deadline=None)
+def test_jump_closure_keeps_the_stop_contract(C, stops, x):
+    # a closure with a stop meets it exactly when the exact closure does,
+    # and is the exact closure when it does not
+    cl, want = _level_closure(C, C.dim + 2), every_face_closure(C)
+    for X in (x & C.full_mask, *(s & C.full_mask for s in stops)):
+        exact = want(X)
+        for stop in stops:
+            stop &= C.full_mask & ~X
+            got = cl(X, stop)
+            assert bool(got & stop) == bool(exact & stop)
+            if not exact & stop:
+                assert got == exact
+
+
+def assert_flats_match_the_every_face_listing(C):
+    want = _closed_sets(C.n, every_face_closure(C), "flat family")
+    assert flats(C).ascending == want.ascending
+
+
+def test_flats_match_the_every_face_listing_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert_flats_match_the_every_face_listing(C)
+            seen += 1
+    assert seen == 7020
+
+
+def test_flats_match_the_every_face_listing_on_sampled_complexes():
+    rng = random.Random(29)
+    for _ in range(2):
+        for C in sampled_complexes(rng):
+            assert_flats_match_the_every_face_listing(C)
 
 
 def test_long_hyperplanes_match_scan_on_every_small_complex():

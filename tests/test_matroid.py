@@ -1,7 +1,11 @@
 """Matroid structure, extensions, shellability, and line-complex tests."""
 
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -192,6 +196,63 @@ def test_faces_inside_a_closure_extend_to_it(C):
             assert any(
                 I & ~I2 == 0 and fl.closure(I2) == clJ for I2 in faces
             )
+
+
+def every_face_proper_closures(C):
+    """The near-matroid pass over every face, the (dim+1)-faces included,
+    skipping each face whose closure is V."""
+    fl = flats(C)
+    seen = {}
+    for X in sorted(C.faces, key=int.bit_count):
+        F = fl.closure(X)
+        if F == C.full_mask:
+            continue
+        if F not in seen:
+            seen[F] = X
+        elif seen[F].bit_count() != X.bit_count():
+            return seen, (seen[F], X)
+    return seen, None
+
+
+def assert_near_matroid_matches_every_face_pass(C):
+    seen, pair = every_face_proper_closures(C)
+    assert is_near_matroid(C) == (pair is None, pair)
+    if pair is None:
+        assert dict(rho(C).items()) == {F: X.bit_count() for F, X in seen.items()}
+
+
+def test_near_matroid_matches_the_every_face_pass():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert_near_matroid_matches_every_face_pass(C)
+            seen += 1
+    assert seen == 7020
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        for C in (
+            random_complex(rng, 8),
+            random_paving(rng, n, rng.randint(1, min(3, n - 1)), rng.uniform(0.2, 0.9)),
+            random_matroid(rng),
+            random_line_union(rng, n, rng.randint(1, 3)),
+        ):
+            assert_near_matroid_matches_every_face_pass(C)
+
+
+def test_matroid_check_of_a_wide_uniform_matroid():
+    # U(5,26): 65,780 top faces whose flat closure is V, and 17,903 flats;
+    # the command runs in a fresh process so it is timed end to end
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "brsc.cli", "matroid", "check", "uniform:k=5,n=26"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert time.perf_counter() - t0 < 30
+    d = json.loads(proc.stdout)
+    assert proc.returncode == 0 and d["matroid"] is True and d["near_matroid"] is True
 
 
 def test_near_matroid_chain_steps_raise_rank_by_one():

@@ -125,7 +125,7 @@ def rebuilt_constraints_classify(C):
                 nb[Y] = b
             else:
                 nb.pop(Y, None)
-        return _cltt_witness(partial(_horn_closure, tuple(nb.items()), full), full, d) is not None
+        return _cltt_witness(partial(_horn_closure, tuple(nb.items()), full, None, 0), full, d) is not None
 
     if _is_gu(C):
         top = C.faces_of_size(d + 1)
@@ -337,10 +337,10 @@ def test_t_readers_close_each_small_set_once(monkeypatch, make):
     C = make()
     closed = []
 
-    def counted(cons, full, X, stop=0):
+    def counted(cons, full, faces, d1, X, stop=0):
         if not stop and X.bit_count() <= C.dim + 1:
             closed.append(X)
-        return _horn_closure(cons, full, X, stop)
+        return _horn_closure(cons, full, faces, d1, X, stop)
 
     monkeypatch.setattr(t_operator, "_horn_closure", counted)
     t_operator._t_closure.cache_clear()
@@ -361,7 +361,7 @@ def test_memoised_cl_t_matches_a_fresh_closure(C):
     codimension(C)
     for _ in range(2):
         for X in range(C.full_mask + 1):
-            assert cl_T(C, X) == _horn_closure(cons, C.full_mask, X)
+            assert cl_T(C, X) == _horn_closure(cons, C.full_mask, None, 0, X)
 
 
 def test_dim1_gu_facts_checks_paving_once(monkeypatch):

@@ -111,6 +111,36 @@ def test_source_lines_read_the_commit_not_the_work_tree(tmp_path, monkeypatch):
     assert bench_pairs.source_lines("HEAD") == {"a.py": 2, "b.py": 1, "total": 3}
 
 
+def test_pairs_refuse_commits_with_different_benchmarks(tmp_path, monkeypatch, capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    def commit(path, text):
+        (tmp_path / path).write_text(text)
+        git("add", "-A")
+        git("commit", "-qm", path)
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src").mkdir()
+    git("init", "-q")
+    (tmp_path / "perfbench" / "run.py").write_text("print(1)\n")
+    base = commit("BENCHMARK.json", '{"run_seconds": 1, "end_to_end": []}\n')
+    program = commit("src/a.py", "x = 1\n")
+    bench = commit("perfbench/run.py", "print(2)\n")
+    spec = commit("BENCHMARK.json", '{"run_seconds": 2, "end_to_end": []}\n')
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.same_benchmark(base, program)
+    assert not bench_pairs.same_benchmark(program, bench)
+    assert not bench_pairs.same_benchmark(bench, spec)
+    # the refusal comes before any run or output file
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([program, bench, "--number", "1", "--pairs", "w=1", "--seed", "0"])
+    assert exc.value.code == 2 and "differ under perfbench/" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_1.json").exists()
+
+
 def test_benchmark_tracing_selftests_pass():
     # the tracer wraps cl_T, flats and the cached _t_constraints by name and
     # reads their cache_info(), so a library change that moves them fails here

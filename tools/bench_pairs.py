@@ -26,6 +26,9 @@ verdict digest and every run was correct with no failures. The file is
 rewritten after every run, so a stopped run of this tool keeps the runs it
 finished. Nothing under perfbench/ or BENCHMARK.json is written. Standard
 library only.
+
+The tool refuses to start when the two commits differ under perfbench/ or in
+BENCHMARK.json: such pairs would compare two benchmarks, not two programs.
 """
 
 import argparse
@@ -65,6 +68,14 @@ def source_lines(rev):
             out[path.rsplit("/", 1)[1]] = git("show", f"{rev}:{path}").count(b"\n")
     out["total"] = sum(out.values())
     return out
+
+
+def same_benchmark(parent, change):
+    """Whether the two commits hold the same perfbench/ and BENCHMARK.json."""
+    proc = subprocess.run(
+        ["git", "diff", "--quiet", parent, change, "--", "perfbench", "BENCHMARK.json"], cwd=ROOT, capture_output=True
+    )
+    return proc.returncode == 0
 
 
 def run_side(rev, workload, seed, seconds, workdir):
@@ -194,6 +205,8 @@ def main(argv=None):
         if proc.returncode != 0:
             parser.error(f"unknown commit {rev!r}")
         revs[side] = proc.stdout.strip()
+    if not same_benchmark(revs["parent"], revs["change"]):
+        parser.error("the two commits differ under perfbench/ or in BENCHMARK.json, so their pairs would compare two benchmarks")
 
     out_path = ROOT / f"BENCH_{args.number}.json"
     seeds = {}
