@@ -62,9 +62,9 @@ def submasks(mask):
 
 
 def k_submasks(mask, k):
-    """All subsets of mask with exactly k bits."""
-    for combo in combinations(tuple(bits(mask)), k):
-        yield mask_of(combo)
+    """All subsets of mask with exactly k bits, in the order of
+    combinations over its bits, as an iterator."""
+    return map(sum, combinations([1 << i for i in bits(mask)], k))
 
 
 def compress(mask, universe):

@@ -2,9 +2,9 @@
 
 Canonical form of a complex: the lexicographically smallest sorted tuple of
 facet masks over all relabelings of the vertices. It has two routes with the
-same answer. On at most TABLE_MAX_N vertices `canonical_key` applies all n!
-relabelings at once, from one cached numpy table of mask images. On 7 to 10
-vertices it searches: the search hands out new labels 0,1,2,... one at a
+same answer. On at most TABLE_MAX_N vertices `canonical_key` scores all n!
+relabelings at once, one weighted sum each from one cached numpy table. On 7
+to 10 vertices it searches: the search hands out new labels 0,1,2,... one at a
 time. Every key splits into one segment per label, the facets whose highest
 new label it is, so a search node computes only the segment of the vertex it
 places, follows only the candidates whose segment is smallest, and tries one
@@ -46,8 +46,8 @@ def _twin_classes(n, through):
     return rep
 
 
-# canonical_key scans every relabeling at or below this many vertices and
-# searches above it
+# canonical_key scores every relabeling at or below this many vertices and
+# searches above it; 2^6 masks is as many as one uint64 sum has bits
 TABLE_MAX_N = 6
 
 
@@ -56,11 +56,11 @@ def canonical_key(C):
 
     On at most TABLE_MAX_N = 6 vertices the key is read off all n!
     relabelings at once (`_table_key`); on 7 to 10 vertices a search finds it
-    (`_search_key`).  Both give the same tuple.  The cut-over is where the
-    measured costs cross: on 300 random complexes per n the table took 20,
-    58 and 457 us a key against the search's 59, 146 and 394 us at n = 5, 6
-    and 7.  At n <= 5 the search visits about 28 nodes and 4 leaves a key,
-    and the table's few numpy calls cost less than that bookkeeping.
+    (`_search_key`).  Both give the same tuple.  The table stops at 6
+    vertices because its sums need one bit per mask, and a uint64 holds the
+    2^6 masks of 6 vertices but not the 2^7 of 7.  Up to there the table
+    wins: on 300 random complexes per n it took 5 and 7 us a key at n = 5
+    and 6, against the search's 33 and 69 us (and 200 us at n = 7).
     """
     if C.n > 10:
         raise CapacityError(f"canonical form search not supported for n={C.n}")
@@ -70,34 +70,40 @@ def canonical_key(C):
 
 
 @lru_cache(maxsize=TABLE_MAX_N)
-def _perm_images(n):
-    """img[p, m] = the image of mask m under the p-th permutation of 0..n-1,
-    as a read-only uint8 array of shape (n!, 2^n); every mask is below 64."""
+def _perm_weights(n):
+    """w[p, m] = 2^(2^n - 1 - i), i the image of mask m under the p-th
+    permutation of 0..n-1, as a read-only uint64 array of shape (n!, 2^n)."""
     import numpy as np
 
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     bit = masks[:, None] >> np.arange(n) & 1
-    img = (bit @ (1 << perms).T).T.astype(np.uint8)
-    img.flags.writeable = False
-    return img
+    img = (bit @ (1 << perms).T).T
+    w = np.left_shift(np.uint64(1), ((1 << n) - 1 - img).astype(np.uint64))
+    w.flags.writeable = False
+    return w
 
 
 def _table_key(C):
-    """The canonical key on at most TABLE_MAX_N vertices: sort each
-    relabeling's facet images and take the lex-min row."""
-    import numpy as np
+    """The canonical key on at most TABLE_MAX_N vertices, from the largest
+    sum of facet weights over the relabelings.
 
-    n = C.n
-    rows = np.sort(_perm_images(n)[:, list(C.facets)], axis=1)
-    k = rows.shape[1]
-    if n * k <= 63:
-        # big-endian, n bits an entry: integer order is the rows' lex order
-        shifts = np.arange(n * (k - 1), -1, -n, dtype=np.int64)
-        best = int(np.argmin((rows.astype(np.int64) << shifts).sum(axis=1)))
-    else:
-        best = int(np.lexsort(rows.T[::-1])[0])
-    return tuple(rows[best].tolist())
+    A relabeling's facet images are distinct masks, so the sum of their
+    weights (`_perm_weights`) sets one bit per image, with no carry.  Two
+    sorted facet tuples of equal length first differ at the smallest mask i
+    in their symmetric difference, and the tuple holding i is the smaller.
+    Bit 2^n - 1 - i is the highest bit where their sums differ, so the
+    lex-min tuple has the largest sum, and the set bits of that sum, read
+    from the top, are its masks in increasing order.
+    """
+    top = (1 << C.n) - 1
+    best = int(_perm_weights(C.n)[:, list(C.facets)].sum(axis=1).max())
+    key = []
+    while best:
+        b = best.bit_length() - 1
+        key.append(top - b)
+        best ^= 1 << b
+    return tuple(key)
 
 
 def _search_key(C):

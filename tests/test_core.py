@@ -7,7 +7,7 @@ from operator import or_
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brsc
@@ -73,6 +73,24 @@ def test_build_small():
     assert C.dim == 1
     assert faces_as_sets(C) == closure_oracle(4, [{0, 1}, {2, 3}])
     assert C.facets == frozenset({0b0011, 0b1100})
+
+
+def generator_k_submasks(mask, k):
+    """k_submasks as a generator over the bit tuple, one mask_of per subset."""
+    for combo in combinations(tuple(bits(mask)), k):
+        yield mask_of(combo)
+
+
+@given(st.integers(0, (1 << 14) - 1), st.integers(0, 16))
+@example(0b1011, 0)
+@example(0, 0)
+@example(0b1011, 4)
+@example(0, 1)
+@settings(max_examples=200, deadline=None)
+def test_k_submasks_match_the_generator_in_order(mask, k):
+    # the order is combinations order over the bits, which _gu_witnesses
+    # relies on; k = 0 gives the empty set once and k past the popcount none
+    assert list(k_submasks(mask, k)) == list(generator_k_submasks(mask, k))
 
 
 def test_singletons_always_present():

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -13,6 +14,7 @@ from brsc.cli import load_complex
 from brsc.core import SET_LIMIT, Complex, DomainError, bits, k_submasks, mask_of
 from brsc.iso import (
     TABLE_MAX_N,
+    _perm_weights,
     _search_key,
     all_complexes,
     are_isomorphic,
@@ -106,13 +108,51 @@ def test_canonical_key_matches_brute_search(C):
     assert _search_key(C) == canonical_key(C) == brute_canonical_key(C)
 
 
+@lru_cache(maxsize=None)
+def perm_images(n):
+    """img[p, m] = the image of mask m under the p-th permutation of 0..n-1,
+    as a uint8 array of shape (n!, 2^n)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    bit = masks[:, None] >> np.arange(n) & 1
+    return (bit @ (1 << perms).T).T.astype(np.uint8)
+
+
+def sort_table_key(C):
+    """The table key by sorting: sort each relabeling's facet images and take
+    the lex-min row, packed big-endian into one int64 when it fits, else
+    found by lexsort."""
+    n = C.n
+    rows = np.sort(perm_images(n)[:, list(C.facets)], axis=1)
+    k = rows.shape[1]
+    if n * k <= 63:
+        shifts = np.arange(n * (k - 1), -1, -n, dtype=np.int64)
+        best = int(np.argmin((rows.astype(np.int64) << shifts).sum(axis=1)))
+    else:
+        best = int(np.lexsort(rows.T[::-1])[0])
+    return tuple(rows[best].tolist())
+
+
 def test_table_key_matches_search_on_small_complexes():
-    # every complex on at most 5 vertices and the 2135 paving classes on 6
+    # every complex on at most 5 vertices and the 2135 paving classes on 6,
+    # up to 20 facets, so the sort's lexsort branch is reached too
     small = [C for n in range(1, 6) for C in all_complexes(n)]
     paving = list(paving2_reps(6))
     assert (len(small), len(paving)) == (7020, 2135)
+    assert max(len(C.facets) * C.n for C in paving) > 63
     for C in small + paving:
-        assert canonical_key(C) == _search_key(C), C
+        assert canonical_key(C) == _search_key(C) == sort_table_key(C), C
+
+
+def test_table_weights_fill_one_uint64():
+    # each row weighs the 2^n masks with distinct powers of two, so a row's
+    # full sum sets every bit below 2^(2^n) and no sum of facets carries
+    for n in range(1, TABLE_MAX_N + 1):
+        w = _perm_weights(n)
+        assert w.dtype == np.uint64 and w.shape == (len(perm_images(n)), 1 << n)
+        assert set(w.sum(axis=1).tolist()) == {(1 << (1 << n)) - 1}
+        with pytest.raises(ValueError):
+            w[0, 0] = 1
 
 
 def test_canonical_key_at_the_cut_over():
@@ -163,7 +203,7 @@ def test_canonical_key_is_orbit_minimum(C):
         keys.append(tuple(sorted(
             mask_of(perm[v] for v in bits(f)) for f in C.facets
         )))
-    assert _search_key(C) == canonical_key(C) == min(keys)
+    assert _search_key(C) == canonical_key(C) == sort_table_key(C) == min(keys)
 
 
 def test_canonical_key_leaves_no_reference_cycle():

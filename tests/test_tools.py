@@ -90,6 +90,28 @@ def test_summary_marks_unresolved_spreads():
     assert bench_pairs.summarize(runs, SPEC)["w"]["wall"]["resolved"]
 
 
+def test_summary_weighs_the_shift_against_the_spread():
+    # search setup_s of BENCH_29.json: parent q1/median/q3 0.1232/0.1334/0.1502,
+    # a 20% share within the 0.25 bound, and a change median 13.6% worse;
+    # shift plus share pass the bound, and the runs overlap
+    parent = [0.1512, 0.1334, 0.1232, 0.1502, 0.1227]
+    change = [0.1744, 0.1285, 0.1514, 0.1537, 0.1348]
+    spec = {"end_to_end": [{"name": "wall", "better": "lower", "bound": 0.25}]}
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run(seed, "parent", p, 1.0), _run(seed, "change", c, 1.0)]
+    wall = bench_pairs.summarize(runs, spec)["w"]["wall"]
+    assert wall["parent"] == {"median": 0.1334, "q1": 0.1232, "q3": 0.1502}
+    assert wall["change"]["median"] == 0.1514 and wall["within_bound"]
+    assert not wall["resolved"]
+    # the same spread under a shift toward better, or no shift, resolves it
+    for shift in (-0.1, 0.0):
+        runs = []
+        for seed, p in enumerate(parent):
+            runs += [_run(seed, "parent", p, 1.0), _run(seed, "change", p * (1 + shift), 1.0)]
+        assert bench_pairs.summarize(runs, spec)["w"]["wall"]["resolved"]
+
+
 def test_source_lines_read_the_commit_not_the_work_tree(tmp_path, monkeypatch):
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],

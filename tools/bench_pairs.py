@@ -20,8 +20,10 @@ quartiles (inclusive method), the pairs in which the change was better
 (ties count for neither side), the change's median relative to the
 parent's, the parent's interquartile range as a share of its median,
 whether the change's median is within the metric's bound, and whether the
-pairs resolve the metric: not when that share exceeds the bound, unless
-every change run beats every parent run; and whether every pair gave one
+pairs resolve the metric: they do when every change run beats every parent
+run, or when that share is within the bound and so is the change's shift
+toward worse plus that share (a shift the parent's own spread could hide
+must stay inside the bound); and whether every pair gave one
 verdict digest and every run was correct with no failures. The file is
 rewritten after every run, so a stopped run of this tool keeps the runs it
 finished. Nothing under perfbench/ or BENCHMARK.json is written. Standard
@@ -152,7 +154,7 @@ def summarize(runs, spec):
                 "change_vs_parent_median": round(rel, 4),
                 "parent_iqr_share": round(iqr_share, 4),
                 "within_bound": sign * rel <= metric["bound"],
-                "resolved": iqr_share <= metric["bound"] or worst_change < best_parent,
+                "resolved": max(iqr_share, sign * rel + iqr_share) <= metric["bound"] or worst_change < best_parent,
             }
         summary["same_digest_every_seed"] = bool(both) and all(
             "digest" in p["parent"] and p["parent"]["digest"] == p["change"].get("digest") for p in both
