@@ -126,6 +126,7 @@ def sort_table_key(C):
     rows = np.sort(perm_images(n)[:, list(C.facets)], axis=1)
     k = rows.shape[1]
     if n * k <= 63:
+        # big-endian, n bits an entry: integer order is the rows' lex order
         shifts = np.arange(n * (k - 1), -1, -n, dtype=np.int64)
         best = int(np.argmin((rows.astype(np.int64) << shifts).sum(axis=1)))
     else:

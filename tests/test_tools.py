@@ -93,7 +93,7 @@ def test_summary_marks_unresolved_spreads():
 def test_summary_weighs_the_shift_against_the_spread():
     # search setup_s of BENCH_29.json: parent q1/median/q3 0.1232/0.1334/0.1502,
     # a 20% share within the 0.25 bound, and a change median 13.6% worse;
-    # shift plus share pass the bound, and the runs overlap
+    # shift plus share exceed the bound, and the runs overlap
     parent = [0.1512, 0.1334, 0.1232, 0.1502, 0.1227]
     change = [0.1744, 0.1285, 0.1514, 0.1537, 0.1348]
     spec = {"end_to_end": [{"name": "wall", "better": "lower", "bound": 0.25}]}

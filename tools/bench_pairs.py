@@ -154,7 +154,7 @@ def summarize(runs, spec):
                 "change_vs_parent_median": round(rel, 4),
                 "parent_iqr_share": round(iqr_share, 4),
                 "within_bound": sign * rel <= metric["bound"],
-                "resolved": max(iqr_share, sign * rel + iqr_share) <= metric["bound"] or worst_change < best_parent,
+                "resolved": iqr_share + max(sign * rel, 0.0) <= metric["bound"] or worst_change < best_parent,
             }
         summary["same_digest_every_seed"] = bool(both) and all(
             "digest" in p["parent"] and p["parent"]["digest"] == p["change"].get("digest") for p in both
