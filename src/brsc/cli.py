@@ -212,32 +212,34 @@ def cmd_classify(args):
     return 0
 
 
+# `brsc op` on one complex, called with it and the parsed arguments, and on
+# two complexes; "bd" builds its complex from the options alone
+ONE_OPS = {
+    "up": lambda C, args: up(C) if args.m is None else up_iter(C, args.m),
+    "pure": lambda C, args: pure_part(C),
+    "truncate": lambda C, args: truncate(C, _require(args.k, "--k")),
+    "restrict": lambda C, args: restriction(C, parse_labels(C, _require(args.set, "--set"))),
+    "contract": lambda C, args: contraction(C, parse_labels(C, _require(args.set, "--set"))),
+}
+TWO_OPS = {"union": union, "sum": sum_complex, "join": join, "oplus": oplus}
+
+
 def cmd_op(args):
-    one = {
-        "up": lambda C: up(C) if args.m is None else up_iter(C, args.m),
-        "pure": pure_part,
-        "truncate": lambda C: truncate(C, _require(args.k, "--k")),
-        "restrict": lambda C: restriction(C, parse_labels(C, _require(args.set, "--set"))),
-        "contract": lambda C: contraction(C, parse_labels(C, _require(args.set, "--set"))),
-    }
-    two = {"union": union, "sum": sum_complex, "join": join, "oplus": oplus}
     if args.op == "bd":
         n = _require(args.n, "--n")
         C = Complex(n, ())
         L = parse_labels(C, _require(args.line, "--line"))
         emit(b_d(n, L, args.d))
         return 0
-    if args.op in one:
+    if args.op in ONE_OPS:
         if not args.inputs:
             raise DomainError(f"op {args.op} needs one complex")
-        emit(one[args.op](load_complex(args.inputs[0])))
+        emit(ONE_OPS[args.op](load_complex(args.inputs[0]), args))
         return 0
-    if args.op in two:
-        if len(args.inputs) != 2:
-            raise DomainError(f"op {args.op} needs two complexes")
-        emit(two[args.op](load_complex(args.inputs[0]), load_complex(args.inputs[1])))
-        return 0
-    raise DomainError(f"unknown op {args.op!r}")
+    if len(args.inputs) != 2:
+        raise DomainError(f"op {args.op} needs two complexes")
+    emit(TWO_OPS[args.op](load_complex(args.inputs[0]), load_complex(args.inputs[1])))
+    return 0
 
 
 def _require(value, flag):
@@ -384,21 +386,7 @@ def build_parser():
     p = add("classify", cmd_classify, help="going-up classification of a paving complex")
     p.add_argument("input")
     p = add("op", cmd_op, help="apply an operator, output the complex")
-    p.add_argument(
-        "op",
-        choices=(
-            "up",
-            "pure",
-            "truncate",
-            "restrict",
-            "contract",
-            "union",
-            "sum",
-            "join",
-            "oplus",
-            "bd",
-        ),
-    )
+    p.add_argument("op", choices=(*ONE_OPS, *TWO_OPS, "bd"))
     p.add_argument("inputs", nargs="*")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)

@@ -293,13 +293,17 @@ class Complex:
         return f"Complex(n={self.n}, facets=[{shown}{more}])"
 
 
+def _induced(C, gens, W):
+    """The complex on the vertex set W (a mask) generated by gens cut to W,
+    reindexed to 0..|W|-1, with the labels of W's points."""
+    return Complex(W.bit_count(), {compress(g, W) for g in gens}, tuple(C.labels[i] for i in bits(W)))
+
+
 def restriction(C, W):
     """Induced subcomplex on the vertex subset W (a mask)."""
     if W == 0:
         raise DomainError("restriction to the empty vertex set")
-    gens = {compress(f & W, W) for f in C.facets}
-    labels = tuple(C.labels[i] for i in bits(W))
-    return Complex(W.bit_count(), gens, labels)
+    return _induced(C, C.facets, W)
 
 
 def contraction(C, W):
@@ -309,9 +313,7 @@ def contraction(C, W):
     rest = C.full_mask & ~W
     if rest == 0:
         raise DomainError("contraction would empty the vertex set")
-    gens = {compress(f & rest, rest) for f in C.facets if f & W == W}
-    labels = tuple(C.labels[i] for i in bits(rest))
-    return Complex(rest.bit_count(), gens, labels)
+    return _induced(C, (f for f in C.facets if f & W == W), rest)
 
 
 def truncate(C, k):
@@ -371,14 +373,8 @@ def sum_complex(C, D):
 
 def pure_part(C):
     """Subcomplex generated by the top-dimension faces, on the vertices they cover."""
-    d1 = C.dim + 1
-    top = [f for f in C.facets if f.bit_count() == d1]
-    V = 0
-    for f in top:
-        V |= f
-    gens = {compress(f, V) for f in top}
-    labels = tuple(C.labels[i] for i in bits(V))
-    return Complex(V.bit_count(), gens, labels)
+    top = [f for f in C.facets if f.bit_count() == C.dim + 1]
+    return _induced(C, top, reduce(or_, top))
 
 
 def alpha_vector(C):
@@ -413,11 +409,17 @@ def is_paving(C):
     return d if all(X in faces for X in k_submasks(C.full_mask, d)) else None
 
 
-def defect(C):
-    """Non-faces of size dim+1 (requires a paving complex)."""
+def paving_dimension(C, what):
+    """C's dimension d if C is paving, else a DomainError naming what asked."""
     d = is_paving(C)
     if d is None:
-        raise DomainError("defect is defined for paving complexes")
+        raise DomainError(f"{what} requires a paving complex")
+    return d
+
+
+def defect(C):
+    """Non-faces of size dim+1 (requires a paving complex)."""
+    d = paving_dimension(C, "defect")
     faces = C.faces
     return SetFamily(C.n, [X for X in k_submasks(C.full_mask, d + 1) if X not in faces])
 

@@ -29,11 +29,12 @@ the maximal members of a subset-closed family level by level, each set grown
 from a set one point smaller, so no function here scans all 2^n subsets; a
 set that grows no further is maximal when one isdisjoint call finds none of
 its one-point extensions on the next level. Both refuse past core.SET_LIMIT
-sets, as Complex.faces does, and cap no vertex count. The level walk builds
-the complex J of either closure cl, the sets whose elements can be ordered
-so that each leaves the closure of the earlier ones (_independent_complex,
-whose docstring argues its coloop cone and its seeds), the long hyperplanes
-of a paving complex and the group-labeled graph complexes of the catalog.
+sets, as Complex.faces does, the level walk as soon as it lists one too
+many, and cap no vertex count. The level walk builds the complex J of
+either closure cl, the sets whose elements can be ordered so that each
+leaves the closure of the earlier ones (_independent_complex, whose
+docstring argues its coloop cone and its seeds), the long hyperplanes of a
+paving complex and the group-labeled graph complexes of the catalog.
 _first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
 with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
 closure). The public functions below are short calls into these helpers.
@@ -57,8 +58,8 @@ from .core import (
     DomainError,
     SetFamily,
     bits,
-    is_paving,
     k_submasks,
+    paving_dimension,
 )
 
 
@@ -213,13 +214,14 @@ def _level_walk(level, grow, what):
     grow(Y, level) is 0 and no Y + p is on the next level. That is one
     isdisjoint call against Y | s over the single-point masks s of the points
     the next level reaches, listed once per level: Y | s is Y for s in Y, and
-    Y is not on the next level. Refuses past core.SET_LIMIT sets listed.
+    Y is not on the next level. Refuses as soon as more than core.SET_LIMIT
+    sets are listed, the first level (which each caller bounds) counted.
     Each level is a new set object, so grow can tell when the walk moves on.
     """
     level = set(level)
     room = core.SET_LIMIT - len(level)
     out = []
-    while room >= 0 and level:
+    while level:
         nxt = set()
         stuck = []
         reach = 0
@@ -234,13 +236,11 @@ def _level_walk(level, grow, what):
                 nxt.add(Y | b)
                 m ^= b
             if len(nxt) > room:
-                break
+                raise CapacityError(f"{what} with more than {core.SET_LIMIT} sets is out of range")
         singles = [1 << x for x in bits(reach)]
         out += [Y for Y in stuck if nxt.isdisjoint([Y | s for s in singles])]
         room -= len(nxt)
         level = nxt
-    if room < 0:
-        raise CapacityError(f"{what} with more than {core.SET_LIMIT} sets is out of range")
     return out
 
 
@@ -340,8 +340,8 @@ def closure(C, X):
 
 def _paving_dimension(C, what):
     """The dimension d of a paving complex with d >= 2; DomainError otherwise."""
-    d = is_paving(C)
-    if d is None or d < 2:
+    d = paving_dimension(C, what)
+    if d < 2:
         raise DomainError(f"{what} requires a paving complex of dimension >= 2")
     return d
 
@@ -487,3 +487,9 @@ def is_boolean_representable(C):
     """
     gap = _first_gap(C, flats(C).closure)
     return gap is None, gap
+
+
+def _require_representable(C, what):
+    """A DomainError naming what asked, unless C is boolean representable."""
+    if not is_boolean_representable(C)[0]:
+        raise DomainError(f"{what} requires a boolean representable complex")

@@ -8,7 +8,7 @@ and the line complex H* for paving complexes.
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import core
 from .core import (
@@ -16,15 +16,15 @@ from .core import (
     Complex,
     DomainError,
     SetFamily,
+    _induced,
     bits,
-    compress,
     k_submasks,
     mask_of,
     pure_part,
     restriction,
     truncate,
 )
-from .lattice import MooreFamily, _paving_dimension, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _paving_dimension, _require_representable, flats, is_boolean_representable, j_complex
 from .t_operator import _t_constraints, is_tbrsc, jt_complex
 
 
@@ -81,27 +81,9 @@ def is_near_matroid(C):
     return pair is None, pair
 
 
-@dataclass(frozen=True)
-class RhoMap:
-    """Size of any face whose closure is the given proper flat."""
-
-    values: Dict[int, int]
-
-    def __getitem__(self, F):
-        if F not in self.values:
-            raise DomainError("rho is defined on the proper flats only")
-        return self.values[F]
-
-    def __contains__(self, F):
-        return F in self.values
-
-    def items(self):
-        return self.values.items()
-
-
 def rho(C):
-    """The flat-rank map of a near-matroid: F -> |X| for any face X with
-    closure F, over the flats other than V.
+    """The flat-rank map of a near-matroid, a dict F -> |X| for any face X
+    with closure F, over the flats other than V.
 
     Every proper flat is the closure of a face, and the map strictly
     increases along flat chains; `brsc reproduce pure-conjecture` and the
@@ -110,7 +92,7 @@ def rho(C):
     seen, pair = _proper_closures(C)
     if pair is not None:
         raise DomainError(f"rho needs a near-matroid; faces {pair} break it")
-    return RhoMap({F: X.bit_count() for F, X in seen.items()})
+    return {F: X.bit_count() for F, X in seen.items()}
 
 
 def _chain_flats(members, k):
@@ -137,9 +119,7 @@ def truncation_is_brsc_for_near_matroid(C, k):
     and J(F'_k) == pure(H_k); `brsc reproduce pure-conjecture` and the tests
     check that it holds at every k <= dim + 1.
     """
-    okbr, _ = is_boolean_representable(C)
-    if not okbr:
-        raise DomainError("a boolean representable near-matroid is required")
+    _require_representable(C, "truncation_is_brsc_for_near_matroid")
     if not 1 <= k <= C.dim + 1:
         raise DomainError("truncation level must be between 1 and dim + 1")
     rm = rho(C)
@@ -163,9 +143,7 @@ def truncation_is_brsc_for_near_matroid(C, k):
 
 def check_pure_conjecture(C, k):
     """BR and TBRSC verdicts for the pure part of the k-truncation."""
-    okbr, _ = is_boolean_representable(C)
-    if not okbr:
-        raise DomainError("the pure-complex check expects a BRSC")
+    _require_representable(C, "the pure-complex check")
     P = pure_part(truncate(C, k))
     brsc, _ = is_boolean_representable(P)
     return {"pure_k_is_brsc": brsc, "pure_k_is_tbrsc": is_tbrsc(P)}
@@ -556,9 +534,7 @@ def is_shellable(C):
 
 def _bpav_dim(C):
     d = _paving_dimension(C, "lines")
-    okbr, _ = is_boolean_representable(C)
-    if not okbr:
-        raise DomainError("a boolean representable paving complex is required")
+    _require_representable(C, "lines")
     return d
 
 
@@ -606,5 +582,4 @@ def h_star(C):
             gens.add(L)
         else:
             gens.update(k_submasks(L, d))
-    labels = tuple(C.labels[i] for i in bits(vstar))
-    return Complex(vstar.bit_count(), {compress(g, vstar) for g in gens}, labels)
+    return _induced(C, gens, vstar)

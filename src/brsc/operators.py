@@ -9,10 +9,10 @@ from .core import (
     DomainError,
     SetFamily,
     bits,
-    is_paving,
     k_submasks,
+    paving_dimension,
 )
-from .lattice import MooreFamily, _extension_constraints, flats, is_boolean_representable, j_complex
+from .lattice import MooreFamily, _extension_constraints, _require_representable, flats, j_complex
 
 
 def up(C):
@@ -43,16 +43,17 @@ def up_iter_paving(C, m):
     """Iterated up of a paving complex in one step.
 
     Keeps everything of size <= d+m, plus the (d+m+1)-sets containing at
-    least one (d+1)-face of H.
+    least one (d+1)-face of H. The C(n, d+m) sets of the first kind are
+    counted, and refused past core.SET_LIMIT, before any is listed.
     """
-    d = is_paving(C)
-    if d is None:
-        raise DomainError("closed form for iterated up requires a paving complex")
+    d = paving_dimension(C, "closed form for iterated up")
     if m < 0:
         raise DomainError("m must be >= 0")
     full = C.full_mask
-    top = [f for f in C.faces if f.bit_count() == d + 1]
     k = d + m + 1
+    if comb(C.n, min(k - 1, C.n)) > core.SET_LIMIT:
+        raise CapacityError(f"iterated up with more than {core.SET_LIMIT} generating sets is out of range")
+    top = [f for f in C.faces if f.bit_count() == d + 1]
     gens = set(k_submasks(full, min(k - 1, C.n)))
     if k <= C.n:
         for X in k_submasks(full, k):
@@ -104,11 +105,8 @@ def boxplus_point(C):
     and I plus the new point whenever the closure of I is proper; `brsc
     reproduce up` and the tests compare the two descriptions.
     """
-    label = _fresh_label(C)
-    ok, _ = is_boolean_representable(C)
-    if not ok:
-        raise DomainError("boxplus_point requires a boolean representable complex")
-    return j_complex(family_boxplus(flats(C)), C.labels + (label,))
+    _require_representable(C, "boxplus_point")
+    return j_complex(family_boxplus(flats(C)), C.labels + (_fresh_label(C),))
 
 
 def b_d(n, L, d):

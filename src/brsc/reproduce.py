@@ -211,10 +211,7 @@ def _rho_is_graded(C):
     full = C.full_mask
     if any(F != full and F not in rm for F in flats(C).members):
         return False
-    vals = dict(rm.items())
-    return all(
-        vals[F] < vals[G] for F in vals for G in vals if F != G and F & ~G == 0
-    )
+    return all(rm[F] < rm[G] for F in rm for G in rm if F != G and F & ~G == 0)
 
 
 def _lines_decompose(C):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Tuple
 
+from . import core
 from .core import (
     CapacityError,
     Complex,
@@ -36,9 +37,8 @@ from .core import (
     bits,
     components,
     defect,
-    is_paving,
     k_submasks,
-    union,
+    paving_dimension,
 )
 # flats is not used here; it stays a name of this module because
 # perfbench/selftest.py checks that the tracer wraps it in this namespace
@@ -125,9 +125,7 @@ def is_tbrsc(C):
 def paving_tbrsc_criterion(C):
     """TBRSC test for paving complexes: every top face X needs a T(H) member
     meeting it in exactly dim points. Returns (flag, failing face or None)."""
-    d = is_paving(C)
-    if d is None:
-        raise DomainError("criterion requires a paving complex")
+    d = paving_dimension(C, "paving_tbrsc_criterion")
     cl = _t_closure(C)
     for X in sorted(C.faces_of_size(d + 1)):
         if not any(cl(Y) & (X & ~Y) == 0 for Y in k_submasks(X, d)):
@@ -181,8 +179,7 @@ def goes_up(C):
     chain of T(H) has dim J(T(H)) + 2 members, and the witness exists exactly
     when the verdict is GU; `brsc reproduce going-up` and the tests check both.
     """
-    if is_paving(C) is None:
-        raise DomainError("going up is defined for paving complexes")
+    paving_dimension(C, "going up")
     dim_jt = jt_complex(C).dim
     first = next(_gu_witnesses(_t_closure(C), C.full_mask, C.dim), None)
     witness = None if first is None else (first[0] | first[1], first[0])
@@ -207,9 +204,7 @@ def classify_minimality(C):
     constraints, as bad(Y) loses X - Y for each d-subset Y of X, and is
     searched for a witness.
     """
-    d = is_paving(C)
-    if d is None:
-        raise DomainError("classification requires a paving complex")
+    d = paving_dimension(C, "classification")
     full = C.full_mask
     cl = _t_closure(C)
     witnesses = {}
@@ -285,11 +280,10 @@ def dim1_gu_facts(C):
 
 
 def jijn(i, j, n):
-    """The two-line complex J(i,j,n): the union of the b_d line complexes on
-    the first i and the first j of n points, for 2 <= i < j < n."""
+    """The two-line complex J(i,j,n) for 2 <= i < j < n."""
     if not 2 <= i < j < n:
         raise DomainError("jijn needs 2 <= i < j < n")
-    return union(b_d(n, (1 << i) - 1, 2), b_d(n, (1 << j) - 1, 2))
+    return two_line_complex(i, j, n)
 
 
 def paving2_reps(n):
@@ -345,17 +339,16 @@ def j_restriction_params(i, j, n, p):
 
 
 def two_line_complex(a, b, m):
-    """Union of the b-line complexes for prefixes of sizes a <= b, with the
-    degenerate sizes (a <= 1 or a = b) collapsing to fewer lines."""
-    base = Complex(m, set(k_submasks((1 << m) - 1, 2)))
-    parts = [base]
+    """The complex on m points generated by the facets of the b_d line
+    complexes (d = 2) on the first a and the first b points; a size outside
+    2..m-1 gives no line, and with no line every pair is a facet. m is
+    checked before any set is listed."""
+    core.check_capacity(m)
+    gens = set()
     for size in {a, b}:
         if 2 <= size <= m - 1:
-            parts.append(b_d(m, (1 << size) - 1, 2))
-    out = parts[0]
-    for part in parts[1:]:
-        out = union(out, part)
-    return out
+            gens |= b_d(m, (1 << size) - 1, 2).facets
+    return Complex(m, gens or set(k_submasks((1 << m) - 1, 2)))
 
 
 def everyres_classes(n):

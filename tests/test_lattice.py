@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc import core, lattice, reproduce
+from brsc import catalog, core, lattice, reproduce
 from brsc.core import (
     SET_LIMIT,
     CapacityError,
@@ -543,6 +543,25 @@ def test_cone_split_refuses_where_the_level_walk_does(C, extra, log_limit):
             assert_same_complex(_independent_complex(cl, D.n), J)
 
 
+@pytest.mark.parametrize(
+    "name, params, listed",
+    [("desargues", {}, 291), ("nfb", {"n": 9}, 8284), ("bfour", {}, 1050)],
+)
+def test_j_walk_refuses_exactly_past_the_set_limit(monkeypatch, name, params, listed):
+    # none of the three has a coloop, so the walk of J' lists every face of
+    # J(T(H)), the empty set included: at exactly that many sets it builds J,
+    # one fewer is refused
+    C = named(name, **params)
+    J = jt_complex(C)
+    assert all(cl_T(C, C.full_mask ^ 1 << p) >> p & 1 for p in range(C.n))
+    assert len(J.faces) == listed
+    monkeypatch.setattr(core, "SET_LIMIT", listed)
+    assert_same_complex(jt_complex(C), J)
+    monkeypatch.setattr(core, "SET_LIMIT", listed - 1)
+    with pytest.raises(CapacityError, match=f"J-complex with more than {listed - 1} sets"):
+        jt_complex(C)
+
+
 @given(
     st.integers(1, 9).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=9))
@@ -569,6 +588,20 @@ def test_closed_sets_refuse_exactly_past_the_set_limit(C, log_limit):
                     _closed_sets(C.n, cl, "closed family")
             else:
                 assert set(_closed_sets(C.n, cl, "closed family").members) == want
+
+
+@pytest.mark.parametrize("name, params", [("desargues", {}), ("nfb", {"n": 9}), ("bfour", {})])
+def test_next_closure_refuses_exactly_past_the_set_limit(monkeypatch, name, params):
+    # the flats and T(H), listed whole at exactly their size, refused one below
+    C = named(name, **params)
+    for k, what in ((C.dim + 2, "flat family"), (C.dim + 1, "T-family")):
+        want = _closed_sets(C.n, _level_closure(C, k), what)
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "SET_LIMIT", len(want))
+            assert _closed_sets(C.n, _level_closure(C, k), what) == want
+            mp.setattr(core, "SET_LIMIT", len(want) - 1)
+            with pytest.raises(CapacityError, match=f"{what} with more than {len(want) - 1} sets"):
+                _closed_sets(C.n, _level_closure(C, k), what)
 
 
 def test_moore_close_and_validation(monkeypatch):
@@ -777,6 +810,37 @@ def test_long_hyperplanes_refuse_exactly_past_the_set_limit(C, log_limit):
                 _long_hyperplanes(C, C.dim)
         else:
             assert _long_hyperplanes(C, C.dim) == scan_long_hyperplanes(C)
+
+
+def test_long_hyperplane_walk_refuses_exactly_past_the_set_limit(monkeypatch):
+    # b_2 with a line L of 9 of 10 points: the facet-free sets past 2 points
+    # are the 466 subsets of L with at least 3 points, more than the
+    # C(10, 3) = 120 that bound the first level, so the walk refuses first
+    L = (1 << 9) - 1
+    C = b_d(10, L, 2)
+    assert facet_free_count(C) == 466
+    monkeypatch.setattr(core, "SET_LIMIT", 466)
+    assert _long_hyperplanes(C, 2) == [L]
+    monkeypatch.setattr(core, "SET_LIMIT", 465)
+    with pytest.raises(CapacityError, match="facet-free family with more than 465 sets"):
+        _long_hyperplanes(C, 2)
+
+
+@pytest.mark.parametrize("name, m, n, most_cyclic", [("rhodes", 2, 4, 1), ("dowling", 2, 3, 3)])
+def test_group_complex_walk_refuses_exactly_past_the_set_limit(monkeypatch, name, m, n, most_cyclic):
+    # the walk lists every face of the group complex; _gain_graph's count of
+    # the sets of at most n atoms refuses before it at these limits, so the
+    # walk is called with the catalog's atoms and growth directly
+    C = named(name, m=m, n=n)
+    atoms = [(i, i, None) for i in range(1, n + 1)] if name == "dowling" else []
+    atoms += [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
+    grow = partial(catalog._grow, atoms, m, most_cyclic)
+    listed = len(C.faces)
+    monkeypatch.setattr(core, "SET_LIMIT", listed)
+    assert set(_level_walk([0], grow, "group complex")) == C.facets
+    monkeypatch.setattr(core, "SET_LIMIT", listed - 1)
+    with pytest.raises(CapacityError, match=f"group complex with more than {listed - 1} sets"):
+        _level_walk([0], grow, "group complex")
 
 
 def test_long_hyperplane_partition_example():

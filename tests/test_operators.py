@@ -1,6 +1,7 @@
 """Up operator and one-point construction tests, with dual-route checks."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from brsc.core import (
     restriction,
     truncate,
 )
+from brsc.catalog import named
 from brsc.iso import all_complexes
 from brsc.lattice import MooreFamily, flats, j_complex
 from brsc.operators import (
@@ -129,6 +131,24 @@ def test_up_iter_paving_formula():
             continue
         for m in range(0, 3):
             assert up_iter(C, m) == up_iter_paving(C, m)
+
+
+def test_up_iter_paving_counts_its_generators_before_listing(monkeypatch):
+    # uniform:k=3,n=26 with m = 10 would list the C(26, 12) = 9.66M sets of
+    # 12 points: refused on the count, at once
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="iterated up with more than"):
+        up_iter_paving(named("uniform", k=3, n=26), 10)
+    assert time.perf_counter() - t0 < 1
+    # the 3-sets of 6 points, m = 1: the C(6, 3) = 20 sets of 3 points; the
+    # faces are listed before the limit is patched
+    C = Complex(6, k_submasks(0b111111, 3))
+    want = up_iter_paving(C, 1)
+    monkeypatch.setattr(core, "SET_LIMIT", 20)
+    assert up_iter_paving(C, 1) == want
+    monkeypatch.setattr(core, "SET_LIMIT", 19)
+    with pytest.raises(CapacityError, match="iterated up with more than 19 generating sets"):
+        up_iter_paving(C, 1)
 
 
 def test_up_iter_refuses_negative_m():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from functools import partial
 from math import comb
 
@@ -371,8 +372,8 @@ def test_dim1_gu_facts_checks_paving_once(monkeypatch):
         calls.append(C)
         return is_paving(C)
 
+    # the paving guard reads the name in core's namespace only
     monkeypatch.setattr(core, "is_paving", counted)
-    monkeypatch.setattr(t_operator, "is_paving", counted)
     C = Complex(6, set(k_submasks((1 << 6) - 1, 2)) - {tri(1, 2), tri(1, 3), tri(4, 5)})
     dim1_gu_facts(C)
     assert len(calls) == 1
@@ -692,6 +693,34 @@ def test_enumerate_mgu_bounds():
         enumerate_mgu(3)
     with pytest.raises(CapacityError):
         enumerate_mgu(10)
+
+
+def union_two_line_complex(a, b, m):
+    """The two-line complex by the union route: every pair, united with the
+    b_d complex of each line size in 2..m-1."""
+    out = Complex(m, set(k_submasks((1 << m) - 1, 2)))
+    for size in {a, b}:
+        if 2 <= size <= m - 1:
+            out = union(out, b_d(m, (1 << size) - 1, 2))
+    return out
+
+
+def test_two_line_complex_matches_the_union_route():
+    for m in range(1, 9):
+        for a in range(m + 2):
+            for b in range(a, m + 2):
+                assert two_line_complex(a, b, m) == union_two_line_complex(a, b, m)
+    for i, j in mgu_pairs(9):
+        assert jijn(i, j, 9) == union(b_d(9, (1 << i) - 1, 2), b_d(9, (1 << j) - 1, 2))
+
+
+def test_two_line_complex_refuses_before_listing():
+    # the vertex count is checked before any pair is listed; listing the
+    # pairs of 1400 points first took seconds
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="n=1400 exceeds the 64-vertex capacity"):
+        two_line_complex(1, 1, 1400)
+    assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("n", range(5, 10))
