@@ -1,12 +1,14 @@
 """Catalog constructions: group-labeled complexes, forest complexes, and the
 named fixtures, checked against their structural descriptions."""
 
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brsc import core
 from brsc.core import (
     SET_LIMIT,
     CapacityError,
@@ -31,7 +33,7 @@ from brsc.catalog import (
     rhodes_reduced,
 )
 from brsc.iso import canonical_complex, embeds
-from brsc.lattice import MooreFamily, flats, is_boolean_representable, j_complex
+from brsc.lattice import MooreFamily, _level_walk, flats, is_boolean_representable, j_complex
 from brsc.matroid import is_matroid
 from brsc.reproduce import tri
 from brsc.t_operator import (
@@ -228,6 +230,21 @@ def test_group_complex_facet_counts(name, m, n, count):
     C = named(name, m=m, n=n)
     assert len(C.facets) == count
     assert {f.bit_count() for f in C.facets} == {n}
+
+
+@pytest.mark.parametrize("name, m, n, most_cyclic", [("rhodes", 2, 4, 1), ("dowling", 2, 3, 3)])
+def test_group_complex_walk_refuses_exactly_past_the_set_limit(monkeypatch, name, m, n, most_cyclic):
+    # the walk lists every face of the group complex; _gain_graph's count of
+    # the sets of at most n atoms refuses before it at these limits, so the
+    # walk is called with the catalog's atoms and growth directly
+    C = named(name, m=m, n=n)
+    grow = partial(_grow, _group_atoms(name, m, n), m, most_cyclic)
+    listed = len(C.faces)
+    monkeypatch.setattr(core, "SET_LIMIT", listed)
+    assert set(_level_walk([0], grow, "group complex")) == C.facets
+    monkeypatch.setattr(core, "SET_LIMIT", listed - 1)
+    with pytest.raises(CapacityError, match=f"group complex with more than {listed - 1} sets"):
+        _level_walk([0], grow, "group complex")
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brsc.catalog import named
-from brsc import catalog, core, lattice, reproduce
+from brsc import core, lattice, reproduce
 from brsc.core import (
     SET_LIMIT,
     CapacityError,
@@ -824,23 +824,6 @@ def test_long_hyperplane_walk_refuses_exactly_past_the_set_limit(monkeypatch):
     monkeypatch.setattr(core, "SET_LIMIT", 465)
     with pytest.raises(CapacityError, match="facet-free family with more than 465 sets"):
         _long_hyperplanes(C, 2)
-
-
-@pytest.mark.parametrize("name, m, n, most_cyclic", [("rhodes", 2, 4, 1), ("dowling", 2, 3, 3)])
-def test_group_complex_walk_refuses_exactly_past_the_set_limit(monkeypatch, name, m, n, most_cyclic):
-    # the walk lists every face of the group complex; _gain_graph's count of
-    # the sets of at most n atoms refuses before it at these limits, so the
-    # walk is called with the catalog's atoms and growth directly
-    C = named(name, m=m, n=n)
-    atoms = [(i, i, None) for i in range(1, n + 1)] if name == "dowling" else []
-    atoms += [(i, j, g) for i, j in combinations(range(1, n + 1), 2) for g in range(m)]
-    grow = partial(catalog._grow, atoms, m, most_cyclic)
-    listed = len(C.faces)
-    monkeypatch.setattr(core, "SET_LIMIT", listed)
-    assert set(_level_walk([0], grow, "group complex")) == C.facets
-    monkeypatch.setattr(core, "SET_LIMIT", listed - 1)
-    with pytest.raises(CapacityError, match=f"group complex with more than {listed - 1} sets"):
-        _level_walk([0], grow, "group complex")
 
 
 def test_long_hyperplane_partition_example():
