@@ -7,7 +7,7 @@ and the line complex H* for paving complexes.
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 from typing import List, Tuple
 
 from . import core
@@ -19,7 +19,6 @@ from .core import (
     _induced,
     bits,
     k_submasks,
-    mask_of,
     pure_part,
     restriction,
     truncate,
@@ -186,7 +185,10 @@ def search_matroid_extensions(C, budget=10**8):
     independent; each must have all its (d+1)-subsets in H, and the exchange
     property reduces to clauses "X in S and J a top face not inside X force
     J + i in S for some i in X - J".  A matroid is pure, so every top face of
-    C must also lie in some member of S (a cover clause).
+    C must also lie in some member of S (a cover clause).  The set-up lists
+    the C(n, d+2) candidate sets and builds |cands| * (|tops| - d - 2)
+    clauses; each count is checked against core.SET_LIMIT, and refused with
+    CapacityError past it, before the sets are listed or the clauses built.
 
     DFS over in/out decisions with unit propagation.  The state is two
     bitmask ints IN and OUT over the live candidates; a clause or cover set
@@ -216,33 +218,63 @@ def search_matroid_extensions(C, budget=10**8):
         raise DomainError("the extension search starts from a matroid")
     n = C.n
     d1 = C.dim + 1
-    fset = set(C.faces)
+    if comb(n, d1 + 1) > core.SET_LIMIT:
+        raise CapacityError(f"extension search over more than {core.SET_LIMIT} candidate sets is out of range")
+    fset = C.faces
     tops = sorted(C.faces_of_size(d1))
-    cands = []
-    for comb in combinations(range(n), d1 + 1):
-        X = mask_of(comb)
-        if all(s in fset for s in k_submasks(X, d1)):
-            cands.append(X)
+    cands = [X for X in k_submasks(C.full_mask, d1 + 1) if all(s in fset for s in k_submasks(X, d1))]
+    # every (d+1)-subset of a candidate is a top face, so each candidate owns
+    # one clause per top face outside it
+    M = len(cands)
+    if M * (len(tops) - d1 - 1) > core.SET_LIMIT:
+        raise CapacityError(f"extension search with more than {core.SET_LIMIT} clauses is out of range")
 
-    # per candidate: the clauses it owns, each the mask of its option indices
-    index = {X: ci for ci, X in enumerate(cands)}
+    # per top face J: pts[J], the points i with J + i a candidate, whose bit
+    # is bit_of[J + i], and cover[J], the OR of those bits; a clause (X, J)
+    # is the OR over X & pts[J] alone
+    bit_of = {}
+    pts = dict.fromkeys(tops, 0)
+    cover = dict.fromkeys(tops, 0)
+    for ci, X in enumerate(cands):
+        b = bit_of[X] = 1 << ci
+        m = X
+        while m:
+            p = m & -m
+            m ^= p
+            pts[X ^ p] |= p
+            cover[X ^ p] |= b
+
+    # per candidate: the clauses it owns, each the mask of its option indices;
+    # a clause with no options marks its owner dead at once, and a dead
+    # candidate keeps no clauses
+    live = (1 << M) - 1
+    table = [(J, pts[J], {}) for J in tops]
     raw = []
-    for X in cands:
+    for t, X in enumerate(cands):
         cls = []
-        for J in tops:
-            if J & ~X == 0:
+        outside = ~X
+        for J, P, memo in table:
+            if not J & outside:
                 continue
-            opts = 0
-            for i in bits(X & ~J):
-                o = index.get(J | (1 << i))
-                if o is not None:
-                    opts |= 1 << o
+            m = X & P
+            if not m:
+                live ^= 1 << t
+                cls = []
+                break
+            opts = memo.get(m)
+            if opts is None:
+                opts = 0
+                r = m
+                while r:
+                    p = r & -r
+                    r ^= p
+                    opts |= bit_of[J | p]
+                memo[m] = opts
             cls.append(opts)
         raw.append(cls)
 
     # a candidate owning a clause with no live options can never be chosen;
     # dead candidates leave every mask below, so the DFS never branches on them
-    live = (1 << len(cands)) - 1
     changed = True
     while changed:
         changed = False
@@ -254,26 +286,31 @@ def search_matroid_extensions(C, budget=10**8):
     # per candidate t: the option masks of the clauses it owns (read when t
     # goes in), and the (owner bit, option mask) clauses and cover masks it
     # is an option of (read when t goes out)
-    M = len(cands)
     owned = [[] for _ in range(M)]
     occurs = [[] for _ in range(M)]
-    for t in bits(live):
-        for opts in raw[t]:
-            omask = opts & live
-            owned[t].append(omask)
-            for o in bits(omask):
-                occurs[o].append((1 << t, omask))
+    rest = live
+    while rest:
+        tb = rest & -rest
+        rest ^= tb
+        t = tb.bit_length() - 1
+        owned[t] = own = [opts & live for opts in raw[t]]
+        for omask in own:
+            clause = (tb, omask)
+            while omask:
+                ob = omask & -omask
+                omask ^= ob
+                occurs[ob.bit_length() - 1].append(clause)
 
     covers_of = [[] for _ in range(M)]
     for J in tops:
-        omask = 0
-        for t in bits(live):
-            if J & ~cands[t] == 0:
-                omask |= 1 << t
+        omask = cover[J] & live
         if not omask:
             return ExtensionSearch([], True, 0)
-        for o in bits(omask):
-            covers_of[o].append(omask)
+        rest = omask
+        while rest:
+            ob = rest & -rest
+            rest ^= ob
+            covers_of[ob.bit_length() - 1].append(omask)
 
     nodes = 0
 

@@ -364,6 +364,15 @@ def test_shelling_refusals_exit_three(capsys, tmp_path):
     assert code == 0 and json.loads(out)["shellable"] is None
 
 
+def test_extension_search_refusal_exits_three(capsys):
+    # C(18, 4) = 3060 candidates, each owning one clause per top face outside
+    # it: 3060 * (816 - 4) = 2,484,720 clauses, refused before any is built
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "matroid", "search", "uniform:k=3,n=18", "--budget", "10")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == "" and err.startswith("capacity: extension search with more than")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

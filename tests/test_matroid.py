@@ -697,6 +697,53 @@ def test_extension_search_cut_off_matches_reference_at_every_budget():
         )
 
 
+@st.composite
+def forest_matroids(draw):
+    """Kinds 1 and 2 of `reproduce.random_matroid`: the forest matroid of 2 to
+    6 random edges on 3 to 5 nodes, and one of its truncations."""
+    nv = draw(st.integers(3, 5))
+    pool = list(combinations(range(1, nv + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=min(6, len(pool)), unique=True))
+    M = _forest_complex(nv, edges)
+    if draw(st.booleans()) and M.dim >= 1:
+        M = truncate(M, draw(st.integers(1, M.dim + 1)))
+    return M
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_matroids())
+def test_extension_search_matches_the_reference_on_forest_matroids(M):
+    _same_search(search_matroid_extensions(M), reference_extension_search(M))
+
+
+def test_extension_facet_sets_are_sized_as_built_from_a_set():
+    # a frozenset built from a list of U(2,7)'s masks takes about twice the
+    # bytes of one built from a set, over 8389 extensions
+    out = search_matroid_extensions(SEARCH_INPUTS["U(2,7)"]())
+    assert len(out.extensions) == 8389
+    for E in out.extensions:
+        assert sys.getsizeof(E.facets) == sys.getsizeof(frozenset(set(E.facets)))
+
+
+def test_extension_search_refuses_exactly_past_its_set_limits(monkeypatch):
+    # desargues: C(10, 4) = 210 sets of 4 points, counted before any is
+    # listed; 140 candidates, each owning one clause per top face outside
+    # it, 140 * (110 - 4) = 14,840 clauses, counted before any is built
+    D = desargues()
+    monkeypatch.setattr(core, "SET_LIMIT", 14840)
+    out = search_matroid_extensions(D)
+    assert out.complete and out.extensions == [jt_complex(D)]
+    monkeypatch.setattr(core, "SET_LIMIT", 14839)
+    with pytest.raises(CapacityError, match="more than 14839 clauses"):
+        search_matroid_extensions(D)
+    monkeypatch.setattr(core, "SET_LIMIT", 210)
+    with pytest.raises(CapacityError, match="more than 210 clauses"):
+        search_matroid_extensions(D)
+    monkeypatch.setattr(core, "SET_LIMIT", 209)
+    with pytest.raises(CapacityError, match="more than 209 candidate sets"):
+        search_matroid_extensions(D)
+
+
 def test_shelling_certificates_on_two_triangle_example():
     C = named("exs")
     assert is_shellable(C) is None

@@ -133,21 +133,50 @@ def test_up_iter_paving_formula():
             assert up_iter(C, m) == up_iter_paving(C, m)
 
 
+def up_iter_paving_by_tops(C, m):
+    """The earlier route to up_iter_paving: each (d+m+1)-set is tested
+    against every top face of C."""
+    d = is_paving(C)
+    full = C.full_mask
+    k = d + m + 1
+    top = [f for f in C.faces if f.bit_count() == d + 1]
+    gens = set(k_submasks(full, min(k - 1, C.n)))
+    if k <= C.n:
+        for X in k_submasks(full, k):
+            if any(t & ~X == 0 for t in top):
+                gens.add(X)
+    return Complex(C.n, gens, C.labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 8), st.integers(0, 3), st.floats(0.0, 1.0), st.integers(0, 3))
+def test_up_iter_paving_matches_the_top_face_scan(seed, n, d, density, m):
+    C = random_paving(random.Random(seed), n, min(d, n - 1), density)
+    if is_paving(C) is None:
+        return
+    assert up_iter_paving(C, m) == up_iter_paving_by_tops(C, m)
+
+
 def test_up_iter_paving_counts_its_generators_before_listing(monkeypatch):
     # uniform:k=3,n=26 with m = 10 would list the C(26, 12) = 9.66M sets of
-    # 12 points: refused on the count, at once
-    t0 = time.perf_counter()
-    with pytest.raises(CapacityError, match="iterated up with more than"):
-        up_iter_paving(named("uniform", k=3, n=26), 10)
-    assert time.perf_counter() - t0 < 1
-    # the 3-sets of 6 points, m = 1: the C(6, 3) = 20 sets of 3 points; the
-    # faces are listed before the limit is patched
+    # 12 points, and uniform:k=3,n=32 with m = 3 the C(32, 6) = 906,192
+    # candidates of 6 points besides the C(32, 5) = 201,376 sets of 5 points
+    # (40.7 s and 181 MB when only the sets of 5 points were counted):
+    # refused on the count, at once
+    for n, m in ((26, 10), (32, 3)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="iterated up with more than"):
+            up_iter_paving(named("uniform", k=3, n=n), m)
+        assert time.perf_counter() - t0 < 1
+    # the 3-sets of 6 points, m = 1: the C(6, 3) = 20 sets of 3 points and
+    # the C(6, 4) = 15 candidates of 4 points; the faces are listed before
+    # the limit is patched
     C = Complex(6, k_submasks(0b111111, 3))
     want = up_iter_paving(C, 1)
-    monkeypatch.setattr(core, "SET_LIMIT", 20)
+    monkeypatch.setattr(core, "SET_LIMIT", 35)
     assert up_iter_paving(C, 1) == want
-    monkeypatch.setattr(core, "SET_LIMIT", 19)
-    with pytest.raises(CapacityError, match="iterated up with more than 19 generating sets"):
+    monkeypatch.setattr(core, "SET_LIMIT", 34)
+    with pytest.raises(CapacityError, match="iterated up with more than 34 generating sets"):
         up_iter_paving(C, 1)
 
 

@@ -1,19 +1,28 @@
 """The summary that tools/bench_pairs.py writes, on made-up runs, the
-source size it records, on a made-up repository, and the benchmark's
-tracing self-tests, which pin library names."""
+source size it records, on a made-up repository, the benchmark's tracing
+self-tests, which pin library names, and tools/faults.py on two of its
+faults."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+faults = _tool("faults")
 
 SPEC = {
     "end_to_end": [
@@ -166,8 +175,26 @@ def test_pairs_refuse_commits_with_different_benchmarks(tmp_path, monkeypatch, c
 def test_benchmark_tracing_selftests_pass():
     # the tracer wraps cl_T, flats and the cached _t_constraints by name and
     # reads their cache_info(), so a library change that moves them fails here
-    root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "perfbench/selftest.py", "Tracing"], cwd=root, capture_output=True, text=True, timeout=300
+        [sys.executable, "perfbench/selftest.py", "Tracing"], cwd=ROOT, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [("extension-dead-candidate-stays-live", True), ("extension-dead-candidate-keeps-clauses", False)],
+)
+def test_faults_catch_a_wrong_answer_and_pass_a_harmless_change(tmp_path, name, want):
+    # on a copy of the work tree, with one search input for the selection: a
+    # dead candidate left live is chosen, and the search finds 8 extensions
+    # of the rank-3 forest matroid of K4 plus a pendant edge, against the
+    # reference's one; one that keeps its clauses changes nothing read
+    fault = {f.name: f for f in faults.FAULTS}[name]
+    assert (fault.harmless is None) == want
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    assert faults.caught(fault, tmp_path, ("tests/test_matroid.py", "-k", "list_state_reference and pendant")) == want
+    # the line is gone or replaced, so the fault cannot be applied twice
+    with pytest.raises(faults.FaultError, match="occurs 0 times"):
+        faults.apply(fault, tmp_path)
