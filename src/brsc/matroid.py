@@ -245,8 +245,8 @@ def search_matroid_extensions(C, budget=10**8):
             cover[X ^ p] |= b
 
     # per candidate: the clauses it owns, each the mask of its option indices;
-    # a clause with no options marks its owner dead at once, and a dead
-    # candidate keeps no clauses
+    # a clause with no options marks its owner dead at once and ends its
+    # list, which nothing reads again
     live = (1 << M) - 1
     table = [(J, pts[J], {}) for J in tops]
     raw = []
@@ -259,7 +259,6 @@ def search_matroid_extensions(C, budget=10**8):
             m = X & P
             if not m:
                 live ^= 1 << t
-                cls = []
                 break
             opts = memo.get(m)
             if opts is None:

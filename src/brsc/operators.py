@@ -45,8 +45,7 @@ def up_iter_paving(C, m):
     Keeps everything of size <= d+m, plus the (d+m+1)-sets containing at
     least one (d+1)-face of H. The C(n, d+m) sets of the first kind and the
     C(n, d+m+1) candidates for the second are counted together, and refused
-    past core.SET_LIMIT, before either is listed; a candidate is tested
-    through its (d+1)-subsets against the set of top faces.
+    past core.SET_LIMIT, before either is listed.
     """
     d = paving_dimension(C, "closed form for iterated up")
     if m < 0:
@@ -55,11 +54,12 @@ def up_iter_paving(C, m):
     k = d + m + 1
     if comb(C.n, min(k - 1, C.n)) + comb(C.n, k) > core.SET_LIMIT:
         raise CapacityError(f"iterated up with more than {core.SET_LIMIT} generating sets is out of range")
-    top = set(C.faces_of_size(d + 1))
+    top = [f for f in C.faces if f.bit_count() == d + 1]
     gens = set(k_submasks(full, min(k - 1, C.n)))
-    for X in k_submasks(full, k):
-        if any(s in top for s in k_submasks(X, d + 1)):
-            gens.add(X)
+    if k <= C.n:
+        for X in k_submasks(full, k):
+            if any(t & ~X == 0 for t in top):
+                gens.add(X)
     return Complex(C.n, gens, C.labels)
 
 

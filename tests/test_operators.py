@@ -133,28 +133,13 @@ def test_up_iter_paving_formula():
             assert up_iter(C, m) == up_iter_paving(C, m)
 
 
-def up_iter_paving_by_tops(C, m):
-    """The earlier route to up_iter_paving: each (d+m+1)-set is tested
-    against every top face of C."""
-    d = is_paving(C)
-    full = C.full_mask
-    k = d + m + 1
-    top = [f for f in C.faces if f.bit_count() == d + 1]
-    gens = set(k_submasks(full, min(k - 1, C.n)))
-    if k <= C.n:
-        for X in k_submasks(full, k):
-            if any(t & ~X == 0 for t in top):
-                gens.add(X)
-    return Complex(C.n, gens, C.labels)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(2, 8), st.integers(0, 3), st.floats(0.0, 1.0), st.integers(0, 3))
-def test_up_iter_paving_matches_the_top_face_scan(seed, n, d, density, m):
+def test_up_iter_paving_matches_up_iter(seed, n, d, density, m):
     C = random_paving(random.Random(seed), n, min(d, n - 1), density)
     if is_paving(C) is None:
         return
-    assert up_iter_paving(C, m) == up_iter_paving_by_tops(C, m)
+    assert up_iter_paving(C, m) == up_iter(C, m)
 
 
 def test_up_iter_paving_counts_its_generators_before_listing(monkeypatch):

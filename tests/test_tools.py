@@ -182,19 +182,22 @@ def test_benchmark_tracing_selftests_pass():
 
 
 @pytest.mark.parametrize(
-    "name, want",
-    [("extension-dead-candidate-stays-live", True), ("extension-dead-candidate-keeps-clauses", False)],
+    "name, tests, want",
+    [
+        ("extension-dead-candidate-stays-live", ("tests/test_matroid.py", "-k", "list_state_reference and pendant"), True),
+        ("extension-constraints-unsorted", ("tests/test_lattice.py", "-k", "extension_constraints_match"), False),
+    ],
 )
-def test_faults_catch_a_wrong_answer_and_pass_a_harmless_change(tmp_path, name, want):
-    # on a copy of the work tree, with one search input for the selection: a
-    # dead candidate left live is chosen, and the search finds 8 extensions
-    # of the rank-3 forest matroid of K4 plus a pendant edge, against the
-    # reference's one; one that keeps its clauses changes nothing read
+def test_faults_catch_a_wrong_answer_and_pass_a_harmless_change(tmp_path, name, tests, want):
+    # on a copy of the work tree, with a narrow selection: a dead candidate
+    # left live is chosen, and the search finds 8 extensions of the rank-3
+    # forest matroid of K4 plus a pendant edge, against the reference's one;
+    # unsorted constraints are the same constraints in another order
     fault = {f.name: f for f in faults.FAULTS}[name]
     assert (fault.harmless is None) == want
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
-    assert faults.caught(fault, tmp_path, ("tests/test_matroid.py", "-k", "list_state_reference and pendant")) == want
-    # the line is gone or replaced, so the fault cannot be applied twice
+    assert faults.caught(fault, tmp_path, tests) == want
+    # the line is gone, so the fault cannot be applied twice
     with pytest.raises(faults.FaultError, match="occurs 0 times"):
         faults.apply(fault, tmp_path)

@@ -1,12 +1,12 @@
 """Single-line faults put into a fresh export on purpose, and the tests that
 must catch them.
 
-    python3 tools/faults.py [--rev REV] [--only NAME ...] [--workdir DIR]
+    python3 tools/faults.py
 
 Each fault in FAULTS names a file, one line of it (indentation included), the
 line that replaces it (None drops it), the test selection that must catch
 it, and, for a fault that cannot change an answer, why not. For each fault
-the tool exports REV (default HEAD) with ``git archive`` into a fresh
+the tool exports HEAD with ``git archive`` into a fresh temporary
 directory, replaces the line, which must occur exactly once, and runs
 ``python -m pytest -x -q`` on the selection there with ``PYTHONPATH=src``.
 
@@ -19,7 +19,6 @@ found exactly once or a selection runs past TIMEOUT_S. A full run takes
 minutes, so it is not part of the tier-1 tests. Standard library only.
 """
 
-import argparse
 import io
 import os
 import shutil
@@ -54,15 +53,6 @@ FAULTS = (
         EXTENSION_TESTS,
     ),
     Fault(
-        "extension-dead-candidate-keeps-clauses",
-        "src/brsc/matroid.py",
-        "                cls = []",
-        None,
-        EXTENSION_TESTS,
-        "a dead candidate's clauses are never read: the fixpoint skips it and "
-        "only live candidates get an index entry, so only memory changes",
-    ),
-    Fault(
         "level-walk-refuses-at-the-limit",
         "src/brsc/lattice.py",
         "            if len(nxt) > room:",
@@ -92,9 +82,9 @@ class FaultError(Exception):
     pass
 
 
-def export(rev, dest):
-    """A fresh tree of rev at dest, from git archive."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True).stdout
+def export(dest):
+    """A fresh tree of HEAD at dest, from git archive."""
+    tar = subprocess.run(["git", "archive", "--format=tar", "HEAD"], cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
 
@@ -128,25 +118,12 @@ def caught(fault, tree, tests=None):
     return proc.returncode == 1
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="commit to export (default HEAD)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these faults")
-    parser.add_argument("--workdir", help="where the exports go (default: the system's temporary directory)")
-    args = parser.parse_args(argv)
-    known = {f.name: f for f in FAULTS}
-    for name in args.only or ():
-        if name not in known:
-            parser.error(f"unknown fault {name!r}; known: {', '.join(known)}")
-    if args.workdir:
-        Path(args.workdir).mkdir(parents=True, exist_ok=True)
+def main():
     status = 0
     for fault in FAULTS:
-        if args.only and fault.name not in args.only:
-            continue
-        tree = tempfile.mkdtemp(dir=args.workdir)
+        tree = tempfile.mkdtemp()
         try:
-            export(args.rev, tree)
+            export(tree)
             got = caught(fault, tree)
         except FaultError as exc:
             print(f"ERROR     {exc}", flush=True)
