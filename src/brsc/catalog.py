@@ -3,12 +3,9 @@ and the one-off fixtures exercised throughout the test suite.
 
 Every generator is pure and deterministic; vertex labels follow the source
 naming so reports stay readable. The Rhodes-reduced and Dowling complexes are
-built over the cyclic group Z_m by the lattice level walk, which grows each
-face only by atoms above its highest: one DFS over the face gives each node
-its component, its potential mod m and whether its component has a cycle,
-and from those every such atom is decided at once. Every parametric family
-counts its vertices, and its facets or faces where they can pass
-core.SET_LIMIT, and refuses before it lists any set.
+built over the cyclic group Z_m by the lattice level walk (`_grow`). Every
+parametric family counts its vertices, and its facets or faces where they
+can pass core.SET_LIMIT, and refuses before it lists any set.
 """
 
 from functools import partial

@@ -3,7 +3,9 @@
 Complexes come in as JSON files ({"vertices": ..., "facets": ...}), as "-"
 for stdin, or as catalog names with optional parameters ("jnmk:n=16,m=6,k=3").
 All complex output uses the same JSON shape, with facets sorted by size then
-bitmask, so output can be fed straight back in.
+bitmask, so output can be fed straight back in. Each command is one entry of
+COMMANDS; main alone reads its input, prints its result and maps errors to
+exit codes.
 
 Exit codes: 0 success, 1 a reproduce check failed, 2 bad usage or input,
 3 a capacity or budget limit was hit, 141 standard output was closed early
@@ -118,99 +120,97 @@ def _family_labels(C, fam):
     return [C.face_labels(m) for m in members]
 
 
-def _guarded(out, timings, key, fn):
+def _guarded(out, timings, key, fn, C):
     t0 = perf_counter()
     try:
-        out[key] = fn()
+        out[key] = fn(C)
     except (CapacityError, DomainError):
         out[key] = None
     timings[key] = round(perf_counter() - t0, 4)
 
 
-def cmd_check(args):
-    C = load_complex(args.input)
-    out = {"id": args.input, "vertices": C.n}
-    timings = {}
-    out["dim"] = C.dim
+# the properties of `brsc check`, in report order; each reads null past a limit
+CHECKS = (
+    ("paving", is_paving),
+    ("brsc", lambda C: is_boolean_representable(C)[0]),
+    ("tbrsc", is_tbrsc),
+    ("matroid", lambda C: is_matroid(C)[0]),
+    ("near_matroid", lambda C: is_near_matroid(C)[0]),
+    ("shellable", lambda C: is_shellable(C) is not None),
+    ("codim", codimension),
+    ("classification", classify_minimality),
+)
+
+
+def _check(C, args):
+    out, scan, timings = {"vertices": C.n, "dim": C.dim}, {}, {}
     # brsc and near_matroid share the cached flat listing; time it on its own,
     # as null when the faces or the flats pass core.SET_LIMIT
-    scan = {}
-    _guarded(scan, timings, "flats", lambda: flats(C))
+    _guarded(scan, timings, "flats", flats, C)
     if scan["flats"] is None:
         timings["flats"] = None
-    _guarded(out, timings, "paving", lambda: is_paving(C))
-    _guarded(out, timings, "brsc", lambda: is_boolean_representable(C)[0])
-    _guarded(out, timings, "tbrsc", lambda: is_tbrsc(C))
-    _guarded(out, timings, "matroid", lambda: is_matroid(C)[0])
-    _guarded(out, timings, "near_matroid", lambda: is_near_matroid(C)[0])
-    _guarded(out, timings, "shellable", lambda: is_shellable(C) is not None)
-    _guarded(out, timings, "codim", lambda: codimension(C))
-    _guarded(out, timings, "classification", lambda: classify_minimality(C))
+    for key, fn in CHECKS:
+        _guarded(out, timings, key, fn, C)
     out["timings"] = timings
-    emit(out)
-    return 0
+    return out
 
 
-def cmd_flats(args):
-    C = load_complex(args.input)
-    emit({"id": args.input, "flats": _family_labels(C, flats(C))})
-    return 0
-
-
-def cmd_closure(args):
-    C = load_complex(args.input)
-    X = parse_labels(C, args.set)
-    emit({"id": args.input, "closure": C.face_labels(closure(C, X))})
-    return 0
-
-
-def cmd_brcheck(args):
-    C = load_complex(args.input)
+def _brcheck(C, args):
     ok, witness = is_boolean_representable(C)
-    emit(
-        {
-            "id": args.input,
-            "brsc": ok,
-            "witness": None if witness is None else C.face_labels(witness),
-        }
-    )
-    return 0
+    return {"brsc": ok, "witness": None if witness is None else C.face_labels(witness)}
 
 
-def cmd_tfam(args):
-    C = load_complex(args.input)
+def _tfam(C, args):
     fam = t_family(C) if args.k is None else truncation_t_family(C, args.k)
-    emit({"id": args.input, "members": _family_labels(C, fam)})
-    return 0
+    return {"members": _family_labels(C, fam)}
 
 
-def cmd_tbrsc(args):
-    C = load_complex(args.input)
-    emit({"id": args.input, "tbrsc": is_tbrsc(C)})
-    return 0
-
-
-def cmd_codim(args):
-    C = load_complex(args.input)
-    emit({"id": args.input, "codim": codimension(C)})
-    return 0
-
-
-def cmd_classify(args):
-    C = load_complex(args.input)
+def _classify(C, args):
     rep = goes_up(C)
-    emit(
-        {
-            "id": args.input,
-            "classification": classify_minimality(C),
-            "verdict": rep.verdict,
-            "t_family_size": rep.t_family_size,
-            "max_chain_length": rep.max_chain_length,
-            "dim_jt": rep.dim_JT,
-        }
-    )
-    return 0
+    return {
+        "classification": classify_minimality(C),
+        "verdict": rep.verdict,
+        "t_family_size": rep.t_family_size,
+        "max_chain_length": rep.max_chain_length,
+        "dim_jt": rep.dim_JT,
+    }
 
+
+def _matroid_check(C, args):
+    ok, pair = is_matroid(C)
+    return {
+        "matroid": ok,
+        "near_matroid": is_near_matroid(C)[0],
+        "witness": None if pair is None else [C.face_labels(x) for x in pair],
+    }
+
+
+def _extend(C, args):
+    cand, verdict = matroid_extension_candidate(C)
+    if verdict == "no_extension":
+        return {"verdict": verdict}
+    return {"verdict": verdict, "candidate": complex_to_dict(cand)}
+
+
+def _search(C, args):
+    res = search_matroid_extensions(C, budget=args.budget)
+    return {"complete": res.complete, "nodes": res.nodes, "extensions": [complex_to_dict(E) for E in res.extensions]}
+
+
+def _shelling(C, args):
+    sh = is_shellable(C)
+    return {"shellable": sh is not None, "order": None if sh is None else [C.face_labels(f) for f in sh.order]}
+
+
+# `brsc matroid` on one complex, called with it and the parsed arguments
+MATROID = {
+    "check": _matroid_check,
+    "extend": _extend,
+    "search": _search,
+    "shelling": _shelling,
+    "hstar": lambda C, args: h_star(C),
+    "pure": lambda C, args: check_pure_conjecture(C, 3 if args.k is None else args.k),
+}
 
 # `brsc op` on one complex, called with it and the parsed arguments, and on
 # two complexes; "bd" builds its complex from the options alone
@@ -224,106 +224,46 @@ ONE_OPS = {
 TWO_OPS = {"union": union, "sum": sum_complex, "join": join, "oplus": oplus}
 
 
-def cmd_op(args):
-    if args.op == "bd":
-        n = _require(args.n, "--n")
-        C = Complex(n, ())
-        L = parse_labels(C, _require(args.line, "--line"))
-        emit(b_d(n, L, args.d))
-        return 0
-    if args.op in ONE_OPS:
-        if not args.inputs:
-            raise DomainError(f"op {args.op} needs one complex")
-        emit(ONE_OPS[args.op](load_complex(args.inputs[0]), args))
-        return 0
-    if len(args.inputs) != 2:
-        raise DomainError(f"op {args.op} needs two complexes")
-    emit(TWO_OPS[args.op](load_complex(args.inputs[0]), load_complex(args.inputs[1])))
-    return 0
-
-
 def _require(value, flag):
     if value is None:
         raise DomainError(f"this operation needs {flag}")
     return value
 
 
-def cmd_matroid(args):
-    C = load_complex(args.input)
-    if args.sub == "check":
-        ok, pair = is_matroid(C)
-        emit(
-            {
-                "id": args.input,
-                "matroid": ok,
-                "near_matroid": is_near_matroid(C)[0],
-                "witness": None if pair is None else [C.face_labels(x) for x in pair],
-            }
-        )
-    elif args.sub == "extend":
-        cand, verdict = matroid_extension_candidate(C)
-        out = {"id": args.input, "verdict": verdict}
-        if verdict != "no_extension":
-            out["candidate"] = complex_to_dict(cand)
-        emit(out)
-    elif args.sub == "search":
-        res = search_matroid_extensions(C, budget=args.budget)
-        emit(
-            {
-                "id": args.input,
-                "complete": res.complete,
-                "nodes": res.nodes,
-                "extensions": [complex_to_dict(E) for E in res.extensions],
-            }
-        )
-    elif args.sub == "shelling":
-        sh = is_shellable(C)
-        emit(
-            {
-                "id": args.input,
-                "shellable": sh is not None,
-                "order": None if sh is None else [C.face_labels(f) for f in sh.order],
-            }
-        )
-    elif args.sub == "hstar":
-        emit(h_star(C))
-    else:
-        r = check_pure_conjecture(C, args.k if args.k is not None else 3)
-        emit({"id": args.input, **r})
-    return 0
+def _op(args):
+    if args.op == "bd":
+        n = _require(args.n, "--n")
+        return b_d(n, parse_labels(Complex(n, ()), _require(args.line, "--line")), args.d)
+    if args.op in ONE_OPS:
+        if not args.inputs:
+            raise DomainError(f"op {args.op} needs one complex")
+        return ONE_OPS[args.op](load_complex(args.inputs[0]), args)
+    if len(args.inputs) != 2:
+        raise DomainError(f"op {args.op} needs two complexes")
+    return TWO_OPS[args.op](*map(load_complex, args.inputs))
 
 
-def cmd_catalog(args):
-    if args.sub == "list":
-        emit({"names": [{"name": n, "params": d} for n, d in catalog_names()]})
-    else:
-        emit(load_complex(args.name))
-    return 0
-
-
-def cmd_iso(args):
+def _iso(args):
     if args.sub == "canon":
-        emit(canonical_complex(load_complex(args.inputs[0])))
-        return 0
+        return canonical_complex(load_complex(args.inputs[0]))
     if len(args.inputs) != 2:
         raise DomainError(f"iso {args.sub} needs two complexes")
-    C, D = (load_complex(a) for a in args.inputs)
+    C, D = map(load_complex, args.inputs)
     if args.sub == "check":
-        emit({"isomorphic": are_isomorphic(C, D)})
-    else:
-        m = embeds(C, D)
-        emit(
-            {
-                "embeds": m is not None,
-                "map": None
-                if m is None
-                else {str(C.labels[i]): D.labels[m[i]] for i in range(C.n)},
-            }
-        )
-    return 0
+        return {"isomorphic": are_isomorphic(C, D)}
+    m = embeds(C, D)
+    images = None if m is None else {str(C.labels[i]): D.labels[m[i]] for i in range(C.n)}
+    return {"embeds": m is not None, "map": images}
 
 
-def cmd_reproduce(args):
+def _catalog(args):
+    if args.sub == "get":
+        return load_complex(args.name)
+    return {"names": [{"name": n, "params": d} for n, d in catalog_names()]}
+
+
+def _reproduce(args):
+    """Prints the criteria's reports and returns the exit code."""
     if args.list:
         for row in rp.REPRODUCE_TABLE:
             kind = "acceptance" if row.acceptance else "extra"
@@ -337,22 +277,73 @@ def cmd_reproduce(args):
         print("available: " + ", ".join(rp.available_tags()), file=sys.stderr)
         return 2
     reports = [rp.run_criterion(t) for t in tags]
-    failed = over = 0
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
-        within = rep.elapsed <= rep.budget
-        if not rep.ok:
-            failed += 1
-        if not within:
-            over += 1
-        note = "" if within else f"  OVER BUDGET ({rep.budget:.0f}s)"
+        note = "" if rep.elapsed <= rep.budget else f"  OVER BUDGET ({rep.budget:.0f}s)"
         print(f"{status}  {rep.tag}  {rep.elapsed:.1f}s{note}  {rep.title}")
         for line in rep.lines():
             print(line)
+    failed = sum(not rep.ok for rep in reports)
     print(f"{len(reports) - failed}/{len(reports)} criteria passed")
     if failed:
         return 1
-    return 3 if over else 0
+    return 3 if any(rep.elapsed > rep.budget for rep in reports) else 0
+
+
+INPUT = ("input", {})
+K_OPTION = ("--k", {"type": int})
+
+# name: (function, help, arguments in order). A command with an "input"
+# argument is called with that complex and the parsed arguments, and main
+# prints "id" first in its dict result; the others get the arguments alone
+COMMANDS = {
+    "check": (_check, "full property report for one complex", [INPUT]),
+    "flats": (lambda C, args: {"flats": _family_labels(C, flats(C))}, "all flats", [INPUT]),
+    "closure": (
+        lambda C, args: {"closure": C.face_labels(closure(C, parse_labels(C, args.set)))},
+        "closure of a vertex set",
+        [INPUT, ("--set", {"required": True, "help": "comma-separated labels, or a JSON array of labels"})],
+    ),
+    "brcheck": (_brcheck, "boolean representability with witness", [INPUT]),
+    "tfam": (_tfam, "T-family, or rank-k truncation family with --k", [INPUT, K_OPTION]),
+    "tbrsc": (lambda C, args: {"tbrsc": is_tbrsc(C)}, "is the complex a TBRSC", [INPUT]),
+    "codim": (lambda C, args: {"codim": codimension(C)}, "codimension inside its T-family complex", [INPUT]),
+    "classify": (_classify, "going-up classification of a paving complex", [INPUT]),
+    "op": (
+        _op,
+        "apply an operator, output the complex",
+        [
+            ("op", {"choices": (*ONE_OPS, *TWO_OPS, "bd")}),
+            ("inputs", {"nargs": "*"}),
+            K_OPTION,
+            ("--m", {"type": int}),
+            ("--n", {"type": int}),
+            ("--d", {"type": int, "default": 2}),
+            ("--set", {}),
+            ("--line", {}),
+        ],
+    ),
+    "matroid": (
+        lambda C, args: MATROID[args.sub](C, args),
+        "matroid checks, extensions, shellings",
+        [("sub", {"choices": tuple(MATROID)}), INPUT, K_OPTION, ("--budget", {"type": int, "default": 10**8})],
+    ),
+    "catalog": (
+        _catalog,
+        "list or print the built-in complexes",
+        [("sub", {"choices": ("list", "get")}), ("name", {"nargs": "?"})],
+    ),
+    "iso": (
+        _iso,
+        "isomorphism, canonical form, embeddings",
+        [("sub", {"choices": ("check", "canon", "embed")}), ("inputs", {"nargs": "+"})],
+    ),
+    "reproduce": (
+        _reproduce,
+        "rerun the tagged result reproductions",
+        [("tags", {"nargs": "*"}), ("--list", {"action": "store_true"})],
+    ),
+}
 
 
 def build_parser():
@@ -361,53 +352,11 @@ def build_parser():
         description="Boolean representable simplicial complexes: checks, operators, reproduction.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (fn, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("check", cmd_check, help="full property report for one complex")
-    p.add_argument("input")
-    p = add("flats", cmd_flats, help="all flats")
-    p.add_argument("input")
-    p = add("closure", cmd_closure, help="closure of a vertex set")
-    p.add_argument("input")
-    p.add_argument("--set", required=True, help="comma-separated labels, or a JSON array of labels")
-    p = add("brcheck", cmd_brcheck, help="boolean representability with witness")
-    p.add_argument("input")
-    p = add("tfam", cmd_tfam, help="T-family, or rank-k truncation family with --k")
-    p.add_argument("input")
-    p.add_argument("--k", type=int)
-    p = add("tbrsc", cmd_tbrsc, help="is the complex a TBRSC")
-    p.add_argument("input")
-    p = add("codim", cmd_codim, help="codimension inside its T-family complex")
-    p.add_argument("input")
-    p = add("classify", cmd_classify, help="going-up classification of a paving complex")
-    p.add_argument("input")
-    p = add("op", cmd_op, help="apply an operator, output the complex")
-    p.add_argument("op", choices=(*ONE_OPS, *TWO_OPS, "bd"))
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--set")
-    p.add_argument("--line")
-    p = add("matroid", cmd_matroid, help="matroid checks, extensions, shellings")
-    p.add_argument("sub", choices=("check", "extend", "search", "shelling", "hstar", "pure"))
-    p.add_argument("input")
-    p.add_argument("--k", type=int)
-    p.add_argument("--budget", type=int, default=10**8)
-    p = add("catalog", cmd_catalog, help="list or print the built-in complexes")
-    p.add_argument("sub", choices=("list", "get"))
-    p.add_argument("name", nargs="?")
-    p = add("iso", cmd_iso, help="isomorphism, canonical form, embeddings")
-    p.add_argument("sub", choices=("check", "canon", "embed"))
-    p.add_argument("inputs", nargs="+")
-    p = add("reproduce", cmd_reproduce, help="rerun the tagged result reproductions")
-    p.add_argument("tags", nargs="*")
-    p.add_argument("--list", action="store_true")
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
     return ap
 
 
@@ -417,7 +366,14 @@ def main(argv=None):
     if args.cmd == "catalog" and args.sub == "get" and not args.name:
         ap.error("catalog get needs a name")
     try:
-        code = args.fn(args)
+        code = 0
+        if args.cmd == "reproduce":
+            code = args.fn(args)
+        elif "input" in args:
+            out = args.fn(load_complex(args.input), args)
+            emit({"id": args.input, **out} if isinstance(out, dict) else out)
+        else:
+            emit(args.fn(args))
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return code
     except BrokenPipeError:

@@ -1,17 +1,10 @@
 """Canonical forms, isomorphism, embeddings, and orbit enumeration.
 
-Canonical form of a complex: the lexicographically smallest sorted tuple of
-facet masks over all relabelings of the vertices. It has two routes with the
-same answer. On at most TABLE_MAX_N vertices `canonical_key` scores all n!
-relabelings at once, one weighted sum each from one cached numpy table. On 7
-to 10 vertices it searches: the search hands out new labels 0,1,2,... one at a
-time. Every key splits into one segment per label, the facets whose highest
-new label it is, so a search node computes only the segment of the vertex it
-places, follows only the candidates whose segment is smallest, and tries one
-vertex per class of twins (vertices whose swap is an automorphism);
-`_search_key` gives the argument for each rule. Isomorphism classes of whole
-families (graphs, paving complexes) come from orbit tables over face
-patterns instead.
+The canonical form of a complex is the lexicographically smallest sorted
+tuple of facet masks over all relabelings of its vertices; `canonical_key`
+reads it off a table on few vertices and searches for it on more.
+Isomorphism classes of whole families (graphs, paving complexes) come from
+orbit tables over face patterns instead.
 """
 
 from functools import lru_cache

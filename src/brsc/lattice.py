@@ -8,42 +8,20 @@ closed under the constraints (X, bad(X)) over the faces with |X| < k are
 - T(H) for k = dim + 1 (the faces of size <= dim),
 - T(H_k) for k <= dim (the faces of the truncation H_k).
 
-_extension_constraints, the one place that asks whether X + p is a face, reads
-the points extending each face off the faces one point larger; the pairs it
-builds, in increasing size of X, are propagated to a fixpoint by
-_horn_closure, which stops as soon as it reaches the full set V. The flats'
-extra pairs (X, V - X), one per (dim+1)-face X, fire only in a set holding X,
-so the flat closure of S is V when cl_T(S) holds a (dim+1)-face and cl_T(S)
-otherwise: given C's faces, _horn_closure tests its T(H) fixpoint once for
-one. _level_closure binds the two for one k, and F is a flat exactly when the
-closure for k = dim + 2 fixes F. An arbitrary
-family given by its members closes by intersection instead (_meet_closure).
-A listed Moore family (MooreFamily, such as the flats) holds its members in
-ascending order, and its closure of X is the first member at or after X that
-holds X, since the closure is the smallest member holding X as an int too.
-_closed_sets lists the closed sets of either closure by Ganter's NextClosure,
-one closure per candidate, so its cost follows the size of the family rather
-than 2^n; a candidate at b fails once its closure holds a point above b that
-it did not start with, and the Horn closure stops there. _level_walk lists
-the maximal members of a subset-closed family level by level, each set grown
-from a set one point smaller, so no function here scans all 2^n subsets; a
-set that grows no further is maximal when one isdisjoint call finds none of
-its one-point extensions on the next level. Both refuse past core.SET_LIMIT
-sets, as Complex.faces does, the level walk as soon as it lists one too
-many, and cap no vertex count. The level walk builds the complex J of
-either closure cl, the sets whose elements can be ordered so that each
-leaves the closure of the earlier ones (_independent_complex, whose
-docstring argues its coloop cone and its seeds), the long hyperplanes of a
-paving complex and the group-labeled graph complexes of the catalog.
-_first_gap walks J up to sets of size dim + 1 of a complex H, comparing it
-with H: this decides BR (cl the flat closure) and TBRSC (cl the T(H)
-closure). The public functions below are short calls into these helpers.
+_extension_constraints builds these pairs and _horn_closure closes under
+them. An arbitrary family given by its members closes by intersection
+(_meet_closure), and a listed Moore family (MooreFamily, such as the flats)
+reads a closure off its members. _closed_sets lists the closed sets of a
+closure, and _level_walk the maximal members of a subset-closed family,
+which builds J of a closure (_independent_complex), the long hyperplanes of
+a paving complex and the catalog's group-labeled graph complexes. Both
+refuse past core.SET_LIMIT sets, and no function here scans all 2^n
+subsets. _first_gap compares J with H up to size dim + 1, which decides BR
+and TBRSC. The public functions below are short calls into these helpers.
 
-Two independent routes exist from a set family R to its complex of
-partial transversals: transversal_complex walks chains of R directly,
-j_complex takes J of the intersection closure of R's members (the column
-closure of the boolean matrix of R). Tests compare them; library code uses
-j_complex (faster).
+transversal_complex walks chains of a set family directly: a second route
+to the complex of partial transversals that j_complex builds, which the
+tests compare with it.
 """
 
 from bisect import bisect_left
@@ -174,7 +152,9 @@ def _horn_closure(cons, full, faces, d1, X, stop=0):
     meeting stop is returned as soon as one is reached, in place of the
     closure, which then meets stop too. Unless faces is None, a fixpoint
     holding a member of faces with d1 points jumps to full (the flat closure,
-    over the T(H) constraints with d1 = dim + 1)."""
+    over the T(H) constraints with d1 = dim + 1): the flats' extra pairs
+    (X, V - X), one per (dim+1)-face X, fire only in a set holding X, so one
+    test of the fixpoint stands for them all."""
     S = X
     out = ~S
     while out & full:

@@ -187,8 +187,10 @@ def search_matroid_extensions(C, budget=10**8):
     J + i in S for some i in X - J".  A matroid is pure, so every top face of
     C must also lie in some member of S (a cover clause).  The set-up lists
     the C(n, d+2) candidate sets and builds |cands| * (|tops| - d - 2)
-    clauses; each count is checked against core.SET_LIMIT, and refused with
-    CapacityError past it, before the sets are listed or the clauses built.
+    clauses, each an int of |cands| bits.  The candidate count, and the
+    clauses' size in 64-bit words, clauses * ceil(|cands| / 64), are checked
+    against core.SET_LIMIT, and refused with CapacityError past it, before
+    the sets are listed or the clauses built.
 
     DFS over in/out decisions with unit propagation.  The state is two
     bitmask ints IN and OUT over the live candidates; a clause or cover set
@@ -226,8 +228,8 @@ def search_matroid_extensions(C, budget=10**8):
     # every (d+1)-subset of a candidate is a top face, so each candidate owns
     # one clause per top face outside it
     M = len(cands)
-    if M * (len(tops) - d1 - 1) > core.SET_LIMIT:
-        raise CapacityError(f"extension search with more than {core.SET_LIMIT} clauses is out of range")
+    if M * (len(tops) - d1 - 1) * -(-M // 64) > core.SET_LIMIT:
+        raise CapacityError(f"extension search with more than {core.SET_LIMIT} clause words is out of range")
 
     # per top face J: pts[J], the points i with J + i a candidate, whose bit
     # is bit_of[J + i], and cover[J], the OR of those bits; a clause (X, J)

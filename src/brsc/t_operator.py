@@ -3,25 +3,11 @@
 T(H) collects the sets closed under the extension constraints of the faces
 of size <= dim, and T(H_k), read off H directly, those of the faces of size
 < k (the lattice core's constraints with k = dim + 1 and k); both families
-are listed by the core's NextClosure. Most operators here avoid enumerating
-T(H): its closure cl_T is the core's propagation fixpoint over the finitely
-many (face, forced points) pairs, which is enough to build J(T(H)) and to
-walk it up to size dim + 1 for the TBRSC test. Every reader of cl_T closes
-through one memo per complex (_t_closure, kept for the last eight
-complexes), which holds the exact closures of the sets of at most dim + 1
-points, so the TBRSC test, the codimension and the going-up checks of one
-complex close each such set once. A going-up witness is a d-set
-Y and a point x outside cl(Y) with cl(Y + x) short of V; one walk lists them
-and answers every going-up question: whether C goes up, the witness of
-`goes_up`, and both neighbour checks of the classification, which decides
-each removal neighbour C - X from C's own witnesses and closures. Removing
-the top face X adds X - Z to bad(Z) for each d-subset Z of X, so every
-closure grows and every witness of C - X is already one of C. A closed set F
-of C keeps its closure unless it holds exactly d points of X; then the new
-constraint forces X, and since a set containing X is closed under the new
-constraints exactly when it is closed under the old ones, its new closure is
-cl(F | X). Each addition neighbour C + X is decided by dropping X's points
-from C's constraints.
+are listed by the core's NextClosure. Most operators here avoid listing
+T(H): its closure cl_T is the core's Horn closure, which is enough to build
+J(T(H)) and to walk it up to size dim + 1 for the TBRSC test. Every reader
+of cl_T closes through one memo per complex (_t_closure), and one walk of
+the going-up witnesses (_gu_witnesses) answers every going-up question.
 """
 
 from dataclasses import dataclass
@@ -195,9 +181,12 @@ def classify_minimality(C):
     """mGU / MNGU / neither, among paving complexes of the same dimension.
 
     C goes up when it has a witness, a d-set Y and a point x outside cl(Y)
-    with cl(Y + x) short of V. A removal neighbour C - X (X a top face) has
-    only witnesses of C, and its closure of a closed set F of C is F, or
-    cl(F | X) when F holds exactly d points of X (module docstring). So C - X
+    with cl(Y + x) short of V. Removing a top face X adds X - Z to bad(Z)
+    for each d-subset Z of X, so every closure grows and every witness of
+    C - X is already one of C. A closed set F of C keeps its closure unless
+    it holds exactly d points of X; then the new constraint forces X, and as
+    a set containing X is closed under the new constraints exactly when it
+    is closed under the old ones, its new closure is cl(F | X). So C - X
     goes up iff for some witness of C, x stays outside the grown cl(Y) and
     the grown cl(Y + x) stays short of V; the grown sets are closed once each
     for all X. An addition neighbour C + X drops X's points from C's

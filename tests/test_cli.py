@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,10 +14,43 @@ from hypothesis import strategies as st
 
 from brsc.catalog import catalog_names, named
 from brsc.cli import emit, load_complex, main
-from brsc.core import Complex, complex_from_json, complex_to_dict
-from brsc.lattice import closure
-from brsc.matroid import search_matroid_extensions, shelling_certificates
-from brsc.t_operator import jt_complex
+from brsc.core import (
+    Complex,
+    complex_from_json,
+    complex_to_dict,
+    contraction,
+    is_paving,
+    join,
+    oplus,
+    pure_part,
+    restriction,
+    sum_complex,
+    truncate,
+    union,
+)
+from brsc.iso import are_isomorphic, canonical_complex, embeds
+from brsc.lattice import closure, flats, is_boolean_representable
+from brsc.matroid import (
+    check_pure_conjecture,
+    h_star,
+    is_matroid,
+    is_near_matroid,
+    is_shellable,
+    matroid_extension_candidate,
+    search_matroid_extensions,
+    shelling_certificates,
+)
+from brsc.operators import b_d, up, up_iter
+from brsc.reproduce import REPRODUCE_TABLE
+from brsc.t_operator import (
+    classify_minimality,
+    codimension,
+    goes_up,
+    is_tbrsc,
+    jt_complex,
+    t_family,
+    truncation_t_family,
+)
 
 # one valid parameter set per parameterized entry
 PARAMS = {
@@ -255,8 +289,6 @@ def test_file_input_and_op_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "op", "up", str(p))
     assert code == 0
     U = complex_from_json(out)
-    from brsc.operators import up
-
     assert U == up(named("cfup"))
 
 
@@ -366,11 +398,14 @@ def test_shelling_refusals_exit_three(capsys, tmp_path):
 
 def test_extension_search_refusal_exits_three(capsys):
     # C(18, 4) = 3060 candidates, each owning one clause per top face outside
-    # it: 3060 * (816 - 4) = 2,484,720 clauses, refused before any is built
-    t0 = time.perf_counter()
-    code, out, err = run(capsys, "matroid", "search", "uniform:k=3,n=18", "--budget", "10")
-    assert time.perf_counter() - t0 < 1
-    assert code == 3 and out == "" and err.startswith("capacity: extension search with more than")
+    # it: 3060 * (816 - 4) = 2,484,720 clauses of 48 words, refused before
+    # any is built; C(15, 4) = 1365 candidates own 615,615 clauses, fewer
+    # than SET_LIMIT, but of 22 words each
+    for name in ("uniform:k=3,n=18", "uniform:k=3,n=15"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "matroid", "search", name, "--budget", "1000")
+        assert time.perf_counter() - t0 < 1
+        assert code == 3 and out == "" and err.startswith("capacity: extension search with more than")
 
 
 @pytest.mark.parametrize(
@@ -476,6 +511,157 @@ def test_op_up_refuses_negative_m(capsys):
 def test_classify_requires_paving(capsys):
     code, _, err = run(capsys, "classify", "exs")
     assert code == 2 and err
+
+
+def _members(C, fam):
+    return [C.face_labels(m) for m in sorted(fam.members, key=lambda m: (m.bit_count(), m))]
+
+
+def _check_report(name):
+    C = named(name)
+    out = {
+        "id": name,
+        "vertices": C.n,
+        "dim": C.dim,
+        "paving": is_paving(C),
+        "brsc": is_boolean_representable(C)[0],
+        "tbrsc": is_tbrsc(C),
+        "matroid": is_matroid(C)[0],
+        "near_matroid": is_near_matroid(C)[0],
+        "shellable": is_shellable(C) is not None,
+        "codim": codimension(C),
+        "classification": classify_minimality(C),
+    }
+    keys = ("flats", "paving", "brsc", "tbrsc", "matroid", "near_matroid", "shellable", "codim", "classification")
+    return {**out, "timings": dict.fromkeys(keys, 0)}
+
+
+def _brcheck(name):
+    C = named(name)
+    ok, gap = is_boolean_representable(C)
+    return {"id": name, "brsc": ok, "witness": None if gap is None else C.face_labels(gap)}
+
+
+def _classify(name):
+    C = named(name)
+    rep = goes_up(C)
+    return {
+        "id": name,
+        "classification": classify_minimality(C),
+        "verdict": rep.verdict,
+        "t_family_size": rep.t_family_size,
+        "max_chain_length": rep.max_chain_length,
+        "dim_jt": rep.dim_JT,
+    }
+
+
+def _matroid_check(name):
+    C = named(name)
+    ok, pair = is_matroid(C)
+    witness = None if pair is None else [C.face_labels(x) for x in pair]
+    return {"id": name, "matroid": ok, "near_matroid": is_near_matroid(C)[0], "witness": witness}
+
+
+def _matroid_extend(name):
+    cand, verdict = matroid_extension_candidate(named(name))
+    out = {"id": name, "verdict": verdict}
+    return out if verdict == "no_extension" else {**out, "candidate": complex_to_dict(cand)}
+
+
+def _matroid_search(name):
+    res = search_matroid_extensions(named(name))
+    extensions = [complex_to_dict(E) for E in res.extensions]
+    return {"id": name, "complete": res.complete, "nodes": res.nodes, "extensions": extensions}
+
+
+def _matroid_shelling(name):
+    C = named(name)
+    sh = is_shellable(C)
+    order = None if sh is None else [C.face_labels(f) for f in sh.order]
+    return {"id": name, "shellable": sh is not None, "order": order}
+
+
+def _embed(a, b):
+    C, D = named(a), named(b)
+    m = embeds(C, D)
+    return {"embeds": m is not None, "map": None if m is None else {str(C.labels[i]): D.labels[m[i]] for i in range(C.n)}}
+
+
+def _reproduce_list():
+    rows = []
+    for row in REPRODUCE_TABLE:
+        kind = "acceptance" if row.acceptance else "extra"
+        rows.append(f"{row.tag:16s} {kind:10s} budget {row.budget:>5.0f}s  {row.title}\n")
+    return "".join(rows)
+
+
+# every command once on a small catalog input, and the output built by
+# direct library calls: a dict as json.dumps(..., indent=2), a complex by
+# complex_to_dict; sme is a paving matroid on 6 vertices with labels 1-6
+GOLDEN = {
+    "check": (("check", "sme"), lambda: _check_report("sme")),
+    "flats": (("flats", "sme"), lambda: {"id": "sme", "flats": _members(named("sme"), flats(named("sme")))}),
+    "closure": (
+        ("closure", "exs", "--set", "1,2"),
+        lambda: {"id": "exs", "closure": named("exs").face_labels(closure(named("exs"), 0b11))},
+    ),
+    "brcheck": (("brcheck", "btbtwo"), lambda: _brcheck("btbtwo")),
+    "tfam": (("tfam", "sme"), lambda: {"id": "sme", "members": _members(named("sme"), t_family(named("sme")))}),
+    "tfam-k": (
+        ("tfam", "sme", "--k", "2"),
+        lambda: {"id": "sme", "members": _members(named("sme"), truncation_t_family(named("sme"), 2))},
+    ),
+    "tbrsc": (("tbrsc", "btbtwo"), lambda: {"id": "btbtwo", "tbrsc": is_tbrsc(named("btbtwo"))}),
+    "codim": (("codim", "sme"), lambda: {"id": "sme", "codim": codimension(named("sme"))}),
+    "classify": (("classify", "sme"), lambda: _classify("sme")),
+    "matroid-check": (("matroid", "check", "btbtwo"), lambda: _matroid_check("btbtwo")),
+    "matroid-extend": (("matroid", "extend", "sme"), lambda: _matroid_extend("sme")),
+    "matroid-search": (("matroid", "search", "sme"), lambda: _matroid_search("sme")),
+    "matroid-shelling": (("matroid", "shelling", "sme"), lambda: _matroid_shelling("sme")),
+    "matroid-hstar": (("matroid", "hstar", "sme"), lambda: h_star(named("sme"))),
+    "matroid-pure": (("matroid", "pure", "sme"), lambda: {"id": "sme", **check_pure_conjecture(named("sme"), 3)}),
+    "op-up": (("op", "up", "cfup"), lambda: up(named("cfup"))),
+    "op-up-m": (("op", "up", "sme", "--m", "1"), lambda: up_iter(named("sme"), 1)),
+    "op-pure": (("op", "pure", "exs"), lambda: pure_part(named("exs"))),
+    "op-truncate": (("op", "truncate", "sme", "--k", "2"), lambda: truncate(named("sme"), 2)),
+    "op-restrict": (("op", "restrict", "sme", "--set", "1,2,3,4"), lambda: restriction(named("sme"), 0b1111)),
+    "op-contract": (("op", "contract", "sme", "--set", "1"), lambda: contraction(named("sme"), 0b1)),
+    "op-union": (("op", "union", "cfup", "far"), lambda: union(named("cfup"), named("far"))),
+    "op-sum": (("op", "sum", "cfup", "far"), lambda: sum_complex(named("cfup"), named("far"))),
+    "op-join": (("op", "join", "cfup", "exs"), lambda: join(named("cfup"), named("exs"))),
+    "op-oplus": (
+        ("op", "oplus", "cfup", "rhodes:m=2,n=2"),
+        lambda: oplus(named("cfup"), named("rhodes", m=2, n=2)),
+    ),
+    "op-bd": (("op", "bd", "--n", "5", "--line", "1,2,3"), lambda: b_d(5, 0b111, 2)),
+    "iso-check": (("iso", "check", "sme", "triang"), lambda: {"isomorphic": are_isomorphic(named("sme"), named("triang"))}),
+    "iso-canon": (("iso", "canon", "btbtwo"), lambda: canonical_complex(named("btbtwo"))),
+    "iso-embed": (("iso", "embed", "cfup", "far"), lambda: _embed("cfup", "far")),
+    "catalog-list": (
+        ("catalog", "list"),
+        lambda: {"names": [{"name": n, "params": d} for n, d in catalog_names()]},
+    ),
+    "catalog-get": (("catalog", "get", "sme"), lambda: named("sme")),
+    "reproduce-list": (("reproduce", "--list"), _reproduce_list),
+}
+
+
+def _mask_timings(text):
+    # each value in the "timings" object reads 0
+    return re.sub(r'("timings": \{)([^}]*)', lambda m: m.group(1) + re.sub(r": [^,\n]+", ": 0", m.group(2)), text)
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_every_command_prints_the_library_result(capsys, case):
+    argv, build = GOLDEN[case]
+    code, out, err = run(capsys, *argv)
+    want = build()
+    if isinstance(want, Complex):
+        want = complex_to_dict(want)
+    if not isinstance(want, str):
+        want = json.dumps(want, indent=2) + "\n"
+    assert (code, err) == (0, "")
+    assert _mask_timings(out) == want
 
 
 def test_tag_table_is_single_source():

@@ -728,16 +728,17 @@ def test_extension_facet_sets_are_sized_as_built_from_a_set():
 def test_extension_search_refuses_exactly_past_its_set_limits(monkeypatch):
     # desargues: C(10, 4) = 210 sets of 4 points, counted before any is
     # listed; 140 candidates, each owning one clause per top face outside
-    # it, 140 * (110 - 4) = 14,840 clauses, counted before any is built
+    # it, 140 * (110 - 4) = 14,840 clauses of 140 bits, three 64-bit words
+    # each: 44,520 words, counted before any clause is built
     D = desargues()
-    monkeypatch.setattr(core, "SET_LIMIT", 14840)
+    monkeypatch.setattr(core, "SET_LIMIT", 44520)
     out = search_matroid_extensions(D)
     assert out.complete and out.extensions == [jt_complex(D)]
-    monkeypatch.setattr(core, "SET_LIMIT", 14839)
-    with pytest.raises(CapacityError, match="more than 14839 clauses"):
+    monkeypatch.setattr(core, "SET_LIMIT", 44519)
+    with pytest.raises(CapacityError, match="more than 44519 clause words"):
         search_matroid_extensions(D)
     monkeypatch.setattr(core, "SET_LIMIT", 210)
-    with pytest.raises(CapacityError, match="more than 210 clauses"):
+    with pytest.raises(CapacityError, match="more than 210 clause words"):
         search_matroid_extensions(D)
     monkeypatch.setattr(core, "SET_LIMIT", 209)
     with pytest.raises(CapacityError, match="more than 209 candidate sets"):

@@ -67,6 +67,27 @@ FAULTS = (
         ("tests/test_lattice.py", "-k", "refuse_exactly"),
     ),
     Fault(
+        "exchange-mask-drops-the-first-point",
+        "src/brsc/matroid.py",
+        "        ext = [(J, ~(J | bad[J])) for J in by_size[k] if J in bad]",
+        "        ext = [(J, ~(J | bad[J] | 1)) for J in by_size[k] if J in bad]",
+        ("tests/test_matroid.py", "-k", "extension_map_loop"),
+    ),
+    Fault(
+        "table-key-takes-the-smallest-sum",
+        "src/brsc/iso.py",
+        "    best = int(_perm_weights(C.n)[:, list(C.facets)].sum(axis=1).max())",
+        "    best = int(_perm_weights(C.n)[:, list(C.facets)].sum(axis=1).min())",
+        ("tests/test_iso.py", "-k", "table_key"),
+    ),
+    Fault(
+        "cli-result-without-its-id",
+        "src/brsc/cli.py",
+        '            emit({"id": args.input, **out} if isinstance(out, dict) else out)',
+        "            emit(out)",
+        ("tests/test_cli.py", "-k", "every_command_prints"),
+    ),
+    Fault(
         "extension-constraints-unsorted",
         "src/brsc/lattice.py",
         "    cons.sort(key=lambda c: c[0].bit_count())",
