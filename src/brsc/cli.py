@@ -129,7 +129,7 @@ def _guarded(out, timings, key, fn, C):
     timings[key] = round(perf_counter() - t0, 4)
 
 
-# the properties of `brsc check`, in report order; each reads null past a limit
+# the properties of `brsc check`, in report order; each null past a limit or where undefined
 CHECKS = (
     ("paving", is_paving),
     ("brsc", lambda C: is_boolean_representable(C)[0]),
