@@ -232,10 +232,12 @@ def _require(value, flag):
 
 def _op(args):
     if args.op == "bd":
+        if args.inputs:
+            raise DomainError("op bd takes no complex")
         n = _require(args.n, "--n")
         return b_d(n, parse_labels(Complex(n, ()), _require(args.line, "--line")), args.d)
     if args.op in ONE_OPS:
-        if not args.inputs:
+        if len(args.inputs) != 1:
             raise DomainError(f"op {args.op} needs one complex")
         return ONE_OPS[args.op](load_complex(args.inputs[0]), args)
     if len(args.inputs) != 2:
@@ -245,6 +247,8 @@ def _op(args):
 
 def _iso(args):
     if args.sub == "canon":
+        if len(args.inputs) != 1:
+            raise DomainError("iso canon needs one complex")
         return canonical_complex(load_complex(args.inputs[0]))
     if len(args.inputs) != 2:
         raise DomainError(f"iso {args.sub} needs two complexes")

@@ -190,7 +190,8 @@ def search_matroid_extensions(C, budget=10**8):
     clauses, each an int of |cands| bits.  The candidate count, and the
     clauses' size in 64-bit words, clauses * ceil(|cands| / 64), are checked
     against core.SET_LIMIT, and refused with CapacityError past it, before
-    the sets are listed or the clauses built.
+    the sets are listed or the clauses built, the clauses counted one by one
+    where that product passes the limit.
 
     DFS over in/out decisions with unit propagation.  The state is two
     bitmask ints IN and OUT over the live candidates; a clause or cover set
@@ -225,12 +226,6 @@ def search_matroid_extensions(C, budget=10**8):
     fset = C.faces
     tops = sorted(C.faces_of_size(d1))
     cands = [X for X in k_submasks(C.full_mask, d1 + 1) if all(s in fset for s in k_submasks(X, d1))]
-    # every (d+1)-subset of a candidate is a top face, so each candidate owns
-    # one clause per top face outside it
-    M = len(cands)
-    if M * (len(tops) - d1 - 1) * -(-M // 64) > core.SET_LIMIT:
-        raise CapacityError(f"extension search with more than {core.SET_LIMIT} clause words is out of range")
-
     # per top face J: pts[J], the points i with J + i a candidate, whose bit
     # is bit_of[J + i], and cover[J], the OR of those bits; a clause (X, J)
     # is the OR over X & pts[J] alone
@@ -245,6 +240,21 @@ def search_matroid_extensions(C, budget=10**8):
             m ^= p
             pts[X ^ p] |= p
             cover[X ^ p] |= b
+
+    # every (d+1)-subset of a candidate is a top face, so each candidate owns
+    # one clause per top face outside it, built up to its first with no options
+    M = len(cands)
+    words = -(-M // 64)
+    if M * (len(tops) - d1 - 1) * words > core.SET_LIMIT:
+        room = core.SET_LIMIT // words
+        for X in cands:
+            for J in tops:
+                if J & ~X:
+                    if not X & pts[J]:
+                        break
+                    room -= 1
+            if room < 0:
+                raise CapacityError(f"extension search with more than {core.SET_LIMIT} clause words is out of range")
 
     # per candidate: the clauses it owns, each the mask of its option indices;
     # a clause with no options marks its owner dead at once and ends its

@@ -35,6 +35,9 @@ from .lattice import (
     _horn_closure,
     _independent_complex,
     _level_closure,
+    _table_gap,
+    _tables,
+    SUBSET_TABLE_MAX_N,
     flats,
 )
 from .operators import b_d
@@ -104,8 +107,10 @@ def jt_complex(C):
 def is_tbrsc(C):
     """Whether C is the (dim+1)-truncation of the BRSC J(T(H)): the lattice
     core's walk of J(T(H)) up to size dim + 1 finds no set where they differ,
-    one cl_T per independent set of size <= dim."""
-    return _first_gap(C, _t_closure(C)) is None
+    one cl_T per independent set of size <= dim, or read off subset tables
+    on at most SUBSET_TABLE_MAX_N vertices."""
+    gap = _first_gap(C, _t_closure(C)) if C.n > SUBSET_TABLE_MAX_N else _table_gap(C, _tables(C)[1])
+    return gap is None
 
 
 def paving_tbrsc_criterion(C):

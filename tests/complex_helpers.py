@@ -1,8 +1,12 @@
 """Helpers shared by the test modules: the hypothesis strategy of small
-complexes and the relabeling of a complex's vertices."""
+complexes, the relabeling of a complex's vertices, and the comparison of the
+subset-table route with the Horn-closure route."""
+
+from functools import partial
 
 from hypothesis import strategies as st
 
+from brsc import lattice, t_operator
 from brsc.core import Complex, bits, mask_of
 
 
@@ -22,3 +26,27 @@ def complexes(max_n):
 def relabeled(C, perm):
     """C with each vertex v moved to perm[v], under the default labels."""
     return Complex(C.n, [mask_of(perm[v] for v in bits(f)) for f in C.facets])
+
+
+def table(members):
+    """The subset table of a family: bit S set for each member S."""
+    return sum(1 << X for X in members)
+
+
+def assert_routes_agree(C):
+    """flats, is_boolean_representable and is_tbrsc of C, and the subset
+    tables of T(H) and the flats, against the Horn route: NextClosure's
+    lists and _first_gap's walks over the flat closure and cl_T."""
+    want = lattice._closed_sets(C.n, lattice._level_closure(C, C.dim + 2), "flat family")
+    got = lattice.flats(C)
+    assert got == want and got.ascending == want.ascending
+    faces, closed, flat = lattice._tables(C)
+    assert faces == table(C.faces)
+    assert flat == table(want.members)
+    assert closed == table(t_operator.t_family(C).members)
+    gap = lattice._first_gap(C, want.closure)
+    assert lattice._table_gap(C, flat) == gap
+    assert lattice.is_boolean_representable(C) == (gap is None, gap)
+    t_gap = lattice._first_gap(C, partial(t_operator.cl_T, C))
+    assert lattice._table_gap(C, closed) == t_gap
+    assert t_operator.is_tbrsc(C) == (t_gap is None)

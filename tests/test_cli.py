@@ -320,6 +320,21 @@ def test_iso_canon_at_the_cap(capsys, tmp_path):
     assert "capacity: canonical form search not supported for n=11" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("op", "pure", "exs", "cfup"), "op pure needs one complex"),
+        (("op", "up"), "op up needs one complex"),
+        (("op", "bd", "exs", "--n", "4", "--line", "1,2"), "op bd takes no complex"),
+        (("iso", "canon", "exs", "cfup", "nosuch"), "iso canon needs one complex"),
+    ],
+    ids=["op-two-inputs", "op-no-input", "bd-an-input", "canon-three-inputs"],
+)
+def test_inputs_a_command_would_not_read_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_environment_sets_no_option(capsys, monkeypatch):
     # the toolkit is single-process: no environment variable is read
     monkeypatch.setenv("BRSC_THREADS", "two")

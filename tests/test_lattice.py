@@ -47,8 +47,8 @@ from brsc.lattice import (
 from brsc.iso import all_complexes
 from brsc.operators import b_d
 from brsc.reproduce import tri
-from brsc.t_operator import cl_T, jt_complex, t_family, truncation_t_family
-from complex_helpers import complexes
+from brsc.t_operator import cl_T, is_tbrsc, jt_complex, t_family, truncation_t_family
+from complex_helpers import assert_routes_agree, complexes
 from independence_oracle import independent_order
 
 
@@ -951,6 +951,44 @@ def test_first_gap_matches_probing_walk(C):
     # point that leaves a face inside its closure
     for cl in (flats(C).closure, partial(cl_T, C)):
         assert lattice._first_gap(C, cl) == probing_first_gap(C, cl)
+
+
+def test_subset_tables_match_the_horn_route_on_every_small_complex():
+    seen = 0
+    for n in range(1, 6):
+        for C in all_complexes(n):
+            assert_routes_agree(C)
+            seen += 1
+    assert seen == 7020
+
+
+@given(complexes(max_n=8))
+@settings(max_examples=200, deadline=None)
+def test_subset_tables_match_the_horn_route(C):
+    assert_routes_agree(C)
+
+
+def test_subset_tables_match_the_horn_route_on_sampled_wide_complexes():
+    rng = random.Random(34)
+    for _ in range(16):
+        n = rng.randint(9, 12)
+        assert_routes_agree(reproduce.random_line_union(rng, n, rng.randint(2, 3)))
+        assert_routes_agree(reproduce.random_paving(rng, n, rng.choice((2, 3)), rng.uniform(0.3, 0.9)))
+
+
+@pytest.mark.parametrize("n, tables", [(12, 1), (13, 0)])
+def test_subset_tables_end_at_twelve_vertices(n, tables):
+    # flats, BR and TBRSC read the tables on 12 vertices and take the Horn
+    # route on 13; both give the other route's answers
+    assert lattice.SUBSET_TABLE_MAX_N == 12
+    C = reproduce.random_line_union(random.Random(n), n, 3)
+    lattice._tables.cache_clear()
+    flats.cache_clear()
+    flats(C)
+    is_boolean_representable(C)
+    is_tbrsc(C)
+    assert lattice._tables.cache_info().currsize == tables
+    assert_routes_agree(C)
 
 
 def test_br_far_example():

@@ -728,14 +728,16 @@ def test_extension_facet_sets_are_sized_as_built_from_a_set():
 def test_extension_search_refuses_exactly_past_its_set_limits(monkeypatch):
     # desargues: C(10, 4) = 210 sets of 4 points, counted before any is
     # listed; 140 candidates, each owning one clause per top face outside
-    # it, 140 * (110 - 4) = 14,840 clauses of 140 bits, three 64-bit words
-    # each: 44,520 words, counted before any clause is built
+    # it, at most 140 * (110 - 4) = 14,840 clauses of 140 bits, three 64-bit
+    # words each (44,520 words). A candidate's clauses end at its first one
+    # with no options, so 13,361 clauses, 40,083 words, are built, and they
+    # are counted before any is
     D = desargues()
-    monkeypatch.setattr(core, "SET_LIMIT", 44520)
+    monkeypatch.setattr(core, "SET_LIMIT", 40083)
     out = search_matroid_extensions(D)
     assert out.complete and out.extensions == [jt_complex(D)]
-    monkeypatch.setattr(core, "SET_LIMIT", 44519)
-    with pytest.raises(CapacityError, match="more than 44519 clause words"):
+    monkeypatch.setattr(core, "SET_LIMIT", 40082)
+    with pytest.raises(CapacityError, match="more than 40082 clause words"):
         search_matroid_extensions(D)
     monkeypatch.setattr(core, "SET_LIMIT", 210)
     with pytest.raises(CapacityError, match="more than 210 clause words"):
@@ -743,6 +745,24 @@ def test_extension_search_refuses_exactly_past_its_set_limits(monkeypatch):
     monkeypatch.setattr(core, "SET_LIMIT", 209)
     with pytest.raises(CapacityError, match="more than 209 candidate sets"):
         search_matroid_extensions(D)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("rhodes", {"m": 5, "n": 3}), ("dowling", {"m": 2, "n": 4}), ("dowling", {"m": 4, "n": 3}), ("dowling", {"m": 5, "n": 3})],
+)
+def test_extension_search_answers_past_the_clause_bound(name, params):
+    # |cands| * (|tops| - d - 2) * ceil(|cands| / 64) words pass SET_LIMIT,
+    # but each candidate's clauses end early: no extension, found at once
+    C = named(name, **params)
+    d1 = C.dim + 1
+    tops = C.faces_of_size(d1)
+    M = sum(all(s in C.faces for s in k_submasks(X, d1)) for X in k_submasks(C.full_mask, d1 + 1))
+    assert M * (len(tops) - d1 - 1) * -(-M // 64) > core.SET_LIMIT
+    t0 = time.perf_counter()
+    out = search_matroid_extensions(C, budget=1000)
+    assert time.perf_counter() - t0 < 5
+    assert out.complete and out.extensions == [] and out.nodes == 0
 
 
 def test_shelling_certificates_on_two_triangle_example():

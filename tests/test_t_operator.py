@@ -52,7 +52,7 @@ from brsc.t_operator import (
     t_family,
     two_line_complex,
 )
-from complex_helpers import complexes, relabeled
+from complex_helpers import assert_routes_agree, complexes, relabeled
 from independence_oracle import independent_order
 
 
@@ -235,6 +235,14 @@ def test_removal_route_matches_rebuilt_constraints_on_line_unions():
             for j in range(i + 1, n):
                 C = jijn(i, j, n)
                 assert classify_minimality(C) == rebuilt_constraints_classify(C)
+
+
+def test_subset_tables_match_the_horn_route_on_the_paving_classes_of_six():
+    seen = 0
+    for C in paving2_reps(6):
+        assert_routes_agree(C)
+        seen += 1
+    assert seen == 2135
 
 
 def test_removal_route_matches_rebuilt_constraints_on_random_line_unions():

@@ -88,6 +88,34 @@ FAULTS = (
         ("tests/test_cli.py", "-k", "every_command_prints"),
     ),
     Fault(
+        "subset-tables-constrain-the-top-faces",
+        "src/brsc/lattice.py",
+        "        up = (faces ^ top) & out & ~(faces >> s)",
+        "        up = faces & out & ~(faces >> s)",
+        ("tests/test_lattice.py", "-k", "subset_tables"),
+    ),
+    Fault(
+        "table-gap-takes-the-largest-witness",
+        "src/brsc/lattice.py",
+        "            return (missing & -missing).bit_length() - 1",
+        "            return missing.bit_length() - 1",
+        ("tests/test_lattice.py", "-k", "subset_tables"),
+    ),
+    Fault(
+        "extension-word-count-ignores-empty-clauses",
+        "src/brsc/matroid.py",
+        "                    if not X & pts[J]:",
+        "                    if False:",
+        ("tests/test_matroid.py", "-k", "clause_bound"),
+    ),
+    Fault(
+        "iso-canon-reads-its-first-input",
+        "src/brsc/cli.py",
+        '            raise DomainError("iso canon needs one complex")',
+        "            pass",
+        ("tests/test_cli.py", "-k", "would_not_read"),
+    ),
+    Fault(
         "extension-constraints-unsorted",
         "src/brsc/lattice.py",
         "    cons.sort(key=lambda c: c[0].bit_count())",
