@@ -14,7 +14,6 @@ from math import comb
 
 from . import core
 from .core import (
-    CapacityError,
     Complex,
     DomainError,
     SetFamily,
@@ -101,8 +100,7 @@ def _gain_graph(m, n, loops, most_cyclic):
     count = m * comb(n, 2) + (n if loops else 0)
     core.check_capacity(count)
     bound = sum(comb(count, k) for k in range(n + 1))
-    if bound > core.SET_LIMIT:
-        raise CapacityError(f"{count} atoms allow {bound} faces of at most {n} atoms, more than {core.SET_LIMIT}")
+    core.check_count(bound, f"group complex on {count} atoms", f"faces of at most {n} atoms")
     nodes = range(1, n + 1)
     atoms = [(i, i, None) for i in nodes] if loops else []
     atoms += [(i, j, g) for i, j in combinations(nodes, 2) for g in range(m)]
@@ -154,8 +152,7 @@ def _uniform(k, n):
     if not 1 <= k <= n:
         raise DomainError("uniform needs 1 <= k <= n")
     core.check_capacity(n)
-    if comb(n, k) > core.SET_LIMIT:
-        raise CapacityError(f"uniform complex with more than {core.SET_LIMIT} facets is out of range")
+    core.check_count(comb(n, k), "uniform complex", "facets")
     return Complex(n, set(k_submasks((1 << n) - 1, k)))
 
 
@@ -163,8 +160,7 @@ def _jnmk(n, m, k):
     if not n >= m >= k >= 1:
         raise DomainError("jnmk needs n >= m >= k >= 1")
     core.check_capacity(n)
-    if comb(m, k) > core.SET_LIMIT:
-        raise CapacityError(f"jnmk complex with more than {core.SET_LIMIT} facets is out of range")
+    core.check_count(comb(m, k), "jnmk complex", "facets")
     gens = {mask_of(c) for c in combinations(range(m), k)}
     return Complex(n, gens)
 
@@ -198,8 +194,7 @@ def _swirl(d):
         raise DomainError("swirl needs d >= 2")
     n = (d + 1) * (d + 2)
     core.check_capacity(n)
-    if comb(n, d) + comb(n, d + 1) > core.SET_LIMIT:
-        raise CapacityError(f"swirl with more than {core.SET_LIMIT} generating sets is out of range")
+    core.check_count(comb(n, d) + comb(n, d + 1), "swirl", "generating sets")
     a = list(range(d + 1))
     b = [[d + 1 + i * (d + 1) + j for j in range(d + 1)] for i in range(d + 1)]
     removed = set()

@@ -23,6 +23,7 @@ from .core import (
     CapacityError,
     Complex,
     DomainError,
+    _by_size,
     _label_finder,
     _read_json,
     complex_from_json,
@@ -116,8 +117,7 @@ def emit(data):
 
 
 def _family_labels(C, fam):
-    members = sorted(fam.members, key=lambda m: (m.bit_count(), m))
-    return [C.face_labels(m) for m in members]
+    return [C.face_labels(m) for m in _by_size(fam.members)]
 
 
 def _guarded(out, timings, key, fn, C):

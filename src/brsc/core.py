@@ -28,6 +28,18 @@ class CapacityError(RuntimeError):
 # level-walk sets. Readers look it up here at call time, so one patch moves it.
 SET_LIMIT = 1 << 20
 
+# Most complexes whose derived data each per-complex cache keeps: the flats,
+# the subset tables, the T(H) constraints and closures, and the canonical
+# keys. A cache's size is fixed when its module is imported.
+CACHED_COMPLEXES = 8
+
+
+def check_count(count, what, unit):
+    """Refuse a family of count members past SET_LIMIT. Builders call it with
+    a count they take before listing anything, so a refusal costs nothing."""
+    if count > SET_LIMIT:
+        raise CapacityError(f"{what} with more than {SET_LIMIT} {unit} is out of range")
+
 
 def check_capacity(n):
     """Refuse a vertex count past the 64-vertex capacity. Builders call it
@@ -245,8 +257,7 @@ class Complex:
         """The full face family as a frozenset of masks, materialized on first use.
         Refused past SET_LIMIT faces, at once if one facet has more subsets."""
         if self._faces is None:
-            if 1 << self.dim + 1 > SET_LIMIT:
-                raise CapacityError(f"face family with more than {SET_LIMIT} sets is out of range")
+            check_count(1 << self.dim + 1, "face family", "sets")
             out = set()
             for f in self.facets:
                 out.update(submasks(f))
@@ -285,12 +296,19 @@ class Complex:
         return hash((self.n, self.facets))
 
     def __repr__(self):
-        fct = sorted(self.facets, key=lambda m: (m.bit_count(), m))
+        fct = _by_size(self.facets)
         shown = ", ".join(
             "{" + ",".join(str(l) for l in self.face_labels(f)) + "}" for f in fct[:8]
         )
         more = "" if len(fct) <= 8 else f", ... ({len(fct)} facets)"
         return f"Complex(n={self.n}, facets=[{shown}{more}])"
+
+
+def _by_size(masks):
+    """masks sorted by size, then by value."""
+    out = sorted(masks)
+    out.sort(key=int.bit_count)
+    return out
 
 
 def _induced(C, gens, W):
@@ -303,6 +321,8 @@ def restriction(C, W):
     """Induced subcomplex on the vertex subset W (a mask)."""
     if W == 0:
         raise DomainError("restriction to the empty vertex set")
+    if W & ~C.full_mask:
+        raise DomainError("set uses vertices outside 0..n-1")
     return _induced(C, C.facets, W)
 
 
@@ -466,16 +486,9 @@ def _json_vertices(C):
     return C.n if C.labels == tuple(range(1, C.n + 1)) else list(C.labels)
 
 
-def _sorted_facets(C):
-    """C's facets sorted by size, then mask."""
-    fct = sorted(C.facets)
-    fct.sort(key=int.bit_count)
-    return fct
-
-
 def complex_to_dict(C):
     """The JSON interchange object of C, facets sorted by size then mask."""
-    return {"vertices": _json_vertices(C), "facets": [C.face_labels(f) for f in _sorted_facets(C)]}
+    return {"vertices": _json_vertices(C), "facets": [C.face_labels(f) for f in _by_size(C.facets)]}
 
 
 def write_complex_json(C, out):
@@ -488,7 +501,7 @@ def write_complex_json(C, out):
     item = ["      " + json.dumps(l) for l in C.labels]
     out.write('{\n  "vertices": ' + vertices + ',\n  "facets": [')
     sep = "\n"
-    for f in _sorted_facets(C):
+    for f in _by_size(C.facets):
         out.write(sep + "    [\n" + ",\n".join([item[v] for v in bits(f)]) + "\n    ]")
         sep = ",\n"
     out.write("\n  ]\n}\n")

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from operator import le
 
+from . import core
 from .core import CapacityError, Complex, DomainError, _labels, bits, mask_of
 
 
@@ -184,7 +185,7 @@ def _canonical_from(ctx, d, placed, tight, best):
     return best
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=core.CACHED_COMPLEXES)
 def _canonical_key_cached(C):
     return canonical_key(C)
 

@@ -16,11 +16,12 @@ closure, and _level_walk the maximal members of a subset-closed family,
 which builds J of a closure (_independent_complex), the long hyperplanes of
 a paving complex and the catalog's group-labeled graph complexes. Both
 refuse past core.SET_LIMIT sets. _first_gap compares J with H up to size
-dim + 1, which decides BR and TBRSC. On at most SUBSET_TABLE_MAX_N vertices
-the flats, T(H) and that walk are read off 2^n-bit subset tables instead
-(_tables, _table_gap): on such small complexes the per-set work of the
-closures costs more than a few hundred operations on whole families. The
-public functions below are short calls into these helpers.
+dim + 1, which decides BR and TBRSC. On small complexes the flats, T(H) and
+that walk are read off 2^n-bit subset tables instead (_tables), where the
+per-set work of the closures costs more than a few hundred operations on
+whole families; _on_tables alone decides which complexes take them, and _gap
+alone which route walks J. The public functions below are short calls into
+these helpers.
 
 transversal_complex walks chains of a set family directly: a second route
 to the complex of partial transversals that j_complex builds, which the
@@ -319,6 +320,11 @@ def _first_gap(C, cl):
 SUBSET_TABLE_MAX_N = 12
 
 
+def _past_tables(C):
+    """Whether C has too many vertices to take the subset tables."""
+    return C.n > SUBSET_TABLE_MAX_N
+
+
 @lru_cache(maxsize=SUBSET_TABLE_MAX_N)
 def _subset_masks(n):
     """For n vertices, a triple (col, ~col, 2^p) per point p, col the table
@@ -331,7 +337,7 @@ def _subset_masks(n):
     return [(col, ~col, 1 << p) for p, col in enumerate(cols)], size
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=core.CACHED_COMPLEXES)
 def _tables(C):
     """(faces, T(H), flats) of C as subset tables. A set S fails to be
     T(H)-closed when some face X inside S with |X| <= dim has a point p
@@ -356,12 +362,17 @@ def _tables(C):
     return faces, closed, closed & ~top | 1 << C.full_mask
 
 
-def _table_gap(C, closed):
-    """_first_gap of the closure whose closed sets form the table closed: p
-    lies outside cl(Y) exactly when some closed set without p holds Y, so the
-    sets under the closed sets without p are those a level grows by p."""
+def _gap(C, family, closure_of):
+    """_first_gap of the closure whose closed sets are family, "T(H)" or
+    "flats": the walk over closure_of(C) past SUBSET_TABLE_MAX_N vertices,
+    else read off C's subset tables. There p lies outside cl(Y) exactly when
+    some closed set without p holds Y, so the sets under the closed sets
+    without p are those a level grows by p."""
+    if _past_tables(C):
+        return _first_gap(C, closure_of(C))
     steps, size = _subset_masks(C.n)
-    faces = _tables(C)[0]
+    faces, t_h, fl = _tables(C)
+    closed = {"T(H)": t_h, "flats": fl}[family]
     free = []
     for _, out, s in steps:
         down = closed & out
@@ -380,10 +391,10 @@ def _table_gap(C, closed):
     return None
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=core.CACHED_COMPLEXES)
 def flats(C):
     """All flats: the sets closed under every face's extension constraint."""
-    if C.n > SUBSET_TABLE_MAX_N:
+    if _past_tables(C):
         return _closed_sets(C.n, _level_closure(C, C.dim + 2), "flat family")
     table = _tables(C)[2]
     out = []
@@ -417,8 +428,7 @@ def _long_hyperplanes(C, d):
     C(n, d + 1) bounds the first level, so it is checked against SET_LIMIT
     before the level is listed."""
     n = C.n
-    if comb(n, d + 1) > core.SET_LIMIT:
-        raise CapacityError(f"facet-free family with more than {core.SET_LIMIT} sets is out of range")
+    core.check_count(comb(n, d + 1), "facet-free family", "sets")
     fct = C.facets
     # a (d+1)-set holds a facet exactly when it or one of its d-subsets is one
     first = [X for X in k_submasks(C.full_mask, d + 1) if fct.isdisjoint([X, *(X ^ 1 << x for x in bits(X))])]
@@ -546,7 +556,7 @@ def is_boolean_representable(C):
     (None when ok). J(Fl H) lies inside H, since a point outside the flat
     cl(Y) extends the face Y, so the first gap of the walk is that witness.
     """
-    gap = _first_gap(C, flats(C).closure) if C.n > SUBSET_TABLE_MAX_N else _table_gap(C, _tables(C)[2])
+    gap = _gap(C, "flats", lambda C: flats(C).closure)
     return gap is None, gap
 
 

@@ -24,6 +24,7 @@ from .core import (
     truncate,
 )
 from .lattice import MooreFamily, _paving_dimension, _require_representable, flats, is_boolean_representable, j_complex
+from .operators import b_d
 from .t_operator import _t_constraints, is_tbrsc, jt_complex
 
 
@@ -48,6 +49,12 @@ def is_matroid(C):
                 if I & e == 0:
                     return False, (I, J)
     return True, None
+
+
+def _require_matroid(C, what):
+    """A DomainError naming what asked, unless C is a matroid."""
+    if not is_matroid(C)[0]:
+        raise DomainError(f"{what} is defined for matroids")
 
 
 def _proper_closures(C):
@@ -156,9 +163,7 @@ def matroid_extension_candidate(C):
     unique extension truncates back to C; `brsc reproduce extensions` and
     the tests check that.
     """
-    ok, _ = is_matroid(C)
-    if not ok:
-        raise DomainError("the extension candidate is defined for matroids")
+    _require_matroid(C, "the extension candidate")
     JT = jt_complex(C)
     cd = JT.dim - C.dim
     if cd == 0:
@@ -216,13 +221,10 @@ def search_matroid_extensions(C, budget=10**8):
     """
     if budget < 0:
         raise DomainError("the search budget must be >= 0")
-    ok, _ = is_matroid(C)
-    if not ok:
-        raise DomainError("the extension search starts from a matroid")
+    _require_matroid(C, "the extension search")
     n = C.n
     d1 = C.dim + 1
-    if comb(n, d1 + 1) > core.SET_LIMIT:
-        raise CapacityError(f"extension search over more than {core.SET_LIMIT} candidate sets is out of range")
+    core.check_count(comb(n, d1 + 1), "extension search", "candidate sets")
     fset = C.faces
     tops = sorted(C.faces_of_size(d1))
     cands = [X for X in k_submasks(C.full_mask, d1 + 1) if all(s in fset for s in k_submasks(X, d1))]
@@ -573,8 +575,7 @@ def is_shellable(C):
     """
     facets = sorted(C.facets, key=lambda f: (-f.bit_count(), f))
     m = len(facets)
-    if m * (m - 1) // 2 > core.SET_LIMIT:
-        raise CapacityError(f"shelling of {m} facets needs more than {core.SET_LIMIT} step tests")
+    core.check_count(m * (m - 1) // 2, f"shelling of {m} facets", "step tests")
     if not _links_connected(facets):
         return None
     return _shelling_from(facets)
@@ -602,15 +603,12 @@ def _lines(C, d):
 
 
 def l_mu(C, L):
-    """Faces I + p with I a d-subset of the line L and p outside L."""
+    """Faces I + p with I a d-subset of the line L and p outside L: the
+    (d+1)-facets of b_d(n, L, d)."""
     d = _bpav_dim(C)
     if L not in _lines(C, d):
         raise DomainError("L must be a line")
-    out = set()
-    for I in k_submasks(L, d):
-        for p in bits(C.full_mask & ~L):
-            out.add(I | (1 << p))
-    return SetFamily(C.n, out)
+    return SetFamily(C.n, {F for F in b_d(C.n, L, d).facets if F.bit_count() == d + 1})
 
 
 def h_star(C):

@@ -4,7 +4,6 @@ from math import comb
 
 from . import core
 from .core import (
-    CapacityError,
     Complex,
     DomainError,
     SetFamily,
@@ -20,9 +19,7 @@ def up(C):
 
     Generated by the facets f and the sets f + p for p outside f: those are
     counted, and refused past core.SET_LIMIT, before any is listed."""
-    count = sum(C.n + 1 - f.bit_count() for f in C.facets)
-    if count > core.SET_LIMIT:
-        raise CapacityError(f"up with more than {core.SET_LIMIT} generating sets is out of range")
+    core.check_count(sum(C.n + 1 - f.bit_count() for f in C.facets), "up", "generating sets")
     gens = set(C.facets)
     for f in C.facets:
         for p in range(C.n):
@@ -52,8 +49,7 @@ def up_iter_paving(C, m):
         raise DomainError("m must be >= 0")
     full = C.full_mask
     k = d + m + 1
-    if comb(C.n, min(k - 1, C.n)) + comb(C.n, k) > core.SET_LIMIT:
-        raise CapacityError(f"iterated up with more than {core.SET_LIMIT} generating sets is out of range")
+    core.check_count(comb(C.n, min(k - 1, C.n)) + comb(C.n, k), "iterated up", "generating sets")
     top = [f for f in C.faces if f.bit_count() == d + 1]
     gens = set(k_submasks(full, min(k - 1, C.n)))
     if k <= C.n:
@@ -123,8 +119,7 @@ def b_d(n, L, d):
     if not 2 <= d <= L.bit_count() or L == full:
         raise DomainError("b_d requires 2 <= d <= |L| < |V|")
     outside = full & ~L
-    if comb(n, d) + comb(L.bit_count(), d) * outside.bit_count() > core.SET_LIMIT:
-        raise CapacityError(f"b_d family with more than {core.SET_LIMIT} sets is out of range")
+    core.check_count(comb(n, d) + comb(L.bit_count(), d) * outside.bit_count(), "b_d family", "sets")
     gens = set(k_submasks(full, d))
     for I in k_submasks(L, d):
         gens.update(I | 1 << p for p in bits(outside))

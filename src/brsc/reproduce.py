@@ -52,6 +52,7 @@ from .operators import (
 )
 from .t_operator import (
     _is_gu,
+    _restrictions_are_mgu,
     classify_minimality,
     enumerate_mgu,
     enumerate_mngu,
@@ -418,12 +419,9 @@ def crit_truncation(check):
         stray == 0,
         f"{stray} strays",
     )
-    found = []
-    for C in paving_complexes(6, 2):
-        if C.dim != 2:
-            continue
-        if is_tbrsc(C) and not is_boolean_representable(C)[0]:
-            found.append(canonical_complex(C))
+    found = [
+        canonical_complex(C) for C in paving2_reps(6) if is_tbrsc(C) and not is_boolean_representable(C)[0]
+    ]
     want = {canonical_complex(named("six", case=c)) for c in range(1, 6)}
     check(
         "six-vertex scan finds exactly the five catalogued classes",
@@ -932,23 +930,13 @@ def crit_going_up(check):
         out10 == [(3, 6), (3, 7), (4, 7)] and len(out10) == (100 - 150 + 56) // 2,
         str(out10),
     )
-    verdict_cache = {}
-
-    def restricted_is_mgu(a, b, m):
-        key = (min(a, b), max(a, b), m)
-        if key not in verdict_cache:
-            std = two_line_complex(key[0], key[1], m)
-            verdict_cache[key] = classify_minimality(std) == "mGU"
-        return verdict_cache[key]
-
-    bad = []
-    for n in range(5, 10):
-        for i, j in mgu_pairs(n):
-            if not any(
-                restricted_is_mgu(*j_restriction_params(i, j, n, p), n - 1)
-                for p in range(1, n + 1)
-            ):
-                bad.append((i, j, n))
+    verdicts = {}
+    bad = [
+        (i, j, n)
+        for n in range(5, 10)
+        for i, j in mgu_pairs(n)
+        if not any(_restrictions_are_mgu(i, j, n, verdicts))
+    ]
     check(
         "every minimal going-up class on 5..9 vertices keeps a one-vertex restriction in the family",
         bad == [],

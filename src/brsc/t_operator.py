@@ -5,7 +5,8 @@ of size <= dim, and T(H_k), read off H directly, those of the faces of size
 < k (the lattice core's constraints with k = dim + 1 and k); both families
 are listed by the core's NextClosure. Most operators here avoid listing
 T(H): its closure cl_T is the core's Horn closure, enough to build J(T(H))
-and, past 12 vertices, to walk it up to size dim + 1 for the TBRSC test.
+and to walk it up to size dim + 1 for the TBRSC test where the core does not
+read that walk off its subset tables.
 Every reader of cl_T closes through one memo per complex (_t_closure), and
 one going-up witness walk (_gu_witnesses) answers every going-up question.
 """
@@ -31,25 +32,22 @@ from .core import (
 from .lattice import (
     _closed_sets,
     _extension_constraints,
-    _first_gap,
+    _gap,
     _horn_closure,
     _independent_complex,
     _level_closure,
-    _table_gap,
-    _tables,
-    SUBSET_TABLE_MAX_N,
     flats,
 )
 from .operators import b_d
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=core.CACHED_COMPLEXES)
 def _t_constraints(C):
     """Pairs (X, bad): X a face of size <= dim whose extension fails on bad."""
     return _extension_constraints(C, C.dim + 1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=core.CACHED_COMPLEXES)
 def _t_closure(C):
     """cl_T for one complex, its constraints looked up once, with a memo of
     the exact closures of sets of at most dim + 1 points. Every T(H) reader
@@ -106,11 +104,9 @@ def jt_complex(C):
 
 def is_tbrsc(C):
     """Whether C is the (dim+1)-truncation of the BRSC J(T(H)): the lattice
-    core's walk of J(T(H)) up to size dim + 1 finds no set where they differ,
-    one cl_T per independent set of size <= dim, or read off subset tables
-    on at most SUBSET_TABLE_MAX_N vertices."""
-    gap = _first_gap(C, _t_closure(C)) if C.n > SUBSET_TABLE_MAX_N else _table_gap(C, _tables(C)[1])
-    return gap is None
+    core's walk of J(T(H)) up to size dim + 1 (_gap) finds no set where they
+    differ."""
+    return _gap(C, "T(H)", _t_closure) is None
 
 
 def paving_tbrsc_criterion(C):
@@ -355,17 +351,17 @@ def everyres_classes(n):
     """
     if not 5 <= n <= 10:
         raise CapacityError("restriction scan supported for 5 <= n <= 10")
-    verdict_cache = {}
+    verdicts = {}
+    return sorted((i, j) for i, j in mgu_pairs(n) if all(_restrictions_are_mgu(i, j, n, verdicts)))
 
-    def restricted_is_mgu(a, b):
-        key = (a, b) if a <= b else (b, a)
-        if key not in verdict_cache:
-            std = two_line_complex(key[0], key[1], n - 1)
-            verdict_cache[key] = classify_minimality(std) == "mGU"
-        return verdict_cache[key]
 
-    return sorted(
-        (i, j)
-        for i, j in mgu_pairs(n)
-        if all(restricted_is_mgu(*j_restriction_params(i, j, n, p)) for p in range(1, n + 1))
-    )
+def _restrictions_are_mgu(i, j, n, verdicts):
+    """For p = 1..n in turn, whether deleting vertex p of J(i,j,n) leaves an
+    mGU complex, as an iterator, so all and any stop early. The restriction
+    is the two-line complex of the sizes `j_restriction_params` gives, and
+    verdicts memoises its classification by (sizes in order, n - 1)."""
+    for p in range(1, n + 1):
+        key = (*sorted(j_restriction_params(i, j, n, p)), n - 1)
+        if key not in verdicts:
+            verdicts[key] = classify_minimality(two_line_complex(*key)) == "mGU"
+        yield verdicts[key]

@@ -34,9 +34,10 @@ def table(members):
 
 
 def assert_routes_agree(C):
-    """flats, is_boolean_representable and is_tbrsc of C, and the subset
-    tables of T(H) and the flats, against the Horn route: NextClosure's
-    lists and _first_gap's walks over the flat closure and cl_T."""
+    """flats, is_boolean_representable and is_tbrsc of C, the subset tables
+    of T(H) and the flats, and the engine entry _gap, against the Horn route:
+    NextClosure's lists and _first_gap's walks over the flat closure and
+    cl_T."""
     want = lattice._closed_sets(C.n, lattice._level_closure(C, C.dim + 2), "flat family")
     got = lattice.flats(C)
     assert got == want and got.ascending == want.ascending
@@ -45,8 +46,9 @@ def assert_routes_agree(C):
     assert flat == table(want.members)
     assert closed == table(t_operator.t_family(C).members)
     gap = lattice._first_gap(C, want.closure)
-    assert lattice._table_gap(C, flat) == gap
+    assert lattice._gap(C, "flats", lambda C: want.closure) == gap
     assert lattice.is_boolean_representable(C) == (gap is None, gap)
-    t_gap = lattice._first_gap(C, partial(t_operator.cl_T, C))
-    assert lattice._table_gap(C, closed) == t_gap
+    cl_T = partial(t_operator.cl_T, C)
+    t_gap = lattice._first_gap(C, cl_T)
+    assert lattice._gap(C, "T(H)", lambda C: cl_T) == t_gap
     assert t_operator.is_tbrsc(C) == (t_gap is None)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brsc import cli, core, iso, lattice, t_operator
 from brsc.catalog import catalog_names, named
 from brsc.cli import emit, load_complex, main
 from brsc.core import (
@@ -41,7 +43,7 @@ from brsc.matroid import (
     shelling_certificates,
 )
 from brsc.operators import b_d, up, up_iter
-from brsc.reproduce import REPRODUCE_TABLE
+from brsc.reproduce import REPRODUCE_TABLE, random_line_union
 from brsc.t_operator import (
     classify_minimality,
     codimension,
@@ -188,6 +190,32 @@ def test_j_complex_past_the_face_limit(capsys):
         code, out, err = run(capsys, "codim", "desargues")
     assert code == 3 and out == ""
     assert "capacity: J-complex with more than" in err
+
+
+def test_check_keeps_derived_data_of_a_few_complexes_only():
+    # brsc check on 50 distinct complexes, each also given its canonical
+    # form: every per-complex cache is filled, and none keeps more than the
+    # one core bound
+    caches = (
+        lattice.flats,
+        lattice._tables,
+        t_operator._t_constraints,
+        t_operator._t_closure,
+        iso._canonical_key_cached,
+    )
+    for fn in caches:
+        fn.cache_clear()
+    rng = random.Random(35)
+    inputs = set()
+    while len(inputs) < 50:
+        inputs.add(random_line_union(rng, rng.randint(6, 9), rng.randint(1, 3)))
+    for C in inputs:
+        cli._check(C, None)
+        canonical_complex(C)
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.maxsize == core.CACHED_COMPLEXES
+        assert 0 < info.currsize <= core.CACHED_COMPLEXES
 
 
 def test_check_desargues(capsys):

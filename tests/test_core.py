@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from itertools import accumulate, chain, combinations
 from operator import or_
 from pathlib import Path
@@ -258,6 +261,33 @@ def test_restriction_oracle():
     got = {frozenset(l - 1 for l in R.face_labels(f)) for f in R.faces}
     assert got == expect
     assert R.labels == (2, 3, 4)
+
+
+# a negative set once sent the reindexing into an endless loop, so the
+# negative case runs in a fresh process that a timeout ends
+NEGATIVE_RESTRICTION = """
+from brsc.catalog import named
+from brsc.core import DomainError, restriction
+try:
+    restriction(named("exs"), -1)
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_restriction_refuses_vertices_outside_the_complex():
+    C = named("exs")
+    for W in (1 << C.n, 1 << 7, C.full_mask | 1 << C.n):
+        with pytest.raises(DomainError, match="outside 0..n-1"):
+            restriction(C, W)
+    proc = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_RESTRICTION],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stdout == "set uses vertices outside 0..n-1\n"
 
 
 @given(complexes(6), st.integers(1, 127))

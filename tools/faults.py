@@ -102,6 +102,20 @@ FAULTS = (
         ("tests/test_lattice.py", "-k", "subset_tables"),
     ),
     Fault(
+        "subset-tables-end-one-vertex-early",
+        "src/brsc/lattice.py",
+        "    return C.n > SUBSET_TABLE_MAX_N",
+        "    return C.n >= SUBSET_TABLE_MAX_N",
+        ("tests/test_lattice.py", "-k", "subset_tables_end"),
+    ),
+    Fault(
+        "set-limit-refuses-at-the-limit",
+        "src/brsc/core.py",
+        "    if count > SET_LIMIT:",
+        "    if count >= SET_LIMIT:",
+        ("tests/test_core.py", "-k", "facet_past_the_set_limit"),
+    ),
+    Fault(
         "extension-word-count-ignores-empty-clauses",
         "src/brsc/matroid.py",
         "                    if not X & pts[J]:",
