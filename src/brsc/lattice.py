@@ -16,12 +16,11 @@ closure, and _level_walk the maximal members of a subset-closed family,
 which builds J of a closure (_independent_complex), the long hyperplanes of
 a paving complex and the catalog's group-labeled graph complexes. Both
 refuse past core.SET_LIMIT sets. _first_gap compares J with H up to size
-dim + 1, which decides BR and TBRSC. On small complexes the flats, T(H) and
-that walk are read off 2^n-bit subset tables instead (_tables), where the
-per-set work of the closures costs more than a few hundred operations on
-whole families; _on_tables alone decides which complexes take them, and _gap
-alone which route walks J. The public functions below are short calls into
-these helpers.
+dim + 1, which decides BR and TBRSC. Unless _past_tables finds C too large,
+the flats, T(H) and that walk (_gap) are read off 2^n-bit subset tables
+(_tables) instead: on small complexes the per-set work of the closures costs
+more than a few hundred operations on whole families. The public functions
+below are short calls into these helpers.
 
 transversal_complex walks chains of a set family directly: a second route
 to the complex of partial transversals that j_complex builds, which the
@@ -364,10 +363,9 @@ def _tables(C):
 
 def _gap(C, family, closure_of):
     """_first_gap of the closure whose closed sets are family, "T(H)" or
-    "flats": the walk over closure_of(C) past SUBSET_TABLE_MAX_N vertices,
-    else read off C's subset tables. There p lies outside cl(Y) exactly when
-    some closed set without p holds Y, so the sets under the closed sets
-    without p are those a level grows by p."""
+    "flats", over closure_of(C) past the subset tables, else read off them:
+    p lies outside cl(Y) exactly when some closed set without p holds Y, so
+    the sets under the closed sets without p are those a level grows by p."""
     if _past_tables(C):
         return _first_gap(C, closure_of(C))
     steps, size = _subset_masks(C.n)

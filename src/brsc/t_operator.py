@@ -5,8 +5,7 @@ of size <= dim, and T(H_k), read off H directly, those of the faces of size
 < k (the lattice core's constraints with k = dim + 1 and k); both families
 are listed by the core's NextClosure. Most operators here avoid listing
 T(H): its closure cl_T is the core's Horn closure, enough to build J(T(H))
-and to walk it up to size dim + 1 for the TBRSC test where the core does not
-read that walk off its subset tables.
+and to walk it up to size dim + 1 for the TBRSC test.
 Every reader of cl_T closes through one memo per complex (_t_closure), and
 one going-up witness walk (_gu_witnesses) answers every going-up question.
 """
